@@ -13,10 +13,9 @@ import json
 import math
 from pathlib import Path
 
-from scipy.special import erfcinv
-
 from .errors import ScenarioError
 from .spectrum import DEFAULT_ROLL_OFF, ModulationFormat, PltConfig
+from .units import erfcinv
 
 DEFAULT_FEC_THRESHOLD_BER = 2.0e-2
 
@@ -53,7 +52,7 @@ def required_snr_db(fmt: ModulationFormat, ber: float) -> float:
     if not 0.0 < ber < 0.5:
         raise ValueError("target BER must be in (0, 0.5)")
     prefactor, distance = _rect_qam_params(fmt)
-    snr_lin = (float(erfcinv(ber / prefactor)) / distance) ** 2
+    snr_lin = (erfcinv(ber / prefactor) / distance) ** 2
     return 10.0 * math.log10(snr_lin)
 
 

@@ -30,10 +30,10 @@ from .errors import (
 from .linesystem import LineSystem
 from .modem import (
     DEFAULT_FIT_DEGREE,
-    GRID_ABOVE_THRESHOLD_DB,
-    GRID_BELOW_THRESHOLD_DB,
+    GRID_STEP_DB,
     ModemModel,
     characterize,
+    default_gsnr_grid,
     load_curve,
     save_curve,
 )
@@ -128,7 +128,10 @@ def _load_curves(args, catalog) -> dict:
             raise CliError(
                 f"no characterization curve for {config.config_id} in "
                 f"{curves_dir}; run 'osaas-probe characterize' first")
-        curves[config.config_id] = load_curve(path)
+        try:
+            curves[config.config_id] = load_curve(path)
+        except FitRejectedError as exc:
+            raise CliError(f"bad characterization curve {path}: {exc}")
     return curves
 
 
@@ -147,15 +150,18 @@ def _modem_from_curves(curves: dict) -> float | None:
 
 def cmd_characterize(args) -> int:
     catalog = _catalog_for(args, None)
-    modem = ModemModel(args.modem_snr_db if args.modem_snr_db is not None
-                       else 26.0)
+    snr_modem_db = args.modem_snr_db if args.modem_snr_db is not None else 26.0
+    if not snr_modem_db > 0:
+        raise CliError(f"--modem-snr-db must be positive, got {snr_modem_db:g}")
+    if args.degree < 1:
+        raise CliError(f"--degree must be at least 1, got {args.degree}")
+    if not args.grid_step_db > 0:
+        raise CliError(f"--grid-step-db must be positive, got {args.grid_step_db:g}")
+    modem = ModemModel(snr_modem_db)
     out = Path(args.out or "curves")
     written = []
     for config in catalog:
-        start = config.required_gsnr_db - GRID_BELOW_THRESHOLD_DB
-        stop = config.required_gsnr_db + GRID_ABOVE_THRESHOLD_DB
-        n = int(round((stop - start) / args.grid_step_db))
-        grid = [start + i * args.grid_step_db for i in range(n + 1)]
+        grid = default_gsnr_grid(config, args.grid_step_db)
         try:
             curve = characterize(modem, config, args.degree, grid)
         except (InsufficientDataError, FitRejectedError) as exc:
@@ -414,7 +420,7 @@ def build_parser() -> _Parser:
     p.add_argument("--modem-snr-db", type=float,
                    help="transceiver implementation noise SNR (default 26)")
     p.add_argument("--degree", type=int, default=DEFAULT_FIT_DEGREE)
-    p.add_argument("--grid-step-db", type=float, default=0.5)
+    p.add_argument("--grid-step-db", type=float, default=GRID_STEP_DB)
     p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out", help="curve output directory (default: curves)")
     p.set_defaults(func=cmd_characterize)

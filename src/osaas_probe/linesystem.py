@@ -28,7 +28,6 @@ settings always read identically and probe order never matters.
 from __future__ import annotations
 
 import math
-import threading
 import zlib
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -185,35 +184,41 @@ def span_osnr_db(span: SpanSpec, launch_dbm: float) -> float:
             - span.loss_db - span.amp_noise_figure_db)
 
 
-def cascade_osnr_db(spans: tuple[SpanSpec, ...], launch_dbm: float) -> float:
-    """OSNR (0.1 nm) after a chain of transparent spans; ASE adds linearly."""
+def cascade_osnr_at_0dbm(spans: tuple[SpanSpec, ...]) -> float:
+    """OSNR (0.1 nm) of a chain of transparent spans at 0 dBm launch.
+
+    ASE adds linearly over the spans, and every span OSNR moves dB for dB
+    with the launch power, so the cascade OSNR at any launch power is this
+    value plus the launch power in dBm.
+    """
     if not spans:
         return math.inf
-    acc = sum(10.0 ** (-span_osnr_db(s, launch_dbm) / 10.0) for s in spans)
+    acc = sum(10.0 ** (-span_osnr_db(s, 0.0) / 10.0) for s in spans)
     return -10.0 * math.log10(acc)
 
 
-def ase_power_mw(spans: tuple[SpanSpec, ...], launch_dbm: float,
-                 symbol_rate_gbd: float) -> float:
-    """Accumulated ASE power in the signal bandwidth, linear mW."""
-    osnr = cascade_osnr_db(spans, launch_dbm)
-    if math.isinf(osnr):
-        return 0.0
-    snr_ase = osnr_to_snr_db(osnr, symbol_rate_gbd)
-    return dbm_to_mw(launch_dbm) / (10.0 ** (snr_ase / 10.0))
+def cascade_osnr_db(spans: tuple[SpanSpec, ...], launch_dbm: float) -> float:
+    """OSNR (0.1 nm) after a chain of transparent spans; ASE adds linearly."""
+    return launch_dbm + cascade_osnr_at_0dbm(spans)
+
+
+def nli_eta_per_mw2(spans: tuple[SpanSpec, ...]) -> float:
+    """NLI coefficient of a chain of spans: the incoherent sum of the span
+    coefficients, dispersion-compensated spans with their surcharge."""
+    total = 0.0
+    for span in spans:
+        eta = span.nli_coeff_per_mw2
+        if span.dispersion_comp is not DispersionComp.NONE:
+            eta *= DISPERSION_COMP_NLI_FACTOR
+        total += eta
+    return total
 
 
 def nli_power_mw(spans: tuple[SpanSpec, ...], launch_mw: float) -> float:
     """Nonlinear interference power in the signal band, incoherent sum."""
     if launch_mw < 0:
         raise ValueError("launch power must be non-negative")
-    total = 0.0
-    for span in spans:
-        eta = span.nli_coeff_per_mw2
-        if span.dispersion_comp is not DispersionComp.NONE:
-            eta *= DISPERSION_COMP_NLI_FACTOR
-        total += eta * launch_mw ** 3
-    return total
+    return nli_eta_per_mw2(spans) * launch_mw ** 3
 
 
 def filter_transfer(filters: tuple[FilterElement, ...], f_offset_ghz: float) -> float:
@@ -245,10 +250,29 @@ def _transfer_array(filters: tuple[FilterElement, ...], f: np.ndarray) -> np.nda
     return value
 
 
+class FilterCascade(tuple):
+    """Tuple of filter elements that hashes its elements once.
+
+    The penalty cache is keyed on the cascade, and a line hands the same
+    cascade to it on every probe; a plain tuple would re-hash each frozen
+    element on every lookup.
+    """
+
+    def __new__(cls, elements=()):
+        cascade = super().__new__(cls, elements)
+        cascade._hash = tuple.__hash__(cascade)
+        return cascade
+
+    def __hash__(self):
+        return self._hash
+
+
 @lru_cache(maxsize=4096)
 def _penalty_cached(filters: tuple[FilterElement, ...], rs: float,
-                    roll_off: float, offset_units: int, kappa: float) -> float:
-    if not filters or kappa == 0.0:
+                    roll_off: float, offset_units: int) -> float:
+    """In-band power loss of the cascade on one placement, dB, before the
+    ISI factor; one integral per placement serves every kappa."""
+    if not filters:
         return 0.0
     offset = offset_units * 0.25
     edge = (1.0 + roll_off) * rs / 2.0
@@ -257,7 +281,7 @@ def _penalty_cached(filters: tuple[FilterElement, ...], rs: float,
     transfer = _transfer_array(filters, f + offset)
     passed = np.trapezoid(shape * transfer, f)
     reference = np.trapezoid(shape, f)
-    return -kappa * 10.0 * math.log10(passed / reference)
+    return -10.0 * math.log10(passed / reference)
 
 
 def filtering_penalty_db(filters: tuple[FilterElement, ...], config: PltConfig,
@@ -270,8 +294,22 @@ def filtering_penalty_db(filters: tuple[FilterElement, ...], config: PltConfig,
     distortion the receiver cannot equalize away.
     """
     offset_units = to_grid_units(carrier_center_offset_ghz)
-    return _penalty_cached(filters, config.symbol_rate_gbd, config.roll_off,
-                           offset_units, kappa)
+    return kappa * _penalty_cached(filters, config.symbol_rate_gbd,
+                                   config.roll_off, offset_units)
+
+
+def _effective_filters(link: LinkSpec) -> FilterCascade:
+    """Explicit cascade plus one auto filter per DCG span, common offset."""
+    filters = list(link.filters)
+    for span in link.spans:
+        if span.dispersion_comp is DispersionComp.DCG:
+            filters.append(FilterElement(0.0, DCG_FILTER_BANDWIDTH_GHZ,
+                                         DCG_FILTER_ORDER))
+    if link.filter_misalignment_ghz:
+        shift = link.filter_misalignment_ghz
+        filters = [replace(f, center_offset_ghz=f.center_offset_ghz + shift)
+                   for f in filters]
+    return FilterCascade(filters)
 
 
 class LineSystem:
@@ -279,14 +317,18 @@ class LineSystem:
 
     The same :class:`ModemModel` must be used to characterize configurations
     and to probe through this instance; constructing both from one model
-    object keeps that honest. Probes are serialized: a real line carries one
-    probe carrier at a time.
+    object keeps that honest.
+
+    ``LinkSpec`` is frozen, so the span sums and the filter cascade are
+    computed once here rather than on every probe.
     """
 
     def __init__(self, link: LinkSpec, modem: ModemModel | None = None):
         self.link = link
         self.modem = modem if modem is not None else ModemModel()
-        self._lock = threading.Lock()
+        self.effective_filters = _effective_filters(link)
+        self._osnr_at_0dbm = cascade_osnr_at_0dbm(link.spans)
+        self._nli_eta_per_mw2 = nli_eta_per_mw2(link.spans)
         self._profile_means: dict = {}
 
     @property
@@ -296,20 +338,6 @@ class LineSystem:
     @property
     def media_channel(self) -> MediaChannel:
         return self.link.media_channel
-
-    @property
-    def effective_filters(self) -> tuple[FilterElement, ...]:
-        """Explicit cascade plus one auto filter per DCG span, common offset."""
-        filters = list(self.link.filters)
-        for span in self.link.spans:
-            if span.dispersion_comp is DispersionComp.DCG:
-                filters.append(FilterElement(0.0, DCG_FILTER_BANDWIDTH_GHZ,
-                                             DCG_FILTER_ORDER))
-        if self.link.filter_misalignment_ghz:
-            shift = self.link.filter_misalignment_ghz
-            filters = [replace(f, center_offset_ghz=f.center_offset_ghz + shift)
-                       for f in filters]
-        return tuple(filters)
 
     # -- frequency profile -------------------------------------------------
 
@@ -365,15 +393,23 @@ class LineSystem:
         check_carrier_fits(mc, config, offset)
         return offset
 
+    def _cascade_osnr_db(self, launch_dbm: float) -> float:
+        """:func:`cascade_osnr_db` of this line's spans."""
+        return launch_dbm + self._osnr_at_0dbm
+
+    def _nli_power_mw(self, launch_mw: float) -> float:
+        """:func:`nli_power_mw` of this line's spans."""
+        return self._nli_eta_per_mw2 * launch_mw ** 3
+
     def _total_snr_db(self, config: PltConfig, policy: PowerPolicy,
                       offset_ghz: float, sim_time_h: float) -> tuple[float, float]:
         link = self.link
         power_dbm = carrier_power_dbm(policy, config, link.media_channel)
         power_mw = dbm_to_mw(power_dbm)
-        osnr = cascade_osnr_db(link.spans, power_dbm)
+        osnr = self._cascade_osnr_db(power_dbm)
         snr_ase = (osnr_to_snr_db(osnr, config.symbol_rate_gbd)
                    if math.isfinite(osnr) else math.inf)
-        nli_mw = nli_power_mw(link.spans, power_mw)
+        nli_mw = self._nli_power_mw(power_mw)
         snr_nli = (10.0 * math.log10(power_mw / nli_mw)
                    if nli_mw > 0 else math.inf)
         optical = harmonic_db_sum(snr_ase, snr_nli)
@@ -407,26 +443,24 @@ class LineSystem:
         Deterministic for fixed link seed and probe settings; the noise draw
         is keyed on the realized carrier, not on the policy that produced it.
         """
-        with self._lock:
-            offset = self._carrier_offset_ghz(config, carrier_center_thz)
-            total, power_dbm = self._total_snr_db(config, policy, offset,
-                                                  sim_time_h)
-            ber_true = ber_from_snr(config.format, total)
-            if ber_true > 0.0:
-                q_read = (q_db_from_ber(ber_true)
-                          + self._noise_db(config, offset, power_dbm,
-                                           sim_time_h))
-                ber = ber_from_q_db(q_read)
-            else:
-                # noiseless line: the counter reads error-free
-                ber = 0.0
-            in_band = filtering_penalty_db(self.effective_filters, config,
-                                           offset, 1.0)
-            return BerReading(
-                pre_fec_ber=ber,
-                post_fec_ok=ber <= config.fec_threshold_ber,
-                rx_power_dbm=power_dbm - in_band,
-            )
+        offset = self._carrier_offset_ghz(config, carrier_center_thz)
+        total, power_dbm = self._total_snr_db(config, policy, offset,
+                                              sim_time_h)
+        ber_true = ber_from_snr(config.format, total)
+        if ber_true > 0.0:
+            q_read = (q_db_from_ber(ber_true)
+                      + self._noise_db(config, offset, power_dbm, sim_time_h))
+            ber = ber_from_q_db(q_read)
+        else:
+            # noiseless line: the counter reads error-free
+            ber = 0.0
+        in_band = filtering_penalty_db(self.effective_filters, config,
+                                       offset, 1.0)
+        return BerReading(
+            pre_fec_ber=ber,
+            post_fec_ok=ber <= config.fec_threshold_ber,
+            rx_power_dbm=power_dbm - in_band,
+        )
 
     # -- test-only oracles ---------------------------------------------------
 

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +27,6 @@ from .catalog import _rect_qam_params
 from .errors import CurveRangeError, FitRejectedError, InsufficientDataError
 from .spectrum import ModulationFormat, PltConfig
 from .units import harmonic_db_sum, q_db_from_ber
-
-from scipy.special import erfc
 
 # Readings at or beyond this pre-FEC BER carry no usable decision quality
 # and are dropped from characterization (far beyond any FEC threshold).
@@ -37,6 +38,15 @@ MONOTONICITY_STEP_DB = 0.01
 GRID_STEP_DB = 0.5
 GRID_BELOW_THRESHOLD_DB = 1.0
 GRID_ABOVE_THRESHOLD_DB = 14.0
+CURVE_SCHEMA_VERSION = 1
+# Curve files store points rounded to 6 decimals but the validity range
+# exactly, so the range may stick out of the stored points by this much.
+_PERSISTED_POINT_ROUNDING = 1e-6
+
+# Newton inversion stops once a step moves the estimate by less than this;
+# the bisection fallback bounds the iteration count.
+_INVERSION_STEP_DB = 1e-12
+_INVERSION_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,25 @@ def ber_from_snr(fmt: ModulationFormat, snr_db: float) -> float:
     """
     prefactor, distance = _rect_qam_params(fmt)
     snr_lin = 10.0 ** (snr_db / 10.0)
-    return prefactor * float(erfc(distance * math.sqrt(snr_lin)))
+    return prefactor * math.erfc(distance * math.sqrt(snr_lin))
+
+
+def _horner(coefficients: tuple[float, ...], x: float) -> tuple[float, float]:
+    """Value and slope at x of a polynomial in ascending powers."""
+    value = slope = 0.0
+    for c in reversed(coefficients):
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
+
+
+def _check_monotone(coefficients, lo: float, hi: float) -> None:
+    """The fit gate: the polynomial must rise strictly over [lo, hi], sampled
+    every MONOTONICITY_STEP_DB."""
+    sample = np.arange(lo, hi + MONOTONICITY_STEP_DB / 2, MONOTONICITY_STEP_DB)
+    values = np.polynomial.polynomial.polyval(sample, coefficients)
+    if np.any(np.diff(values) <= 0):
+        raise FitRejectedError("fitted curve is not monotone over the validity range")
 
 
 @dataclass(frozen=True)
@@ -84,19 +112,21 @@ class CharacterizationCurve:
             raise CurveRangeError(
                 f"{gsnr_db:.3f} dB outside curve validity [{lo:.3f}, {hi:.3f}]"
             )
-        return float(np.polynomial.polynomial.polyval(gsnr_db, self.coefficients))
+        return _horner(self.coefficients, gsnr_db)[0]
 
-    @property
+    @cached_property
     def q_range(self) -> tuple[float, float]:
         return self.q_at(self.valid_range[0]), self.q_at(self.valid_range[1])
 
 
-def default_gsnr_grid(config: PltConfig) -> list[float]:
-    """Noise-loading grid: 0.5 dB steps around the FEC-limit GSNR."""
+def default_gsnr_grid(config: PltConfig,
+                      step_db: float = GRID_STEP_DB) -> list[float]:
+    """Noise-loading grid: equal steps (0.5 dB by default) around the
+    FEC-limit GSNR."""
     start = config.required_gsnr_db - GRID_BELOW_THRESHOLD_DB
     stop = config.required_gsnr_db + GRID_ABOVE_THRESHOLD_DB
-    n = int(round((stop - start) / GRID_STEP_DB))
-    return [start + i * GRID_STEP_DB for i in range(n + 1)]
+    n = int(round((stop - start) / step_db))
+    return [start + i * step_db for i in range(n + 1)]
 
 
 def generate_char_points(
@@ -155,10 +185,7 @@ def fit_characterization(
             f"fit residual RMS {residual_rms:.4f} dB exceeds {FIT_RMS_LIMIT_DB} dB"
         )
     lo, hi = float(gs[0]), float(gs[-1])
-    sample = np.arange(lo, hi + MONOTONICITY_STEP_DB / 2, MONOTONICITY_STEP_DB)
-    values = np.polynomial.polynomial.polyval(sample, coeffs)
-    if np.any(np.diff(values) <= 0):
-        raise FitRejectedError("fitted curve is not monotone over the validity range")
+    _check_monotone(coeffs, lo, hi)
     return CharacterizationCurve(
         config_id=config_id,
         points=tuple((float(g), float(q)) for g, q in points),
@@ -176,14 +203,25 @@ def characterize(model: ModemModel, config: PltConfig,
                                 model.snr_modem_db)
 
 
-def gsnr_from_q(curve: CharacterizationCurve, q_db: float,
-                tolerance_db: float = 1e-4) -> float:
+def _inversion_seed(curve: CharacterizationCurve, q_db: float) -> float:
+    """Linear interpolation of the characterization points at q_db, clamped
+    to the validity range; within the fit residual of the root."""
+    points = curve.points
+    i = min(max(bisect_left(points, q_db, key=itemgetter(1)), 1), len(points) - 1)
+    (g0, q0), (g1, q1) = points[i - 1], points[i]
+    lo, hi = curve.valid_range
+    return min(max(g0 + (q_db - q0) * (g1 - g0) / (q1 - q0), lo), hi)
+
+
+def gsnr_from_q(curve: CharacterizationCurve, q_db: float) -> float:
     """Invert a characterization curve: measured Q back to estimated GSNR.
 
-    The fitted polynomial is monotone over its validity range, so the unique
-    root is found by bisection. Q readings outside the curve image mean the
-    measurement cannot be converted and the probing layer must mark it
-    unusable.
+    The fitted polynomial rises strictly over its validity range (checked
+    when fitting and when loading), so the unique root is found by Newton's
+    method from an interpolated seed. The root stays bracketed; a step that
+    would leave the bracket is replaced by bisection. Q readings outside the
+    curve image mean the measurement cannot be converted and the probing
+    layer must mark it unusable.
     """
     lo, hi = curve.valid_range
     q_lo, q_hi = curve.q_range
@@ -191,18 +229,32 @@ def gsnr_from_q(curve: CharacterizationCurve, q_db: float,
         raise CurveRangeError(
             f"Q {q_db:.3f} dB outside curve image [{q_lo:.3f}, {q_hi:.3f}]"
         )
-    while hi - lo > tolerance_db:
-        mid = 0.5 * (lo + hi)
-        if curve.q_at(mid) < q_db:
-            lo = mid
+    if q_db <= q_lo:
+        return lo
+    if q_db >= q_hi:
+        return hi
+    g = _inversion_seed(curve, q_db)
+    for _ in range(_INVERSION_MAX_ITER):
+        value, slope = _horner(curve.coefficients, g)
+        if value < q_db:
+            lo = g
+        elif value > q_db:
+            hi = g
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            return g
+        step = (value - q_db) / slope if slope > 0 else math.inf
+        new = g - step
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - g) <= _INVERSION_STEP_DB:
+            return new
+        g = new
+    return g
 
 
 def curve_to_dict(curve: CharacterizationCurve) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": CURVE_SCHEMA_VERSION,
         "config_id": curve.config_id,
         "points": [[round(g, 6), round(q, 6)] for g, q in curve.points],
         "coefficients": list(curve.coefficients),
@@ -211,19 +263,52 @@ def curve_to_dict(curve: CharacterizationCurve) -> dict:
     }
 
 
+def _finite(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
 def curve_from_dict(data: dict) -> CharacterizationCurve:
-    points = [(float(g), float(q)) for g, q in data["points"]]
+    """Rebuild a persisted curve, re-running the checks a fit must pass.
+
+    Any malformed or inconsistent content raises :class:`FitRejectedError`.
+    """
+    if not isinstance(data, dict) or data.get("schema_version") != CURVE_SCHEMA_VERSION:
+        raise FitRejectedError(
+            f"not a curve file of schema_version {CURVE_SCHEMA_VERSION}")
+    try:
+        config_id = data["config_id"]
+        if not isinstance(config_id, str):
+            raise TypeError("config_id must be a string")
+        points = [(_finite(g), _finite(q)) for g, q in data["points"]]
+        coefficients = tuple(_finite(c) for c in data["coefficients"])
+        lo, hi = (_finite(v) for v in data["valid_range"])
+        modem = data.get("snr_modem_db")
+        snr_modem_db = math.inf if modem is None else float(modem)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FitRejectedError(f"malformed curve: {exc!r}") from exc
+    if not snr_modem_db > 0:
+        raise FitRejectedError("curve snr_modem_db must be positive")
+    if not 2 <= len(coefficients) < len(points):
+        raise FitRejectedError(
+            f"{len(coefficients)} coefficients do not fit {len(points)} points")
     gs = [p[0] for p in points]
     qs = [p[1] for p in points]
     if any(b <= a for a, b in zip(gs, gs[1:])) or any(b <= a for a, b in zip(qs, qs[1:])):
         raise FitRejectedError("persisted curve points are not strictly monotone")
-    modem = data.get("snr_modem_db")
+    slack = _PERSISTED_POINT_ROUNDING
+    if not gs[0] - slack <= lo < hi <= gs[-1] + slack:
+        raise FitRejectedError(
+            f"valid range [{lo}, {hi}] not inside the points [{gs[0]}, {gs[-1]}]")
+    _check_monotone(coefficients, lo, hi)
     return CharacterizationCurve(
-        config_id=data["config_id"],
+        config_id=config_id,
         points=tuple(points),
-        coefficients=tuple(float(c) for c in data["coefficients"]),
-        valid_range=(float(data["valid_range"][0]), float(data["valid_range"][1])),
-        snr_modem_db=math.inf if modem is None else float(modem),
+        coefficients=coefficients,
+        valid_range=(lo, hi),
+        snr_modem_db=snr_modem_db,
     )
 
 
@@ -235,4 +320,8 @@ def save_curve(curve: CharacterizationCurve, path: str | Path) -> None:
 
 
 def load_curve(path: str | Path) -> CharacterizationCurve:
-    return curve_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise FitRejectedError(f"cannot read curve {path}: {exc}") from exc
+    return curve_from_dict(data)

@@ -14,6 +14,14 @@ from osaas_probe.presets import preset
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
+def make_non_monotone(curve_data: dict) -> dict:
+    """Give a persisted curve -(g - mid)^2, which peaks mid-range, as its
+    polynomial; the stored points stay monotone."""
+    mid = 0.5 * sum(curve_data["valid_range"])
+    curve_data["coefficients"] = [-mid * mid, 2.0 * mid, -1.0]
+    return curve_data
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return default_catalog()

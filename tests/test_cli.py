@@ -1,10 +1,14 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
 from osaas_probe.cli import main
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, make_non_monotone
 
 SCENARIOS = REPO_ROOT / "scenarios"
 
@@ -18,6 +22,28 @@ def curves_dir(tmp_path_factory):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+
+
+def run_process(args, cwd):
+    """The CLI in a fresh interpreter: (exit code, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "osaas_probe.cli"] + [str(a) for a in args],
+        cwd=cwd, env=_child_env(), capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+def test_cli_import_does_not_load_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, osaas_probe.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=_child_env(), capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_characterize_writes_eleven_curves(curves_dir):
@@ -38,6 +64,39 @@ def test_characterize_insufficient_grid_fails(tmp_path):
     out = tmp_path / "curves"
     code = run(["characterize", "--out", out, "--grid-step-db", "7.5"])
     assert code == 3
+
+
+def test_characterize_grid_step_must_be_positive(tmp_path):
+    code, stderr = run_process(["characterize", "--out", tmp_path / "curves",
+                                "--grid-step-db", "0"], tmp_path)
+    assert code == 3
+    assert "Traceback" not in stderr
+    assert "--grid-step-db must be positive" in stderr
+    assert not (tmp_path / "curves").exists()
+
+
+@pytest.mark.parametrize("flags", [["--degree", "-1"], ["--modem-snr-db", "-3"]])
+def test_characterize_bad_flags_are_config_errors(tmp_path, flags):
+    assert run(["characterize", "--out", tmp_path] + flags) == 3
+
+
+BROKEN_CURVES = {"malformed": lambda data: {"bad": 1},
+                 "non-monotone": make_non_monotone}
+
+
+@pytest.mark.parametrize("kind", sorted(BROKEN_CURVES))
+def test_broken_curve_file_is_config_error(tmp_path, curves_dir, kind):
+    curves = tmp_path / "curves"
+    shutil.copytree(curves_dir, curves)
+    path = curves / "DP-QPSK-31.5.json"
+    path.write_text(json.dumps(BROKEN_CURVES[kind](json.loads(path.read_text()))))
+    code, stderr = run_process(["probe", "--scenario", SCENARIOS / "B-485.json",
+                                "--curves", curves, "--out", tmp_path / "out"],
+                               tmp_path)
+    assert code == 3
+    assert "Traceback" not in stderr
+    assert len(stderr.strip().splitlines()) == 1
+    assert "DP-QPSK-31.5.json" in stderr
 
 
 def test_probe_command_and_exit_codes(tmp_path, curves_dir):

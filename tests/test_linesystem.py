@@ -1,11 +1,14 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from osaas_probe.catalog import regional_catalog
 from osaas_probe.errors import CarrierRejectedError, LimitViolationError, ScenarioError
 from osaas_probe.linesystem import (
+    DISPERSION_COMP_NLI_FACTOR,
     DispersionComp,
     EqualizerGranularity,
     EqualizerNode,
@@ -13,6 +16,7 @@ from osaas_probe.linesystem import (
     LineSystem,
     LinkSpec,
     SpanSpec,
+    _penalty_cached,
     cascade_osnr_db,
     filter_transfer,
     filtering_penalty_db,
@@ -20,10 +24,21 @@ from osaas_probe.linesystem import (
     span_osnr_db,
 )
 from osaas_probe.modem import ModemModel, ber_from_snr
-from osaas_probe.spectrum import MediaChannel, ModulationFormat, PltConfig, PowerPolicy
+from osaas_probe.presets import preset
+from osaas_probe.probing import run_frequency_sweep
+from osaas_probe.scenario import load_scenario
+from osaas_probe.spectrum import (
+    MediaChannel,
+    ModulationFormat,
+    PltConfig,
+    PowerPolicy,
+    to_grid_units,
+)
 from osaas_probe.units import dbm_to_mw, osnr_to_snr_db, q_db_from_ber
 
 MC = MediaChannel(193.2, 100.0, 9.0, -20.0)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SCENARIO_FILES = sorted(SCENARIOS.glob("*.json"))
 
 
 def span(loss=20.0, nf=5.0, eta=0.0, comp=DispersionComp.NONE):
@@ -276,3 +291,60 @@ def test_launch_power_optimum_at_ase_twice_nli():
     assert abs(p_star_mw - p_analytic) / p_analytic <= 0.01
     # and the noise balance at the optimum is ASE = 2 x NLI
     assert ase_mw == pytest.approx(2 * eta * p_star_mw ** 3, rel=0.02)
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
+def test_line_constants_match_per_span_sums(path):
+    """The per-line ASE and NLI terms equal the span-by-span sums."""
+    line = LineSystem(load_scenario(path).link)
+    spans = line.link.spans
+    for launch_dbm in (-12.0, -3.5, 0.0, 4.0):
+        launch_mw = dbm_to_mw(launch_dbm)
+        if spans:
+            reference_osnr = -10.0 * math.log10(sum(
+                10.0 ** (-span_osnr_db(s, launch_dbm) / 10.0) for s in spans))
+        else:
+            reference_osnr = math.inf
+        for osnr in (line._cascade_osnr_db(launch_dbm),
+                     cascade_osnr_db(spans, launch_dbm)):
+            assert osnr == reference_osnr or abs(osnr - reference_osnr) <= 1e-9
+        reference_nli = sum(
+            s.nli_coeff_per_mw2 * launch_mw ** 3
+            * (1.0 if s.dispersion_comp is DispersionComp.NONE
+               else DISPERSION_COMP_NLI_FACTOR)
+            for s in spans)
+        for nli in (line._nli_power_mw(launch_mw), nli_power_mw(spans, launch_mw)):
+            assert nli == pytest.approx(reference_nli, rel=1e-9, abs=1e-30)
+
+
+def test_cold_sweep_integrates_each_placement_once(curves):
+    """One penalty integral per distinct (symbol rate, roll-off, offset):
+    the ISI-amplified penalty and the received power share it."""
+    sc = load_scenario(SCENARIOS / "C-284-sweep.json")
+    line = LineSystem(sc.link, ModemModel(26.0))
+    _penalty_cached.cache_clear()
+    profile = run_frequency_sweep(line, regional_catalog(), curves,
+                                  sc.sweep_step_ghz, sc.policy)
+    mc = line.media_channel
+    placements = {
+        (cfg.symbol_rate_gbd, cfg.roll_off,
+         to_grid_units((center - mc.center_thz) * 1000.0))
+        for cid, cfg in profile.configs.items()
+        for center, _ in profile.points[cid]
+    }
+    assert len(placements) == 66
+    assert _penalty_cached.cache_info().misses == len(placements)
+
+
+@pytest.mark.parametrize("name, config_id, offset, power, hours, expected", [
+    ("B-485", "DP-16QAM-34.5", 0.0, -1.0, 0.0, -0.004570120030011185),
+    ("B-1302", "DP-QPSK-69.4", 6.25, 0.5, 0.0, -0.003586733798898486),
+    ("LH-5738", "DP-P-16QAM-46.3", -12.5, -2.25, 3.0, 0.017825178083964135),
+])
+def test_noise_draws_are_pinned(catalog, name, config_id, offset, power, hours,
+                                expected):
+    """The per-probe noise draw is part of every seeded report; its entropy
+    and generator must not change."""
+    line = LineSystem(preset(name).link)
+    config = {c.config_id: c for c in catalog}[config_id]
+    assert line._noise_db(config, offset, power, hours) == expected

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from osaas_probe.modem import (
 )
 from osaas_probe.spectrum import ModulationFormat, PltConfig
 from osaas_probe.units import q_db_from_ber
+
+from conftest import make_non_monotone
 
 
 def qpsk_config():
@@ -138,6 +141,25 @@ def test_gsnr_from_q_out_of_range(curves):
         gsnr_from_q(curve, q_lo - 1.0)
 
 
+def test_gsnr_from_q_round_trip_is_exact(curves):
+    """Newton inversion returns the root to rounding, over the whole range."""
+    for curve in curves.values():
+        lo, hi = curve.valid_range
+        for g in np.linspace(lo, hi, 200):
+            g = float(g)
+            assert abs(gsnr_from_q(curve, curve.q_at(g)) - g) <= 1e-9
+
+
+def test_gsnr_from_q_rejects_readings_outside_image(curves):
+    for curve in curves.values():
+        q_lo, q_hi = curve.q_range
+        for q in (q_lo - 1e-6, q_hi + 1e-6, q_lo - 5.0, q_hi + 5.0):
+            with pytest.raises(CurveRangeError):
+                gsnr_from_q(curve, q)
+        assert gsnr_from_q(curve, q_lo) == curve.valid_range[0]
+        assert gsnr_from_q(curve, q_hi) == curve.valid_range[1]
+
+
 def test_end_to_end_characterization_bias(catalog):
     """Probing a known total GSNR recovers it within 0.02 dB over the range."""
     for model in (ModemModel(math.inf), ModemModel(26.0), ModemModel(20.0)):
@@ -180,3 +202,55 @@ def test_curve_load_reverifies_monotonicity(curves):
     data["points"][2][1] = data["points"][1][1] - 1.0
     with pytest.raises(FitRejectedError):
         curve_from_dict(data)
+
+
+BAD_CURVE_EDITS = {
+    "no schema_version": lambda d: d.pop("schema_version"),
+    "schema_version 2": lambda d: d.update(schema_version=2),
+    "no points": lambda d: d.pop("points"),
+    "no coefficients": lambda d: d.pop("coefficients"),
+    "no valid_range": lambda d: d.pop("valid_range"),
+    "no config_id": lambda d: d.pop("config_id"),
+    "numeric config_id": lambda d: d.update(config_id=7),
+    "one coefficient": lambda d: d.update(coefficients=[1.0]),
+    "more coefficients than points": lambda d: d.update(
+        coefficients=[0.0, 1.0] + [0.0] * 40),
+    "nan coefficient": lambda d: d.update(
+        coefficients=[0.0, float("nan"), 0.0, 0.0]),
+    "text in points": lambda d: d.update(points=[[1.0, "x"]]),
+    "short valid_range": lambda d: d.update(valid_range=[1.0]),
+    "range beyond points": lambda d: d.update(
+        valid_range=[d["valid_range"][0] - 0.1, d["valid_range"][1]]),
+    "negative modem SNR": lambda d: d.update(snr_modem_db=-3.0),
+    "non-monotone polynomial": make_non_monotone,
+}
+
+
+@pytest.mark.parametrize("edit", sorted(BAD_CURVE_EDITS))
+def test_curve_load_rejects_bad_content(curves, edit):
+    data = curve_to_dict(curves["DP-16QAM-52"])
+    BAD_CURVE_EDITS[edit](data)
+    with pytest.raises(FitRejectedError):
+        curve_from_dict(data)
+
+
+@pytest.mark.parametrize("data", [{"bad": 1}, [], None, "curve"])
+def test_curve_load_rejects_non_curves(data):
+    with pytest.raises(FitRejectedError):
+        curve_from_dict(data)
+
+
+def test_load_curve_unreadable_file(tmp_path):
+    path = tmp_path / "curve.json"
+    path.write_text("{not json")
+    with pytest.raises(FitRejectedError):
+        load_curve(path)
+    with pytest.raises(FitRejectedError):
+        load_curve(tmp_path / "missing.json")
+
+
+def test_persisted_curve_round_trips_through_validation(curves):
+    for curve in curves.values():
+        loaded = curve_from_dict(json.loads(json.dumps(curve_to_dict(curve))))
+        assert loaded.coefficients == curve.coefficients
+        assert loaded.valid_range == curve.valid_range
