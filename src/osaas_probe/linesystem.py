@@ -43,6 +43,7 @@ from .spectrum import (
     PowerPolicy,
     carrier_power_dbm,
     check_carrier_fits,
+    rrc_psd,
     to_grid_units,
 )
 from .units import (
@@ -221,28 +222,8 @@ def nli_power_mw(spans: tuple[SpanSpec, ...], launch_mw: float) -> float:
     return nli_eta_per_mw2(spans) * launch_mw ** 3
 
 
-def filter_transfer(filters: tuple[FilterElement, ...], f_offset_ghz: float) -> float:
-    """Cascade power transfer at a frequency offset from the channel center."""
-    value = 1.0
-    for filt in filters:
-        x = 2.0 * (f_offset_ghz - filt.center_offset_ghz) / filt.bandwidth_3db_ghz
-        value *= math.exp(-math.log(2.0) * x ** (2 * filt.order))
-    return value
-
-
-def _rrc_shape(rs: float, roll_off: float, f: np.ndarray) -> np.ndarray:
-    flat = (1.0 - roll_off) * rs / 2.0
-    edge = (1.0 + roll_off) * rs / 2.0
-    af = np.abs(f)
-    shape = np.zeros_like(af)
-    shape[af <= flat] = 1.0 / rs
-    transition = (af > flat) & (af < edge)
-    shape[transition] = 0.5 / rs * (
-        1.0 + np.cos(np.pi / (roll_off * rs) * (af[transition] - flat)))
-    return shape
-
-
-def _transfer_array(filters: tuple[FilterElement, ...], f: np.ndarray) -> np.ndarray:
+def filter_transfer(filters: tuple[FilterElement, ...], f: np.ndarray) -> np.ndarray:
+    """Cascade power transfer at offsets f (GHz) from the channel center."""
     value = np.ones_like(f)
     for filt in filters:
         x = 2.0 * (f - filt.center_offset_ghz) / filt.bandwidth_3db_ghz
@@ -277,8 +258,8 @@ def _penalty_cached(filters: tuple[FilterElement, ...], rs: float,
     offset = offset_units * 0.25
     edge = (1.0 + roll_off) * rs / 2.0
     f = np.linspace(-edge, edge, _PENALTY_GRID_POINTS)
-    shape = _rrc_shape(rs, roll_off, f)
-    transfer = _transfer_array(filters, f + offset)
+    shape = rrc_psd(rs, roll_off, f)
+    transfer = filter_transfer(filters, f + offset)
     passed = np.trapezoid(shape * transfer, f)
     reference = np.trapezoid(shape, f)
     return -10.0 * math.log10(passed / reference)

@@ -53,11 +53,6 @@ TERMINAL_CASCADE = (
 _REFERENCE_RATE_GBD = 31.5
 
 
-def _ase_snr_db(launch_psd: float, loss_db: float, nf_db: float, n_spans: int) -> float:
-    return (launch_psd + 10.0 * math.log10(REF_BANDWIDTH_GHZ) + 58.0
-            - loss_db - nf_db - 10.0 * math.log10(n_spans))
-
-
 def _loss_for_ase_snr(target_snr_db: float, nf_db: float, n_spans: int,
                       launch_psd: float = DEFAULT_PROBE_PSD_DBM_PER_GHZ) -> float:
     return (launch_psd + 10.0 * math.log10(REF_BANDWIDTH_GHZ) + 58.0

@@ -1,6 +1,7 @@
 """Probing algorithms: extended symbol-rate-variable probing, penalties and
 symbol-rate cap, link GSNR estimation, margins and configuration selection,
-frequency sweeps with profile analytics, and operation-regime detection.
+frequency sweeps with profile analytics, operation-regime detection, and
+monitoring over time with the slot-narrowing upgrade it reveals.
 
 Everything here drives a line exclusively through its black-box probe surface
 (:meth:`LineSystem.probe` or anything with the same signature) plus published
@@ -78,16 +79,16 @@ class ProbeCampaign:
     media_channel: MediaChannel
     configs: dict[str, PltConfig]
     results: list[ProbeResult] = field(default_factory=list)
+    _keys: set = field(default_factory=set, repr=False, init=False)
 
     def add(self, result: ProbeResult) -> None:
         if result.config_id not in self.configs:
             raise KeyError(f"{result.config_id} not in campaign catalog")
         key = (result.config_id, round(result.carrier_center_thz, 6),
                result.policy, round(result.sim_time_h, 9))
-        for existing in self.results:
-            if (existing.config_id, round(existing.carrier_center_thz, 6),
-                    existing.policy, round(existing.sim_time_h, 9)) == key:
-                raise ValueError(f"duplicate probe {key}")
+        if key in self._keys:
+            raise ValueError(f"duplicate probe {key}")
+        self._keys.add(key)
         self.results.append(result)
 
     def working(self) -> list[ProbeResult]:
@@ -134,8 +135,8 @@ class RegimeReport:
     excluded: dict[str, str] = field(default_factory=dict)
 
 
-def _classify_reading(reading, config: PltConfig,
-                      curve: CharacterizationCurve) -> tuple[ProbeStatus, float | None, float | None, str]:
+def _classify_reading(reading, curve: CharacterizationCurve
+                      ) -> tuple[ProbeStatus, float | None, float | None, str]:
     if not reading.post_fec_ok:
         return ProbeStatus.OUTAGE, None, None, "post-FEC errors"
     if reading.pre_fec_ber <= 0.0:
@@ -159,17 +160,15 @@ def probe_once(line, config: PltConfig, curve: CharacterizationCurve,
     except (CarrierRejectedError, LimitViolationError) as exc:
         return ProbeResult(config.config_id, center, policy,
                            ProbeStatus.UNUSABLE, sim_time_h, note=str(exc))
-    status, q, gsnr, note = _classify_reading(reading, config, curve)
+    status, q, gsnr, note = _classify_reading(reading, curve)
     return ProbeResult(config.config_id, center, policy, status, sim_time_h,
                        q_db=q, gsnr_est_db=gsnr, note=note)
 
 
 def run_extended_probe(line, catalog: tuple[PltConfig, ...],
                        curves: dict[str, CharacterizationCurve],
-                       policy: PowerPolicy,
-                       carrier_center_thz: float | None = None,
-                       sim_time_h: float = 0.0) -> ProbeCampaign:
-    """Probe every catalog configuration once at one carrier position."""
+                       policy: PowerPolicy) -> ProbeCampaign:
+    """Probe every catalog configuration once at the channel center."""
     campaign = ProbeCampaign(
         link_name=getattr(line, "name", ""),
         media_channel=line.media_channel,
@@ -177,8 +176,7 @@ def run_extended_probe(line, catalog: tuple[PltConfig, ...],
     )
     for config in catalog:
         curve = curves[config.config_id]
-        campaign.add(probe_once(line, config, curve, policy,
-                                carrier_center_thz, sim_time_h))
+        campaign.add(probe_once(line, config, curve, policy))
     return campaign
 
 
@@ -231,11 +229,10 @@ def estimate_link_gsnr(campaign: ProbeCampaign, cap_gbd: float) -> float:
     return float(np.mean(included))
 
 
-def estimate_spread_db(campaign: ProbeCampaign, cap_gbd: float | None = None) -> float:
-    """Max minus min of the working GSNR estimates, optionally cap-filtered."""
+def estimate_spread_db(campaign: ProbeCampaign, cap_gbd: float) -> float:
+    """Max minus min of the working GSNR estimates within the cap."""
     values = [r.gsnr_est_db for r in campaign.working()
-              if cap_gbd is None
-              or campaign.configs[r.config_id].symbol_rate_gbd <= cap_gbd + 1e-9]
+              if campaign.configs[r.config_id].symbol_rate_gbd <= cap_gbd + 1e-9]
     if not values:
         raise NoSignalError("no working results")
     return max(values) - min(values)
@@ -266,11 +263,7 @@ def select_best_config(margins_db: dict[str, float],
 def verify_margin_accuracy(line, catalog: tuple[PltConfig, ...],
                            curves: dict[str, CharacterizationCurve],
                            margins_db: dict[str, float],
-                           policy: PowerPolicy,
-                           carrier_center_thz: float | None = None,
-                           sim_time_h: float = 0.0,
-                           near_zero_db: float = NEAR_ZERO_MARGIN_DB,
-                           ) -> tuple[float, VerificationFlag]:
+                           policy: PowerPolicy) -> tuple[float, VerificationFlag]:
     """Check near-zero-margin predictions against actual signal condition.
 
     Every configuration whose predicted margin is within the near-zero band
@@ -282,12 +275,12 @@ def verify_margin_accuracy(line, catalog: tuple[PltConfig, ...],
     verified = False
     worst = 0.0
     for cid, margin in margins_db.items():
-        if abs(margin) > near_zero_db:
+        if abs(margin) > NEAR_ZERO_MARGIN_DB:
             continue
         verified = True
         config = by_id[cid]
         try:
-            reading = line.probe(config, policy, carrier_center_thz, sim_time_h)
+            reading = line.probe(config, policy)
             works = reading.post_fec_ok
         except (CarrierRejectedError, LimitViolationError):
             works = False
@@ -305,19 +298,15 @@ def verify_margin_accuracy(line, catalog: tuple[PltConfig, ...],
 def run_probe_workflow(line, catalog: tuple[PltConfig, ...],
                        curves: dict[str, CharacterizationCurve],
                        policy: PowerPolicy,
-                       theta_db: float = DEFAULT_CAP_THETA_DB,
-                       carrier_center_thz: float | None = None,
-                       sim_time_h: float = 0.0) -> MarginReport:
+                       theta_db: float = DEFAULT_CAP_THETA_DB) -> MarginReport:
     """Full narrow-band workflow: probe, cap, estimate, margins, verify."""
-    campaign = run_extended_probe(line, catalog, curves, policy,
-                                  carrier_center_thz, sim_time_h)
+    campaign = run_extended_probe(line, catalog, curves, policy)
     penalties = compute_penalties(campaign)
     cap = detect_symbol_rate_cap(campaign, penalties, theta_db)
     est = estimate_link_gsnr(campaign, cap)
     margins = compute_margins(est, catalog, cap)
     best = select_best_config(margins, catalog)
-    bound, flag = verify_margin_accuracy(line, catalog, curves, margins,
-                                         policy, carrier_center_thz, sim_time_h)
+    bound, flag = verify_margin_accuracy(line, catalog, curves, margins, policy)
     return MarginReport(
         gsnr_est_link_db=est,
         symbol_rate_cap_gbd=cap,
@@ -333,8 +322,7 @@ def run_probe_workflow(line, catalog: tuple[PltConfig, ...],
 
 def run_frequency_sweep(line, configs: tuple[PltConfig, ...],
                         curves: dict[str, CharacterizationCurve],
-                        step_ghz: float, policy: PowerPolicy,
-                        sim_time_h: float = 0.0) -> GsnrProfile:
+                        step_ghz: float, policy: PowerPolicy) -> GsnrProfile:
     """Probe each configuration across every admissible carrier position.
 
     Carrier placements keeping the occupied band inside the media channel are
@@ -355,7 +343,7 @@ def run_frequency_sweep(line, configs: tuple[PltConfig, ...],
         for offset in offsets:
             center = mc.center_thz + offset / 1000.0
             result = probe_once(line, config, curves[config.config_id],
-                                policy, center, sim_time_h)
+                                policy, center)
             value = result.gsnr_est_db if result.status is ProbeStatus.WORKING else None
             series.append((center, value))
         profile.points[config.config_id] = series
@@ -421,13 +409,27 @@ def profile_tilt_ripple(profile: GsnrProfile, config_id: str) -> tuple[float, fl
     return float(tilt), float(np.max(np.abs(residuals)))
 
 
+def sweep_diagnostics(profile: GsnrProfile) -> tuple[
+        tuple[float, bool] | None, dict[str, tuple[float, float]]]:
+    """Misalignment and per-configuration tilt/ripple of a sweep; each is
+    left out where the profile has too few working points for it."""
+    try:
+        misalignment = detect_misalignment(profile)
+    except InsufficientDataError:
+        misalignment = None
+    tilt_ripple = {}
+    for cid in profile.points:
+        try:
+            tilt_ripple[cid] = profile_tilt_ripple(profile, cid)
+        except InsufficientDataError:
+            continue
+    return misalignment, tilt_ripple
+
+
 def detect_operation_regime(line, catalog: tuple[PltConfig, ...],
                             curves: dict[str, CharacterizationCurve],
                             psd_ref_dbm_per_ghz: float,
-                            rs_ref_gbd: float,
-                            carrier_center_thz: float | None = None,
-                            sim_time_h: float = 0.0,
-                            deadband_db: float = REGIME_DEADBAND_DB) -> RegimeReport:
+                            rs_ref_gbd: float) -> RegimeReport:
     """Compare constant-PSD and constant-total-power probing per configuration.
 
     The constant-power campaign launches the total power a reference-rate
@@ -440,10 +442,8 @@ def detect_operation_regime(line, catalog: tuple[PltConfig, ...],
                    if cfg.symbol_rate_gbd <= rs_ref_gbd + 1e-9)
     psd_policy = PowerPolicy(PolicyKind.CONSTANT_PSD, psd_ref_dbm_per_ghz)
     power_policy = PowerPolicy(PolicyKind.CONSTANT_TOTAL_POWER, power_ref)
-    psd_campaign = run_extended_probe(line, tested, curves, psd_policy,
-                                      carrier_center_thz, sim_time_h)
-    power_campaign = run_extended_probe(line, tested, curves, power_policy,
-                                        carrier_center_thz, sim_time_h)
+    psd_campaign = run_extended_probe(line, tested, curves, psd_policy)
+    power_campaign = run_extended_probe(line, tested, curves, power_policy)
     psd_by_id = {r.config_id: r for r in psd_campaign.results}
     power_by_id = {r.config_id: r for r in power_campaign.results}
 
@@ -461,9 +461,9 @@ def detect_operation_regime(line, catalog: tuple[PltConfig, ...],
             continue
         if psd_ok and power_ok:
             delta = at_power.gsnr_est_db - at_psd.gsnr_est_db
-            if delta > deadband_db:
+            if delta > REGIME_DEADBAND_DB:
                 regime = Regime.LINEAR
-            elif delta < -deadband_db:
+            elif delta < -REGIME_DEADBAND_DB:
                 regime = Regime.NONLINEAR
             else:
                 regime = Regime.NEAR_OPTIMUM
@@ -482,3 +482,34 @@ def detect_operation_regime(line, catalog: tuple[PltConfig, ...],
             recommended = 0.0
         report.entries[cid] = RegimeEntry(regime, delta, recommended, note)
     return report
+
+
+def run_monitor(line, config: PltConfig, curve: CharacterizationCurve,
+                policy: PowerPolicy, duration_h: float,
+                interval_h: float) -> list[tuple[float, float | None]]:
+    """Probe one configuration at the channel center every ``interval_h``
+    hours from 0 to ``duration_h``: (sim time, GSNR estimate or None)."""
+    if not interval_h > 0:
+        raise ValueError("monitor interval must be positive")
+    series = []
+    i = 0
+    while (t := i * interval_h) <= duration_h + 1e-9:
+        result = probe_once(line, config, curve, policy, None, t)
+        series.append((t, result.gsnr_est_db
+                       if result.status is ProbeStatus.WORKING else None))
+        i += 1
+    return series
+
+
+def monitor_upgrade(catalog: tuple[PltConfig, ...], monitor_config: PltConfig,
+                    peak_est_db: float) -> PltConfig | None:
+    """Narrower-slot configuration available at the peak of the series."""
+    candidates = [
+        c for c in catalog
+        if c.line_rate_gbps >= monitor_config.line_rate_gbps
+        and c.slot_width_ghz < monitor_config.slot_width_ghz
+        and peak_est_db - c.required_gsnr_db > 0
+    ]
+    if not candidates:
+        return None
+    return min(candidates, key=lambda c: (c.slot_width_ghz, -c.line_rate_gbps))

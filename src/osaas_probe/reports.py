@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
+from pathlib import Path
 
 from .probing import (
     GsnrProfile,
@@ -18,8 +20,21 @@ from .probing import (
     ProbeResult,
     RegimeReport,
 )
+from .spectrum import C_BAND_WIDTH_GHZ, PltConfig
 
 REPORT_SCHEMA_VERSION = 1
+
+WHAT_IF_CAVEAT = ("potential figures assume the filter cascade removed; this "
+                  "is a simulator-assisted what-if that a live black-box "
+                  "deployment cannot measure")
+
+
+def write_report(path: Path, payload: dict | str) -> None:
+    """Write a JSON report (a dict) or CSV text, creating the directory."""
+    if isinstance(payload, dict):
+        payload = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(payload, encoding="utf-8")
 
 
 def _num(value, digits=6):
@@ -130,3 +145,53 @@ def monitor_series_to_csv(series: list[tuple[float, float | None]]) -> str:
     for t, value in series:
         writer.writerow([f"{t:.3f}", "OUTAGE" if value is None else f"{value:.3f}"])
     return buffer.getvalue()
+
+
+def monitor_summary_to_dict(series: list[tuple[float, float | None]], seed: int,
+                            config: PltConfig,
+                            upgrade: PltConfig | None) -> dict:
+    """Swing and peak of a monitor series with at least one working sample,
+    plus the window and C-band capacity gain of the slot-narrowing upgrade."""
+    values = [(t, v) for t, v in series if v is not None]
+    peak_t, peak = max(values, key=lambda tv: tv[1])
+    summary = {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "seed": seed,
+        "config_id": config.config_id,
+        "samples": len(series),
+        "peak_to_peak_db": round(peak - min(v for _, v in values), 6),
+        "peak_time_h": round(peak_t, 3),
+        "peak_gsnr_est_db": round(peak, 6),
+    }
+    if upgrade is not None:
+        per_carrier = upgrade.line_rate_gbps * C_BAND_WIDTH_GHZ / upgrade.slot_width_ghz
+        baseline = config.line_rate_gbps * C_BAND_WIDTH_GHZ / config.slot_width_ghz
+        summary["upgrade"] = {
+            "config_id": upgrade.config_id,
+            "slot_width_ghz": upgrade.slot_width_ghz,
+            "baseline_slot_width_ghz": config.slot_width_ghz,
+            "window_h": [round(t, 3) for t, v in values
+                         if v - upgrade.required_gsnr_db > 0],
+            "c_band_capacity_gain_gbps": round(per_carrier - baseline, 3),
+        }
+    return summary
+
+
+def throughput_entry(name: str, achievable_gbps: float,
+                     potential_gbps: float) -> dict:
+    """One link of the throughput report: line rates with and without the
+    filter cascade, and the gain for one channel and for 40."""
+    gain = (100.0 * (potential_gbps - achievable_gbps) / achievable_gbps
+            if achievable_gbps > 0 else None)
+    return {
+        "scenario": name,
+        "achievable_gbps": achievable_gbps,
+        "potential_gbps": potential_gbps,
+        "gain_percent": None if gain is None else round(gain, 3),
+        "c_band_40ch_gain_gbps": round(40.0 * (potential_gbps - achievable_gbps), 3),
+    }
+
+
+def throughput_to_dict(entries: list[dict]) -> dict:
+    return {"schema_version": REPORT_SCHEMA_VERSION, "note": WHAT_IF_CAVEAT,
+            "links": entries}

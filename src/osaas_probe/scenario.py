@@ -9,11 +9,12 @@ dBm with 2 decimals.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ScenarioError
-from .spectrum import MediaChannel, PolicyKind, PowerPolicy
+from .spectrum import GRID_UNIT_GHZ, MediaChannel, PolicyKind, PowerPolicy
 from .linesystem import (
     DEFAULT_ISI_FACTOR,
     DispersionComp,
@@ -36,11 +37,13 @@ class Scenario:
     monitor_config_id: str = "DP-QPSK-69.4"
 
     def validate(self) -> None:
-        steps = self.link.media_channel.width_ghz / self.sweep_step_ghz
-        if abs(steps - round(steps)) > 1e-9:
+        step, width = self.sweep_step_ghz, self.link.media_channel.width_ghz
+        if not (0 < step < math.inf
+                and abs(step / GRID_UNIT_GHZ - round(step / GRID_UNIT_GHZ)) <= 1e-6
+                and abs(width / step - round(width / step)) <= 1e-9):
             raise ScenarioError(
-                f"sweep step {self.sweep_step_ghz} GHz does not divide the "
-                f"{self.link.media_channel.width_ghz} GHz media channel")
+                f"sweep step {step} GHz is not a positive multiple of the "
+                f"{GRID_UNIT_GHZ} GHz grid dividing the {width} GHz media channel")
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, link=replace(self.link, seed=seed))

@@ -11,8 +11,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import CarrierRejectedError, LimitViolationError, SpectrumError
-from .units import dbm_to_mw
 
 C_BAND_MIN_THZ = 191.0
 C_BAND_MAX_THZ = 196.0
@@ -191,28 +192,23 @@ def carrier_power_dbm(
     return power
 
 
-def carrier_power_mw(policy: PowerPolicy, config: PltConfig,
-                     channel: MediaChannel | None = None) -> float:
-    return dbm_to_mw(carrier_power_dbm(policy, config, channel))
-
-
-def rrc_psd(config: PltConfig, f_offset_ghz: float) -> float:
-    """Normalized power spectral density of an RRC-shaped carrier, 1/GHz.
+def rrc_psd(rs: float, roll_off: float, f: np.ndarray) -> np.ndarray:
+    """Normalized power spectral density of an RRC-shaped carrier, 1/GHz,
+    at frequency offsets f (GHz) from its center.
 
     This is the raised-cosine power spectrum (the squared magnitude of the
-    root-raised-cosine pulse shaping), normalized to unit total power. Zero
-    outside the occupied band.
+    root-raised-cosine pulse shaping) of a carrier at ``rs`` GBd, normalized
+    to unit total power. Zero outside the occupied band.
     """
-    rs = config.symbol_rate_gbd
-    r = config.roll_off
-    f = abs(f_offset_ghz)
-    flat_edge = (1.0 - r) * rs / 2.0
-    band_edge = (1.0 + r) * rs / 2.0
-    if f <= flat_edge:
-        return 1.0 / rs
-    if f >= band_edge:
-        return 0.0
-    return 0.5 / rs * (1.0 + math.cos(math.pi / (r * rs) * (f - flat_edge)))
+    flat = (1.0 - roll_off) * rs / 2.0
+    edge = (1.0 + roll_off) * rs / 2.0
+    af = np.abs(f)
+    shape = np.zeros_like(af)
+    shape[af <= flat] = 1.0 / rs
+    transition = (af > flat) & (af < edge)
+    shape[transition] = 0.5 / rs * (
+        1.0 + np.cos(np.pi / (roll_off * rs) * (af[transition] - flat)))
+    return shape
 
 
 def check_carrier_fits(channel: MediaChannel, config: PltConfig,

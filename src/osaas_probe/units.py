@@ -36,12 +36,6 @@ def dbm_to_mw(power_dbm: float) -> float:
     return 10.0 ** (power_dbm / 10.0)
 
 
-def mw_to_dbm(power_mw: float) -> float:
-    if power_mw <= 0.0:
-        raise ValueError(f"dBm of non-positive power {power_mw!r} mW is undefined")
-    return 10.0 * math.log10(power_mw)
-
-
 def q_db_from_ber(ber: float) -> float:
     """Pre-FEC bit error ratio to Q-factor in dB.
 

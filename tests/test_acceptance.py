@@ -329,10 +329,10 @@ def test_criterion_13_monitoring(catalog, curves):
         swing = max(series) - min(series)
         assert abs(swing - amplitude) <= 0.1, name
     # the capacity arithmetic of a slot-narrowing upgrade is exact
-    from osaas_probe.cli import _monitor_upgrade
+    from osaas_probe.probing import monitor_upgrade
     q69 = next(c for c in catalog if c.config_id == "DP-QPSK-69.4")
     p58 = next(c for c in catalog if c.config_id == "DP-P-16QAM-58")
-    upgrade = _monitor_upgrade((q69, p58), q69, peak_est_db=11.5)
+    upgrade = monitor_upgrade((q69, p58), q69, peak_est_db=11.5)
     assert upgrade is p58
     gain = (p58.line_rate_gbps * C_BAND_WIDTH_GHZ / p58.slot_width_ghz
             - q69.line_rate_gbps * C_BAND_WIDTH_GHZ / q69.slot_width_ghz)

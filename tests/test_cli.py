@@ -159,6 +159,14 @@ def test_seed_env_fallback(tmp_path, curves_dir, monkeypatch):
     monkeypatch.setenv("OSAAS_PROBE_SEED", "not-a-number")
     assert run(["probe", "--scenario", SCENARIOS / "B-485.json",
                 "--curves", curves_dir, "--out", out2]) == 3
+    # a negative seed is a flag error, from the environment or the flag
+    monkeypatch.setenv("OSAAS_PROBE_SEED", "-1")
+    assert run(["probe", "--scenario", SCENARIOS / "B-485.json",
+                "--curves", curves_dir, "--out", out2]) == 3
+    monkeypatch.delenv("OSAAS_PROBE_SEED")
+    assert run(["probe", "--scenario", SCENARIOS / "B-485.json",
+                "--curves", curves_dir, "--seed", -1, "--out", out2]) == 3
+    assert not out2.exists()
 
 
 def test_sweep_command(tmp_path, curves_dir):
@@ -176,9 +184,16 @@ def test_sweep_command(tmp_path, curves_dir):
 
 
 def test_sweep_bad_step_is_invalid_scenario(tmp_path, curves_dir):
-    assert run(["sweep", "--scenario", SCENARIOS / "LH-1792.json",
-                "--curves", curves_dir, "--out", tmp_path,
-                "--step-ghz", "7.3"]) == 4
+    for step in ("7.3", "0", "-6.25", "3.125"):
+        assert run(["sweep", "--scenario", SCENARIOS / "LH-1792.json",
+                    "--curves", curves_dir, "--out", tmp_path,
+                    "--step-ghz", step]) == 4, step
+    scenario = json.loads((SCENARIOS / "LH-1792.json").read_text())
+    scenario["sweep_step_ghz"] = 0
+    bad = tmp_path / "zero-step.json"
+    bad.write_text(json.dumps(scenario))
+    assert run(["probe", "--scenario", bad, "--curves", curves_dir,
+                "--out", tmp_path]) == 4
 
 
 def test_sweep_unknown_config_is_config_error(tmp_path, curves_dir):

@@ -79,12 +79,15 @@ def test_nli_power():
 
 def test_filter_transfer_points():
     filt = FilterElement(0.0, 80.0, 2)
-    assert filter_transfer((filt,), 0.0) == pytest.approx(1.0)
-    assert filter_transfer((filt,), 40.0) == pytest.approx(0.5, abs=1e-12)
-    assert filter_transfer((filt,), -40.0) == pytest.approx(0.5, abs=1e-12)
-    assert filter_transfer((filt, filt), 40.0) == pytest.approx(0.25, abs=1e-12)
+    center, upper, lower = filter_transfer((filt,), np.array([0.0, 40.0, -40.0]))
+    assert center == pytest.approx(1.0)
+    assert upper == pytest.approx(0.5, abs=1e-12)
+    assert lower == pytest.approx(0.5, abs=1e-12)
+    assert filter_transfer((filt, filt), np.array([40.0]))[0] == \
+        pytest.approx(0.25, abs=1e-12)
     shifted = FilterElement(10.0, 80.0, 2)
-    assert filter_transfer((shifted,), 50.0) == pytest.approx(0.5, abs=1e-12)
+    assert filter_transfer((shifted,), np.array([50.0]))[0] == \
+        pytest.approx(0.5, abs=1e-12)
 
 
 def test_filtering_penalty_no_filters():

@@ -66,9 +66,11 @@ def test_malformed_scenario_rejected(tmp_path):
 def test_sweep_step_must_divide_channel():
     scenario = preset("LH-1792")
     data = scenario_to_dict(scenario)
-    data["sweep_step_ghz"] = 7.0
-    with pytest.raises(ScenarioError):
-        scenario_from_dict(data)
+    # off the divisors of the channel, not positive, or off the 0.25 GHz grid
+    for step in (7.0, 0.0, -6.25, 3.125):
+        data["sweep_step_ghz"] = step
+        with pytest.raises(ScenarioError):
+            scenario_from_dict(data)
 
 
 def test_file_number_formats():

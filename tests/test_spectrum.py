@@ -94,14 +94,17 @@ def test_power_limits_enforced():
 
 def test_rrc_psd_shape():
     cfg = qpsk(50.0)
-    assert rrc_psd(cfg, 0.0) == pytest.approx(1.0 / 50.0)
     edge = (1 + cfg.roll_off) * 50.0 / 2.0
-    assert rrc_psd(cfg, edge) == 0.0
-    assert rrc_psd(cfg, -edge) == 0.0
-    assert rrc_psd(cfg, edge + 5.0) == 0.0
-    # transition midpoint carries half the flat-top density
     flat = (1 - cfg.roll_off) * 50.0 / 2.0
-    assert rrc_psd(cfg, (flat + edge) / 2.0) == pytest.approx(0.5 / 50.0)
+    center, upper, lower, outside, mid = rrc_psd(
+        50.0, cfg.roll_off,
+        np.array([0.0, edge, -edge, edge + 5.0, (flat + edge) / 2.0]))
+    assert center == pytest.approx(1.0 / 50.0)
+    assert upper == 0.0
+    assert lower == 0.0
+    assert outside == 0.0
+    # transition midpoint carries half the flat-top density
+    assert mid == pytest.approx(0.5 / 50.0)
 
 
 @pytest.mark.parametrize("rate", [31.5, 46.3, 69.4])
@@ -109,7 +112,7 @@ def test_rrc_psd_unit_power_by_quadrature(rate):
     cfg = qpsk(rate, 100.0)
     edge = cfg.occupied_bandwidth_ghz / 2.0
     grid = np.linspace(-edge, edge, 8001)
-    values = [rrc_psd(cfg, f) for f in grid]
+    values = rrc_psd(rate, cfg.roll_off, grid)
     assert np.trapezoid(values, grid) == pytest.approx(1.0, abs=1e-6)
 
 
