@@ -55,6 +55,7 @@ from .reports import (
     regime_report_to_dict,
     sweep_summary_to_dict,
     throughput_entry,
+    throughput_no_signal_entry,
     throughput_to_dict,
     write_report,
 )
@@ -232,19 +233,27 @@ def cmd_throughput(args) -> int:
     entries = []
     for path in args.scenario:
         scenario, catalog, curves, line = _context(args, path)
+        name = scenario.link.name
         by_id = {c.config_id: c for c in catalog}
         rates = []
-        for probed in (line, line.without_filters()):
-            report = run_probe_workflow(probed, catalog, curves,
-                                        scenario.policy, args.theta_db)
-            rates.append(by_id[report.best_config].line_rate_gbps
-                         if report.best_config else 0.0)
-        entry = throughput_entry(scenario.link.name, *rates)
+        try:
+            for probed in (line, line.without_filters()):
+                report = run_probe_workflow(probed, catalog, curves,
+                                            scenario.policy, args.theta_db)
+                rates.append(by_id[report.best_config].line_rate_gbps
+                             if report.best_config else 0.0)
+        except NoSignalError as exc:
+            entries.append(throughput_no_signal_entry(name, str(exc)))
+            print(f"{name}: no signal: {exc}", file=sys.stderr)
+            continue
+        entry = throughput_entry(name, *rates)
         entries.append(entry)
         gain = entry["gain_percent"]
-        print(f"{scenario.link.name}: achievable {rates[0]:g} Gbit/s, "
+        print(f"{name}: achievable {rates[0]:g} Gbit/s, "
               f"potential {rates[1]:g} Gbit/s"
               + (f", gain {gain:.1f}%" if gain is not None else ""))
+    if all("no_signal" in entry for entry in entries):
+        return EXIT_NO_SIGNAL
     out = Path(args.out) / "throughput.json"
     write_report(out, throughput_to_dict(entries))
     print(f"note: {WHAT_IF_CAVEAT}")

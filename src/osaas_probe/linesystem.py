@@ -13,9 +13,12 @@ Physics is deliberately reduced to what a probing campaign can observe:
   signal band, incoherent accumulation); dispersion-compensated spans carry
   a coherence surcharge.
 * Bandwidth narrowing is a cascade of super-Gaussian power transfers applied
-  to the root-raised-cosine carrier spectrum; the resulting in-band loss is
-  amplified by an ISI factor to account for shape distortion on top of pure
-  power clipping.
+  to the root-raised-cosine carrier spectrum. Each element passes
+  exp(-ln2 * x^2n), so the cascade is a single exponential of the
+  count-weighted sum over its distinct elements. The resulting in-band loss
+  is amplified by an ISI factor to account for shape distortion on top of
+  pure power clipping. A cascade that passes no power blocks the carrier,
+  and its probes read a failed FEC.
 * Tilt and ripple are injected frequency profiles; equalizer nodes re-level
   them per media channel or per network media channel. Diurnal drift is a
   sinusoid on the link GSNR in dB.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -69,6 +73,9 @@ DISPERSION_COMP_NLI_FACTOR = 1.5
 DEFAULT_ISI_FACTOR = 7.0
 
 _PENALTY_GRID_POINTS = 1601
+_LN2 = math.log(2.0)
+# 2**27 + 1 splits a double into two halves whose products are exact.
+_VELTKAMP_SPLIT = 134217729.0
 
 
 class DispersionComp(Enum):
@@ -222,46 +229,100 @@ def nli_power_mw(spans: tuple[SpanSpec, ...], launch_mw: float) -> float:
     return nli_eta_per_mw2(spans) * launch_mw ** 3
 
 
+def _identical_counts(filters) -> tuple[tuple[FilterElement, int], ...]:
+    """Distinct elements of a cascade, each with the number of its copies."""
+    return tuple(Counter(filters).items())
+
+
+def _even_power(x: np.ndarray, order: int) -> np.ndarray:
+    """x ** (2 * order) by repeated squaring, to a few ulps at every order.
+
+    Squaring alone would multiply the rounding of x * x by ``order``, which
+    far out on a filter skirt, where x^2n is hundreds, is the whole error
+    budget of exp(-ln2 * x^2n). Dekker's exact product recovers that
+    rounding, and the first-order term order * error * square^(order - 1)
+    puts it back.
+    """
+    square = x * x
+    if order == 1:
+        return square
+    scaled = x * _VELTKAMP_SPLIT
+    high = scaled - (scaled - x)
+    low = x - high
+    error = (high * high - square) + low * (high + x)  # x * x - square
+    power, base, exponent = None, square, order - 1
+    while True:
+        if exponent & 1:
+            power = base if power is None else power * base
+        exponent >>= 1
+        if not exponent:
+            return square * power + (order * error) * power
+        base = base * base
+
+
 def filter_transfer(filters: tuple[FilterElement, ...], f: np.ndarray) -> np.ndarray:
-    """Cascade power transfer at offsets f (GHz) from the channel center."""
-    value = np.ones_like(f)
-    for filt in filters:
-        x = 2.0 * (f - filt.center_offset_ghz) / filt.bandwidth_3db_ghz
-        value *= np.exp(-math.log(2.0) * x ** (2 * filt.order))
-    return value
+    """Cascade power transfer at offsets f (GHz) from the channel center.
+
+    Each element passes exp(-ln2 * x^2n) at its normalized offset x, so k
+    identical elements pass exp(-k ln2 x^2n) and the whole cascade is one
+    exponential of the count-weighted sum over its distinct elements.
+    """
+    counts = (filters.counts if isinstance(filters, FilterCascade)
+              else _identical_counts(filters))
+    exponent = np.zeros_like(f)
+    for filt, count in counts:
+        x = (f - filt.center_offset_ghz) / (filt.bandwidth_3db_ghz / 2.0)
+        exponent += count * _even_power(x, filt.order)
+    return np.exp(-_LN2 * exponent)
 
 
 class FilterCascade(tuple):
-    """Tuple of filter elements that hashes its elements once.
+    """Tuple of filter elements that hashes its elements and counts the
+    identical ones once.
 
     The penalty cache is keyed on the cascade, and a line hands the same
     cascade to it on every probe; a plain tuple would re-hash each frozen
-    element on every lookup.
+    element on every lookup, and re-count its elements on every integral.
     """
 
     def __new__(cls, elements=()):
         cascade = super().__new__(cls, elements)
         cascade._hash = tuple.__hash__(cascade)
+        cascade.counts = _identical_counts(cascade)
         return cascade
 
     def __hash__(self):
         return self._hash
 
 
+@lru_cache(maxsize=64)
+def _penalty_grid(rs: float, roll_off: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Integration grid over the occupied band of one carrier shape, the RRC
+    spectrum on it times the trapezoid weights, and their sum (the
+    spectrum's integral). Read-only: every placement of the shape shares
+    them."""
+    edge = (1.0 + roll_off) * rs / 2.0
+    f = np.linspace(-edge, edge, _PENALTY_GRID_POINTS)
+    weights = np.full_like(f, f[1] - f[0])
+    weights[[0, -1]] /= 2.0
+    weighted_shape = weights * rrc_psd(rs, roll_off, f)
+    f.flags.writeable = weighted_shape.flags.writeable = False
+    return f, weighted_shape, float(weighted_shape.sum())
+
+
 @lru_cache(maxsize=4096)
 def _penalty_cached(filters: tuple[FilterElement, ...], rs: float,
                     roll_off: float, offset_units: int) -> float:
     """In-band power loss of the cascade on one placement, dB, before the
-    ISI factor; one integral per placement serves every kappa."""
+    ISI factor; one integral per placement serves every kappa. A cascade
+    that passes no power at all blocks the carrier: infinite loss."""
     if not filters:
         return 0.0
-    offset = offset_units * 0.25
-    edge = (1.0 + roll_off) * rs / 2.0
-    f = np.linspace(-edge, edge, _PENALTY_GRID_POINTS)
-    shape = rrc_psd(rs, roll_off, f)
-    transfer = filter_transfer(filters, f + offset)
-    passed = np.trapezoid(shape * transfer, f)
-    reference = np.trapezoid(shape, f)
+    f, weighted_shape, reference = _penalty_grid(rs, roll_off)
+    transfer = filter_transfer(filters, f + offset_units * 0.25)
+    passed = float(np.dot(weighted_shape, transfer))
+    if passed <= 0.0:
+        return math.inf
     return -10.0 * math.log10(passed / reference)
 
 
@@ -310,6 +371,20 @@ class LineSystem:
         self.effective_filters = _effective_filters(link)
         self._osnr_at_0dbm = cascade_osnr_at_0dbm(link.spans)
         self._nli_eta_per_mw2 = nli_eta_per_mw2(link.spans)
+        self._ripple = (tuple(np.array(axis) for axis in zip(*sorted(link.ripple)))
+                        if link.ripple else None)
+        # Equalized window as (width, count): the last per-NMC node re-levels
+        # each NMC, any other equalizer the whole media channel.
+        mc = link.media_channel
+        per_nmc = [eq.nmc_width_ghz for eq in link.equalizers
+                   if eq.granularity is EqualizerGranularity.PER_NMC]
+        if per_nmc:
+            self._equalizer_window = (per_nmc[-1],
+                                      int(round(mc.width_ghz / per_nmc[-1])))
+        elif link.equalizers:
+            self._equalizer_window = (mc.width_ghz, 1)
+        else:
+            self._equalizer_window = None
         self._profile_means: dict = {}
 
     @property
@@ -323,13 +398,11 @@ class LineSystem:
     # -- frequency profile -------------------------------------------------
 
     def _raw_profile_db(self, f_offset_ghz: np.ndarray | float):
-        mc = self.link.media_channel
-        tilt = self.link.tilt_db_per_mc * np.asarray(f_offset_ghz) / mc.width_ghz
-        if self.link.ripple:
-            pts = sorted(self.link.ripple)
-            xs = [p[0] for p in pts]
-            ys = [p[1] for p in pts]
-            tilt = tilt + np.interp(f_offset_ghz, xs, ys)
+        """Tilt plus ripple at offsets (an array) or at one offset (a float)."""
+        tilt = (self.link.tilt_db_per_mc * f_offset_ghz
+                / self.link.media_channel.width_ghz)
+        if self._ripple is not None:
+            tilt = tilt + np.interp(f_offset_ghz, *self._ripple)
         return tilt
 
     def _profile_mean(self, lo: float, hi: float) -> float:
@@ -341,19 +414,14 @@ class LineSystem:
 
     def gsnr_offset_db(self, f_offset_ghz: float) -> float:
         """Tilt/ripple GSNR offset at a carrier position, after equalization."""
-        mc = self.link.media_channel
         raw = float(self._raw_profile_db(f_offset_ghz))
-        per_nmc = [eq for eq in self.link.equalizers
-                   if eq.granularity is EqualizerGranularity.PER_NMC]
-        if per_nmc:
-            width = per_nmc[-1].nmc_width_ghz
-            index = math.floor((f_offset_ghz - mc.lower_edge_ghz) / width)
-            index = min(max(index, 0), int(round(mc.width_ghz / width)) - 1)
-            lo = mc.lower_edge_ghz + index * width
-            return raw - self._profile_mean(lo, lo + width)
-        if self.link.equalizers:
-            return raw - self._profile_mean(mc.lower_edge_ghz, mc.upper_edge_ghz)
-        return raw
+        if self._equalizer_window is None:
+            return raw
+        width, count = self._equalizer_window
+        lower = self.link.media_channel.lower_edge_ghz
+        index = min(max(math.floor((f_offset_ghz - lower) / width), 0), count - 1)
+        lo = lower + index * width
+        return raw - self._profile_mean(lo, lo + width)
 
     def _diurnal_db(self, sim_time_h: float) -> float:
         if self.link.diurnal_amplitude_db == 0.0:
@@ -428,7 +496,11 @@ class LineSystem:
         total, power_dbm = self._total_snr_db(config, policy, offset,
                                               sim_time_h)
         ber_true = ber_from_snr(config.format, total)
-        if ber_true > 0.0:
+        if not ber_true < 0.5:
+            # blocked or drowned carrier (a NaN total when the ISI factor
+            # is 0): the decisions are coin flips
+            ber = 0.5
+        elif ber_true > 0.0:
             q_read = (q_db_from_ber(ber_true)
                       + self._noise_db(config, offset, power_dbm, sim_time_h))
             ber = ber_from_q_db(q_read)

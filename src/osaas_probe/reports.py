@@ -192,6 +192,18 @@ def throughput_entry(name: str, achievable_gbps: float,
     }
 
 
+def throughput_no_signal_entry(name: str, reason: str) -> dict:
+    """A link of the throughput report on which no probe worked."""
+    return {
+        "scenario": name,
+        "achievable_gbps": None,
+        "potential_gbps": None,
+        "gain_percent": None,
+        "c_band_40ch_gain_gbps": None,
+        "no_signal": reason,
+    }
+
+
 def throughput_to_dict(entries: list[dict]) -> dict:
     return {"schema_version": REPORT_SCHEMA_VERSION, "note": WHAT_IF_CAVEAT,
             "links": entries}

@@ -85,14 +85,19 @@ def harmonic_db_sum(*terms_db: float) -> float:
 
     Noise powers add linearly, so 1/snr_total = sum(1/snr_i). Terms of
     +infinity contribute no noise and are skipped; at least one finite term
-    is required.
+    is required. A term so low that its noise power overflows a float (below
+    about -3080 dB, as on a carrier the filters all but block) leaves no
+    SNR: the sum is -infinity.
     """
     acc = 0.0
     finite = False
     for term in terms_db:
         if math.isinf(term) and term > 0:
             continue
-        acc += 10.0 ** (-term / 10.0)
+        try:
+            acc += 10.0 ** (-term / 10.0)
+        except OverflowError:
+            return -math.inf
         finite = True
     if not finite:
         return math.inf

@@ -274,3 +274,69 @@ def test_all_commands_deterministic(tmp_path, curves_dir):
                                "--out", out]) == 0
             runs.append([(out / name).read_bytes() for name in outputs])
         assert runs[0] == runs[1], args[0]
+
+
+def _variant(tmp_path, name, edit):
+    """A copy of B-621 changed by ``edit``, written as ``name``.json."""
+    scenario = json.loads((SCENARIOS / "B-621.json").read_text())
+    scenario["name"] = name
+    edit(scenario)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(scenario))
+    return path
+
+
+def _dead_spans(scenario):
+    for span in scenario["spans"]:
+        span["loss_db"] = span["amp_gain_db"] = 30.0
+
+
+def test_blocked_carrier_is_no_signal(tmp_path, curves_dir):
+    """Filters 150 GHz off the carrier pass no power: every probe is an
+    outage, so the probe command ends in one no-signal line."""
+    blocked = _variant(tmp_path, "B-621-blocked",
+                       lambda s: s.update(filter_misalignment_ghz=150.0))
+    out = tmp_path / "out"
+    code, stderr = run_process(["probe", "--scenario", blocked, "--curves",
+                                curves_dir, "--out", out], tmp_path)
+    assert code == 2
+    assert stderr.splitlines() == [
+        "no signal: no working probe result in campaign"]
+    assert not out.exists()
+    assert run(["sweep", "--scenario", blocked, "--curves", curves_dir,
+                "--out", out]) == 0
+    for path in out.iterdir():
+        text = path.read_text()
+        assert "Infinity" not in text and "NaN" not in text
+    assert "OUTAGE" in (out / "B-621-blocked-profile.csv").read_text()
+
+
+def test_throughput_records_dead_link_and_goes_on(tmp_path, curves_dir):
+    dead = _variant(tmp_path, "B-621-dead", _dead_spans)
+    batch, alone = tmp_path / "batch", tmp_path / "alone"
+    assert run(["throughput", "--scenario", SCENARIOS / "B-621.json",
+                "--scenario", dead, "--scenario", SCENARIOS / "B-1302.json",
+                "--curves", curves_dir, "--out", batch]) == 0
+    assert run(["throughput", "--scenario", SCENARIOS / "B-621.json",
+                "--scenario", SCENARIOS / "B-1302.json",
+                "--curves", curves_dir, "--out", alone]) == 0
+    links = json.loads((batch / "throughput.json").read_text())["links"]
+    working = json.loads((alone / "throughput.json").read_text())["links"]
+    assert [e["scenario"] for e in links] == ["B-621", "B-621-dead", "B-1302"]
+    assert [links[0], links[2]] == working
+    assert links[1] == {
+        "scenario": "B-621-dead", "achievable_gbps": None,
+        "potential_gbps": None, "gain_percent": None,
+        "c_band_40ch_gain_gbps": None,
+        "no_signal": "no working probe result in campaign"}
+
+
+def test_throughput_without_any_working_link_exit_2(tmp_path, curves_dir):
+    dead = _variant(tmp_path, "B-621-dead", _dead_spans)
+    code, stderr = run_process(["throughput", "--scenario", dead,
+                                "--curves", curves_dir, "--out", tmp_path],
+                               tmp_path)
+    assert code == 2
+    assert stderr.splitlines() == [
+        "B-621-dead: no signal: no working probe result in campaign"]
+    assert not (tmp_path / "throughput.json").exists()

@@ -351,3 +351,64 @@ def test_noise_draws_are_pinned(catalog, name, config_id, offset, power, hours,
     line = LineSystem(preset(name).link)
     config = {c.config_id: c for c in catalog}[config_id]
     assert line._noise_db(config, offset, power, hours) == expected
+
+
+def reference_gsnr_offset_db(line, f_offset_ghz):
+    """Tilt/ripple offset as computed from the link on every call."""
+    link = line.link
+    mc = link.media_channel
+
+    def raw(f):
+        tilt = link.tilt_db_per_mc * np.asarray(f) / mc.width_ghz
+        if link.ripple:
+            pts = sorted(link.ripple)
+            tilt = tilt + np.interp(f, [p[0] for p in pts], [p[1] for p in pts])
+        return tilt
+
+    def mean(lo, hi):
+        return float(np.mean(raw(np.arange(lo, hi + 0.125, 0.25))))
+
+    value = float(raw(f_offset_ghz))
+    per_nmc = [eq for eq in link.equalizers
+               if eq.granularity is EqualizerGranularity.PER_NMC]
+    if per_nmc:
+        width = per_nmc[-1].nmc_width_ghz
+        index = math.floor((f_offset_ghz - mc.lower_edge_ghz) / width)
+        index = min(max(index, 0), int(round(mc.width_ghz / width)) - 1)
+        lo = mc.lower_edge_ghz + index * width
+        return value - mean(lo, lo + width)
+    if link.equalizers:
+        return value - mean(mc.lower_edge_ghz, mc.upper_edge_ghz)
+    return value
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
+def test_gsnr_offset_matches_per_call_formula(path):
+    """Bit for bit at every 0.25 GHz offset, LH-1792 (ripple) and
+    LH-1792-5x75 (per-NMC equalizer) among the files."""
+    line = LineSystem(load_scenario(path).link)
+    mc = line.media_channel
+    units = to_grid_units(mc.width_ghz / 2.0)
+    for k in range(-units, units + 1):
+        offset = k * 0.25
+        assert line.gsnr_offset_db(offset) == reference_gsnr_offset_db(line, offset)
+
+
+@pytest.mark.parametrize("misalignment", [60.0, 70.0, 90.0, 150.0])
+def test_blocked_carrier_reads_failed(catalog_regional, misalignment):
+    """Filters moved off the carrier leave it little or no power: every
+    probe reads a failed FEC; with no power at all a QPSK carrier reads
+    coin flips."""
+    sc = preset("B-621")
+    line = LineSystem(replace(sc.link, filter_misalignment_ghz=misalignment),
+                      ModemModel(26.0))
+    blocked = misalignment == 150.0
+    for cfg in catalog_regional:
+        reading = line.probe(cfg, sc.policy)
+        assert not reading.post_fec_ok
+        assert 0.0 < reading.pre_fec_ber <= 0.5
+        if blocked and cfg.format is ModulationFormat.DP_QPSK:
+            assert reading.pre_fec_ber == 0.5
+        if blocked:
+            assert filtering_penalty_db(line.effective_filters, cfg, 0.0,
+                                        1.0) == math.inf

@@ -91,3 +91,8 @@ def test_harmonic_db_sum():
        st.floats(min_value=-10, max_value=40))
 def test_harmonic_sum_below_min(a, b):
     assert harmonic_db_sum(a, b) < min(a, b) + 1e-12
+
+
+def test_harmonic_sum_of_overflowing_noise_is_minus_infinity():
+    assert harmonic_db_sum(-4000.0, 20.0) == -math.inf
+    assert harmonic_db_sum(-math.inf, 20.0) == -math.inf
