@@ -23,9 +23,15 @@ Physics is deliberately reduced to what a probing campaign can observe:
   them per media channel or per network media channel. Diurnal drift is a
   sinusoid on the link GSNR in dB.
 
-Measurement noise perturbs the Q readout. Each probe draws from an RNG
-seeded by (link seed, carrier, realized power, time), so identical probe
-settings always read identically and probe order never matters.
+Measurement noise perturbs the Q readout by sigma times one standard normal
+draw, keyed on the probe: (link seed, CRC-32 of the configuration id,
+carrier offset in 0.25 GHz units + 2^20, realized power in 0.01 dB above
+-200 dBm, time in whole seconds). The draw is the first value of numpy's
+``SeedSequence(key)`` -> ``PCG64`` -> ``Generator.standard_normal`` stream,
+so identical probe settings always read identically and probe order never
+matters. Rather than building that stream anew for every probe, a line
+reseeds one generator: numpy mixes the key into the SeedSequence pool, and
+the PCG64 state the pool seeds is computed here and written into it.
 """
 
 from __future__ import annotations
@@ -76,6 +82,15 @@ _PENALTY_GRID_POINTS = 1601
 _LN2 = math.log(2.0)
 # 2**27 + 1 splits a double into two halves whose products are exact.
 _VELTKAMP_SPLIT = 134217729.0
+
+# numpy's SeedSequence.generate_state hash constants and PCG64's 128-bit
+# LCG multiplier; together they turn a SeedSequence pool into the state
+# that PCG64(seed_sequence) starts from.
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
 
 
 class DispersionComp(Enum):
@@ -171,6 +186,9 @@ class LinkSpec:
             raise ScenarioError("seed must be non-negative")
         if self.noise_sigma_q_db < 0:
             raise ScenarioError("noise sigma must be non-negative")
+        if not 0.0 <= self.isi_factor < math.inf:
+            raise ScenarioError(
+                f"ISI factor must be finite and non-negative, got {self.isi_factor}")
         for eq in self.equalizers:
             if not 0 <= eq.position <= len(self.spans):
                 raise ScenarioError(
@@ -295,6 +313,37 @@ class FilterCascade(tuple):
         return self._hash
 
 
+def _key_words(key: tuple[int, ...]) -> list[int]:
+    """The 32-bit words numpy's SeedSequence takes from a tuple of
+    non-negative ints: each int little-endian, 0 as one word."""
+    words = []
+    for part in key:
+        if part < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(part & _MASK32)
+        part >>= 32
+        while part:
+            words.append(part & _MASK32)
+            part >>= 32
+    return words
+
+
+def _pcg64_state(pool: list[int]) -> tuple[int, int]:
+    """(state, increment) of ``PCG64(seed_sequence)`` from the sequence's
+    4-word pool: ``generate_state(4, uint64)``, eight hashed 32-bit words
+    paired little-endian into a 128-bit seed and sequence, each high half
+    first, then PCG's srandom (step from 0, add the seed, step)."""
+    hash_const, w = INIT_B, []
+    for i in range(8):
+        value = pool[i & 3] ^ hash_const
+        hash_const = hash_const * MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        w.append(value ^ value >> 16)
+    seed = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+    inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _MASK128 | 1
+    return ((inc + seed) * PCG64_MULTIPLIER + inc) & _MASK128, inc
+
+
 @lru_cache(maxsize=64)
 def _penalty_grid(rs: float, roll_off: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Integration grid over the occupied band of one carrier shape, the RRC
@@ -386,6 +435,7 @@ class LineSystem:
         else:
             self._equalizer_window = None
         self._profile_means: dict = {}
+        self._generator = None  # made on the first noisy draw
 
     @property
     def name(self) -> str:
@@ -451,7 +501,10 @@ class LineSystem:
         return self._nli_eta_per_mw2 * launch_mw ** 3
 
     def _total_snr_db(self, config: PltConfig, policy: PowerPolicy,
-                      offset_ghz: float, sim_time_h: float) -> tuple[float, float]:
+                      offset_ghz: float,
+                      sim_time_h: float) -> tuple[float, float, float]:
+        """Total SNR, realized launch power and the in-band filter loss
+        before the ISI factor, all in dB(m)."""
         link = self.link
         power_dbm = carrier_power_dbm(policy, config, link.media_channel)
         power_mw = dbm_to_mw(power_dbm)
@@ -462,27 +515,39 @@ class LineSystem:
         snr_nli = (10.0 * math.log10(power_mw / nli_mw)
                    if nli_mw > 0 else math.inf)
         optical = harmonic_db_sum(snr_ase, snr_nli)
-        optical -= filtering_penalty_db(self.effective_filters, config,
-                                        offset_ghz, link.isi_factor)
+        in_band = filtering_penalty_db(self.effective_filters, config,
+                                       offset_ghz, 1.0)
+        optical -= link.isi_factor * in_band
         optical += self.gsnr_offset_db(offset_ghz)
         optical += self._diurnal_db(sim_time_h)
         total = harmonic_db_sum(optical, self.modem.snr_modem_db)
-        return total, power_dbm
+        return total, power_dbm, in_band
 
     def _noise_db(self, config: PltConfig, offset_ghz: float,
                   power_dbm: float, sim_time_h: float) -> float:
         sigma = self.link.noise_sigma_q_db
         if sigma == 0.0:
             return 0.0
-        entropy = (
+        key = (
             self.link.seed,
             zlib.crc32(config.config_id.encode()),
             to_grid_units(offset_ghz) + 2 ** 20,
             int(round((power_dbm + 200.0) * 100.0)),
             int(round(sim_time_h * 3600.0)),
         )
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
-        return sigma * float(rng.standard_normal())
+        return sigma * self._standard_normal(key)
+
+    def _standard_normal(self, key: tuple[int, ...]) -> float:
+        """``default_rng(SeedSequence(key)).standard_normal()``, drawn by
+        reseeding this line's one generator."""
+        words = np.array(_key_words(key), dtype=np.uint32)
+        state, inc = _pcg64_state(np.random.SeedSequence(words).pool.tolist())
+        if self._generator is None:
+            self._generator = np.random.Generator(np.random.PCG64(0))
+        self._generator.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+        return self._generator.standard_normal()
 
     def probe(self, config: PltConfig, policy: PowerPolicy,
               carrier_center_thz: float | None = None,
@@ -493,8 +558,8 @@ class LineSystem:
         is keyed on the realized carrier, not on the policy that produced it.
         """
         offset = self._carrier_offset_ghz(config, carrier_center_thz)
-        total, power_dbm = self._total_snr_db(config, policy, offset,
-                                              sim_time_h)
+        total, power_dbm, in_band = self._total_snr_db(config, policy, offset,
+                                                       sim_time_h)
         ber_true = ber_from_snr(config.format, total)
         if not ber_true < 0.5:
             # blocked or drowned carrier (a NaN total when the ISI factor
@@ -507,8 +572,6 @@ class LineSystem:
         else:
             # noiseless line: the counter reads error-free
             ber = 0.0
-        in_band = filtering_penalty_db(self.effective_filters, config,
-                                       offset, 1.0)
         return BerReading(
             pre_fec_ber=ber,
             post_fec_ok=ber <= config.fec_threshold_ber,
@@ -527,8 +590,7 @@ class LineSystem:
         algorithms must not call it.
         """
         offset = self._carrier_offset_ghz(config, carrier_center_thz)
-        total, _ = self._total_snr_db(config, policy, offset, sim_time_h)
-        return total
+        return self._total_snr_db(config, policy, offset, sim_time_h)[0]
 
     def without_filters(self) -> "LineSystem":
         """What-if copy of the line with every filtering element removed."""

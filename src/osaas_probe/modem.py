@@ -71,8 +71,13 @@ def ber_from_snr(fmt: ModulationFormat, snr_db: float) -> float:
 
     All three formats use the rectangular-QAM law for their constellation
     grid; DP-QPSK reduces to Q(sqrt(snr)) and DP-16QAM to
-    (3/8)*erfc(sqrt(snr/10)).
+    (3/8)*erfc(sqrt(snr/10)). The law is the high-SNR approximation of
+    rectangular QAM (nearest-neighbour errors, Gray coding), so towards
+    zero SNR it tends to its prefactor, not to 0.5; a carrier with no SNR
+    at all (-inf dB) reads coin flips, 0.5, in every format.
     """
+    if snr_db == -math.inf:
+        return 0.5
     prefactor, distance = _rect_qam_params(fmt)
     snr_lin = 10.0 ** (snr_db / 10.0)
     return prefactor * math.erfc(distance * math.sqrt(snr_lin))

@@ -26,6 +26,10 @@ from .linesystem import (
 )
 
 SCHEMA_VERSION = 1
+# Lowest policy value (dBm or dBm/GHz). No probe carrier is launched that
+# low, and the bound keeps the realized carrier power, which every noise key
+# counts from -200 dBm, far above that origin.
+MIN_POLICY_VALUE = -100.0
 
 
 @dataclass(frozen=True)
@@ -37,6 +41,13 @@ class Scenario:
     monitor_config_id: str = "DP-QPSK-69.4"
 
     def validate(self) -> None:
+        value = self.policy.value
+        if not MIN_POLICY_VALUE <= value < math.inf:
+            unit = ("dBm/GHz" if self.policy.kind is PolicyKind.CONSTANT_PSD
+                    else "dBm")
+            raise ScenarioError(
+                f"policy value {value} {unit} must be finite and at least "
+                f"{MIN_POLICY_VALUE:g} {unit}")
         step, width = self.sweep_step_ghz, self.link.media_channel.width_ghz
         if not (0 < step < math.inf
                 and abs(step / GRID_UNIT_GHZ - round(step / GRID_UNIT_GHZ)) <= 1e-6

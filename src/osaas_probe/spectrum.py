@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -120,7 +121,7 @@ class PltConfig:
         if not 0.0 < self.fec_threshold_ber < 0.5:
             raise SpectrumError("FEC threshold BER must be in (0, 0.5)")
 
-    @property
+    @cached_property
     def config_id(self) -> str:
         return f"{self.format.label}-{self.symbol_rate_gbd:g}"
 

@@ -340,3 +340,27 @@ def test_throughput_without_any_working_link_exit_2(tmp_path, curves_dir):
     assert stderr.splitlines() == [
         "B-621-dead: no signal: no working probe result in campaign"]
     assert not (tmp_path / "throughput.json").exists()
+
+
+def test_negative_isi_factor_is_invalid_scenario(tmp_path, curves_dir):
+    """A negative ISI factor would turn the filter cascade into a gain."""
+    gain = _variant(tmp_path, "B-621-gain",
+                    lambda s: s.update(isi_factor=-7.0))
+    code, stderr = run_process(["throughput", "--scenario", gain, "--curves",
+                                curves_dir, "--out", tmp_path], tmp_path)
+    assert code == 4
+    assert stderr.splitlines() == [
+        "invalid scenario: ISI factor must be finite and non-negative, got -7.0"]
+    assert not (tmp_path / "throughput.json").exists()
+
+
+def test_policy_value_out_of_range_is_invalid_scenario(tmp_path, curves_dir):
+    low = _variant(tmp_path, "B-621-low",
+                   lambda s: s["policy"].update(value=-1000.0))
+    code, stderr = run_process(["probe", "--scenario", low, "--curves",
+                                curves_dir, "--out", tmp_path], tmp_path)
+    assert code == 4
+    assert stderr.splitlines() == [
+        "invalid scenario: policy value -1000.0 dBm/GHz must be finite and "
+        "at least -100 dBm/GHz"]
+    assert not (tmp_path / "B-621-low-report.json").exists()

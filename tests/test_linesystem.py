@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from osaas_probe import linesystem
 from osaas_probe.catalog import regional_catalog
 from osaas_probe.errors import CarrierRejectedError, LimitViolationError, ScenarioError
 from osaas_probe.linesystem import (
@@ -32,6 +33,7 @@ from osaas_probe.spectrum import (
     ModulationFormat,
     PltConfig,
     PowerPolicy,
+    carrier_power_dbm,
     to_grid_units,
 )
 from osaas_probe.units import dbm_to_mw, osnr_to_snr_db, q_db_from_ber
@@ -353,6 +355,32 @@ def test_noise_draws_are_pinned(catalog, name, config_id, offset, power, hours,
     assert line._noise_db(config, offset, power, hours) == expected
 
 
+@pytest.mark.parametrize("isi_factor", [-7.0, -1e-9, math.inf, math.nan])
+def test_isi_factor_must_be_finite_and_non_negative(isi_factor):
+    with pytest.raises(ScenarioError, match="ISI factor"):
+        replace(preset("B-621").link, isi_factor=isi_factor)
+
+
+def test_probe_looks_the_penalty_up_once(catalog_regional, monkeypatch):
+    """One kappa-free lookup per probe serves the SNR and the rx power."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return filtering_penalty_db(*args)
+
+    monkeypatch.setattr(linesystem, "filtering_penalty_db", counting)
+    sc = preset("B-621")
+    line = LineSystem(sc.link, ModemModel(26.0))
+    cfg = catalog_regional[0]
+    reading = line.probe(cfg, sc.policy)
+    assert [args[3] for args in calls] == [1.0]
+    loss = filtering_penalty_db(line.effective_filters, cfg, 0.0, 1.0)
+    power = carrier_power_dbm(sc.policy, cfg, sc.link.media_channel)
+    assert loss > 0.0
+    assert reading.rx_power_dbm == power - loss
+
+
 def reference_gsnr_offset_db(line, f_offset_ghz):
     """Tilt/ripple offset as computed from the link on every call."""
     link = line.link
@@ -397,9 +425,10 @@ def test_gsnr_offset_matches_per_call_formula(path):
 @pytest.mark.parametrize("misalignment", [60.0, 70.0, 90.0, 150.0])
 def test_blocked_carrier_reads_failed(catalog_regional, misalignment):
     """Filters moved off the carrier leave it little or no power: every
-    probe reads a failed FEC; with no power at all a QPSK carrier reads
-    coin flips."""
+    probe reads a failed FEC; with no power at all every format reads coin
+    flips, and the noisy line draws no noise for them."""
     sc = preset("B-621")
+    assert sc.link.noise_sigma_q_db > 0
     line = LineSystem(replace(sc.link, filter_misalignment_ghz=misalignment),
                       ModemModel(26.0))
     blocked = misalignment == 150.0
@@ -407,8 +436,10 @@ def test_blocked_carrier_reads_failed(catalog_regional, misalignment):
         reading = line.probe(cfg, sc.policy)
         assert not reading.post_fec_ok
         assert 0.0 < reading.pre_fec_ber <= 0.5
-        if blocked and cfg.format is ModulationFormat.DP_QPSK:
-            assert reading.pre_fec_ber == 0.5
         if blocked:
+            assert reading.pre_fec_ber == 0.5
             assert filtering_penalty_db(line.effective_filters, cfg, 0.0,
                                         1.0) == math.inf
+    assert {cfg.format for cfg in catalog_regional} == set(ModulationFormat)
+    if blocked:
+        assert line._generator is None

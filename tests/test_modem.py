@@ -36,6 +36,14 @@ def test_ber_from_snr_qpsk_matches_q_function():
     assert ber_from_snr(ModulationFormat.DP_QPSK, 60.0) < 1e-30
 
 
+@pytest.mark.parametrize("fmt", list(ModulationFormat))
+def test_ber_from_snr_without_snr_is_coin_flips(fmt):
+    """The high-SNR law tends to its prefactor, not 0.5, as the SNR falls;
+    a carrier with no SNR at all reads 0.5 in every format."""
+    assert ber_from_snr(fmt, -math.inf) == 0.5
+    assert 0.0 < ber_from_snr(fmt, -300.0) <= 0.5
+
+
 def test_ber_from_snr_16qam_oracle():
     # (3/8) erfc(sqrt(snr/10)) at snr_lin = 50
     expected = 3.0 / 8.0 * erfc(math.sqrt(5.0))

@@ -1,0 +1,118 @@
+"""The per-probe noise draw: numpy's SeedSequence -> PCG64 ->
+standard_normal stream, produced by reseeding one generator per line."""
+
+import os
+import random
+import subprocess
+import sys
+from itertools import zip_longest
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from osaas_probe.catalog import resolve_catalog
+from osaas_probe.cli import main
+from osaas_probe.linesystem import LineSystem
+from osaas_probe.presets import preset
+from osaas_probe.spectrum import admissible_offsets_ghz
+
+from conftest import REPO_ROOT
+
+# Key parts around the 32- and 64-bit word boundaries, where a part splits
+# into one more little-endian word.
+EDGES = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 64 - 1, 2 ** 64,
+         2 ** 64 + 1, 2 ** 96 + 12345)
+
+
+def reference(key):
+    return np.random.default_rng(np.random.SeedSequence(key)).standard_normal()
+
+
+@pytest.fixture(scope="module")
+def line():
+    return LineSystem(preset("B-485").link)
+
+
+def random_part(rng):
+    if rng.random() < 0.3:
+        return rng.choice(EDGES)
+    return rng.getrandbits(rng.randint(1, 100))
+
+
+def test_draw_matches_numpy_on_random_keys(line):
+    """One reseeded generator reads what a fresh numpy stream reads, on
+    20 000 keys: a new key per draw, so a draw never sees the last one's
+    state."""
+    rng = random.Random(20211)
+    for _ in range(20_000):
+        key = tuple(random_part(rng) for _ in range(5))
+        assert line._standard_normal(key) == reference(key), key
+
+
+parts = st.one_of(st.sampled_from(EDGES), st.integers(0, 2 ** 100))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(parts, min_size=1, max_size=7).map(tuple))
+@example((0, 0, 0, 0, 0))
+@example((2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 0, 2 ** 64 - 1))
+def test_draw_matches_numpy(line, key):
+    assert line._standard_normal(key) == reference(key)
+
+
+@pytest.mark.parametrize("key", [(1, -1, 0, 0, 0), (-(2 ** 40),)])
+def test_negative_key_part_raises_as_numpy_does(line, key):
+    with pytest.raises(ValueError):
+        reference(key)
+    with pytest.raises(ValueError):
+        line._standard_normal(key)
+
+
+def noisy_probes(name):
+    """(scenario, probe arguments) over the scenario catalog, every
+    admissible 12.5 GHz placement and two times of day."""
+    sc = preset(name)
+    assert sc.link.noise_sigma_q_db > 0
+    mc = sc.link.media_channel
+    return sc, [(config, sc.policy, mc.center_thz + offset / 1000.0, hours)
+                for config in resolve_catalog(sc.catalog)
+                for offset in admissible_offsets_ghz(mc, config, 12.5)
+                for hours in (0.0, 7.5)]
+
+
+def test_interleaved_lines_read_as_fresh_lines():
+    """Probe order never matters: two lines probed in turn, each reseeding
+    its one generator, read what a fresh line reads for each probe alone."""
+    routes = [noisy_probes(name) for name in ("B-485", "LH-5738")]
+    lines = [LineSystem(sc.link) for sc, _ in routes]
+    shared = [[], []]
+    for pair in zip_longest(*(probes for _, probes in routes)):
+        for i, args in enumerate(pair):
+            if args is not None:
+                shared[i].append(lines[i].probe(*args))
+    for (sc, probes), readings in zip(routes, shared):
+        assert len(readings) == len(probes) > 20
+        assert len({r.pre_fec_ber for r in readings}) > 1
+        assert readings == [LineSystem(sc.link).probe(*args) for args in probes]
+
+
+def test_noiseless_monitor_does_not_import_numpy_random(tmp_path):
+    """The generator is made on the first noisy draw, so a sigma = 0 line
+    never loads numpy.random."""
+    assert preset("LH-3751-monitor-summer").link.noise_sigma_q_db == 0.0
+    curves = tmp_path / "curves"
+    assert main(["characterize", "--out", str(curves)]) == 0
+    scenario = REPO_ROOT / "scenarios" / "LH-3751-monitor-summer.json"
+    argv = ["monitor", "--scenario", str(scenario), "--curves", str(curves),
+            "--out", str(tmp_path)]
+    code = ("import sys\n"
+            "from osaas_probe.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == "False"

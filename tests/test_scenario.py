@@ -80,3 +80,19 @@ def test_file_number_formats():
     assert isinstance(data["policy"]["value"], float)
     text = json.dumps(data)
     assert "schema_version" in text
+
+
+@pytest.mark.parametrize("kind", ["constant_psd", "constant_total_power"])
+@pytest.mark.parametrize("value", [-100.01, -1000.0, float("nan"),
+                                   float("inf"), float("-inf")])
+def test_policy_value_out_of_range_rejected(kind, value):
+    data = scenario_to_dict(preset("B-621"))
+    data["policy"] = {"kind": kind, "value": value}
+    with pytest.raises(ScenarioError, match="policy value"):
+        scenario_from_dict(data)
+
+
+def test_policy_value_floor_accepted():
+    data = scenario_to_dict(preset("B-621"))
+    data["policy"]["value"] = -100.0
+    assert scenario_from_dict(data).policy.value == -100.0
