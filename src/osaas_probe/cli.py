@@ -14,6 +14,7 @@ scenario file.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -59,7 +60,8 @@ from .reports import (
     throughput_to_dict,
     write_report,
 )
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, check_policy_value, load_scenario
+from .spectrum import PowerPolicy
 
 EXIT_OK = 0
 EXIT_NO_SIGNAL = 2
@@ -154,7 +156,13 @@ def cmd_characterize(args) -> int:
     return EXIT_OK
 
 
+def _check_theta(args) -> None:
+    if not math.isfinite(args.theta_db):
+        raise CliError(f"--theta-db must be finite, got {args.theta_db:g}")
+
+
 def cmd_probe(args) -> int:
+    _check_theta(args)
     scenario, catalog, curves, line = _context(args)
     report = run_probe_workflow(line, catalog, curves, scenario.policy,
                                 args.theta_db)
@@ -206,6 +214,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_regime(args) -> int:
+    if args.psd_ref is not None:
+        try:
+            check_policy_value(PowerPolicy.constant_psd(args.psd_ref))
+        except ScenarioError as exc:
+            raise CliError(f"--psd-ref: {exc}")
+    if args.rs_ref is not None and not 0 < args.rs_ref < math.inf:
+        raise CliError(f"--rs-ref must be finite and positive, got {args.rs_ref:g}")
     scenario, catalog, curves, line = _context(args)
     psd_ref = (args.psd_ref if args.psd_ref is not None
                else scenario.policy.value)
@@ -230,6 +245,7 @@ def cmd_regime(args) -> int:
 def cmd_throughput(args) -> int:
     if not args.scenario:
         raise CliError("--scenario is required (repeatable) for throughput")
+    _check_theta(args)
     entries = []
     for path in args.scenario:
         scenario, catalog, curves, line = _context(args, path)
@@ -270,6 +286,9 @@ def cmd_monitor(args) -> int:
     config = by_id[scenario.monitor_config_id]
     if not args.interval_h > 0:
         raise CliError("--interval-h must be positive")
+    if not 0 <= args.duration_h < math.inf:
+        raise CliError(f"--duration-h must be finite and non-negative, "
+                       f"got {args.duration_h:g}")
     series = run_monitor(line, config, curves[config.config_id],
                          scenario.policy, args.duration_h, args.interval_h)
     ests = [v for _, v in series if v is not None]

@@ -19,9 +19,10 @@ Physics is deliberately reduced to what a probing campaign can observe:
   is amplified by an ISI factor to account for shape distortion on top of
   pure power clipping. A cascade that passes no power blocks the carrier,
   and its probes read a failed FEC.
-* Tilt and ripple are injected frequency profiles; equalizer nodes re-level
-  them per media channel or per network media channel. Diurnal drift is a
-  sinusoid on the link GSNR in dB.
+* Tilt and ripple are injected frequency profiles. The line re-levels them
+  over one equalizer window: the whole media channel, which keeps the
+  intra-channel tilt, or each network media channel of a narrower width.
+  Diurnal drift is a sinusoid on the link GSNR in dB.
 
 Measurement noise perturbs the Q readout by sigma times one standard normal
 draw, keyed on the probe: (link seed, CRC-32 of the configuration id,
@@ -48,6 +49,7 @@ import numpy as np
 from .errors import ScenarioError
 from .modem import ModemModel, ber_from_snr
 from .spectrum import (
+    GRID_UNIT_GHZ,
     MediaChannel,
     PltConfig,
     PowerPolicy,
@@ -99,11 +101,6 @@ class DispersionComp(Enum):
     DCG = "dcg"
 
 
-class EqualizerGranularity(Enum):
-    PER_MEDIA_CHANNEL = "per_media_channel"
-    PER_NMC = "per_nmc"
-
-
 @dataclass(frozen=True)
 class SpanSpec:
     """One amplified fiber span; the amplifier exactly recovers the loss."""
@@ -140,34 +137,20 @@ class FilterElement:
 
 
 @dataclass(frozen=True)
-class EqualizerNode:
-    """Power re-leveling node somewhere along the span chain.
-
-    Per-media-channel equalization can only re-center the average level, so
-    intra-channel tilt survives it. Per-NMC equalization re-levels every
-    network media channel window separately.
-    """
-
-    position: int
-    granularity: EqualizerGranularity
-    target_psd_dbm_per_ghz: float
-    nmc_width_ghz: float | None = None
-
-    def __post_init__(self):
-        if self.granularity is EqualizerGranularity.PER_NMC:
-            if not self.nmc_width_ghz or self.nmc_width_ghz <= 0:
-                raise ScenarioError("per-NMC equalizer needs a positive nmc_width_ghz")
-
-
-@dataclass(frozen=True)
 class LinkSpec:
-    """Full description of one simulated open line system."""
+    """Full description of one simulated open line system.
+
+    ``equalizer_window_ghz`` is the width the line re-levels tilt and ripple
+    over: None for no re-levelling, the media-channel width to re-center
+    the whole channel (intra-channel tilt survives), a narrower width to
+    re-level each network media channel of that width.
+    """
 
     name: str
     media_channel: MediaChannel
     spans: tuple[SpanSpec, ...]
     filters: tuple[FilterElement, ...] = ()
-    equalizers: tuple[EqualizerNode, ...] = ()
+    equalizer_window_ghz: float | None = None
     tilt_db_per_mc: float = 0.0
     ripple: tuple[tuple[float, float], ...] = ()
     filter_misalignment_ghz: float = 0.0
@@ -189,10 +172,12 @@ class LinkSpec:
         if not 0.0 <= self.isi_factor < math.inf:
             raise ScenarioError(
                 f"ISI factor must be finite and non-negative, got {self.isi_factor}")
-        for eq in self.equalizers:
-            if not 0 <= eq.position <= len(self.spans):
-                raise ScenarioError(
-                    f"equalizer position {eq.position} outside span chain")
+        window, width = self.equalizer_window_ghz, self.media_channel.width_ghz
+        if window is not None and not GRID_UNIT_GHZ <= window <= width:
+            raise ScenarioError(
+                f"equalizer window {window} GHz must be finite and between "
+                f"the {GRID_UNIT_GHZ} GHz grid unit and the {width:g} GHz "
+                f"media channel")
 
 
 @dataclass(frozen=True)
@@ -422,19 +407,16 @@ class LineSystem:
         self._nli_eta_per_mw2 = nli_eta_per_mw2(link.spans)
         self._ripple = (tuple(np.array(axis) for axis in zip(*sorted(link.ripple)))
                         if link.ripple else None)
-        # Equalized window as (width, count): the last per-NMC node re-levels
-        # each NMC, any other equalizer the whole media channel.
-        mc = link.media_channel
-        per_nmc = [eq.nmc_width_ghz for eq in link.equalizers
-                   if eq.granularity is EqualizerGranularity.PER_NMC]
-        if per_nmc:
-            self._equalizer_window = (per_nmc[-1],
-                                      int(round(mc.width_ghz / per_nmc[-1])))
-        elif link.equalizers:
-            self._equalizer_window = (mc.width_ghz, 1)
-        else:
-            self._equalizer_window = None
-        self._profile_means: dict = {}
+        # Mean raw profile of each equalizer window, lowest window first.
+        width = link.equalizer_window_ghz
+        self._window_means: tuple[float, ...] = ()
+        if width is not None:
+            lower = link.media_channel.lower_edge_ghz
+            count = int(round(link.media_channel.width_ghz / width))
+            self._window_means = tuple(
+                float(np.mean(self._raw_profile_db(
+                    np.arange(lo, lo + width + 0.125, 0.25))))
+                for lo in (lower + index * width for index in range(count)))
         self._generator = None  # made on the first noisy draw
 
     @property
@@ -455,23 +437,16 @@ class LineSystem:
             tilt = tilt + np.interp(f_offset_ghz, *self._ripple)
         return tilt
 
-    def _profile_mean(self, lo: float, hi: float) -> float:
-        key = (round(lo, 6), round(hi, 6))
-        if key not in self._profile_means:
-            grid = np.arange(lo, hi + 0.125, 0.25)
-            self._profile_means[key] = float(np.mean(self._raw_profile_db(grid)))
-        return self._profile_means[key]
-
     def gsnr_offset_db(self, f_offset_ghz: float) -> float:
         """Tilt/ripple GSNR offset at a carrier position, after equalization."""
         raw = float(self._raw_profile_db(f_offset_ghz))
-        if self._equalizer_window is None:
+        if not self._window_means:
             return raw
-        width, count = self._equalizer_window
-        lower = self.link.media_channel.lower_edge_ghz
-        index = min(max(math.floor((f_offset_ghz - lower) / width), 0), count - 1)
-        lo = lower + index * width
-        return raw - self._profile_mean(lo, lo + width)
+        width = self.link.equalizer_window_ghz
+        index = math.floor((f_offset_ghz - self.link.media_channel.lower_edge_ghz)
+                           / width)
+        return raw - self._window_means[
+            min(max(index, 0), len(self._window_means) - 1)]
 
     def _diurnal_db(self, sim_time_h: float) -> float:
         if self.link.diurnal_amplitude_db == 0.0:
@@ -492,14 +467,6 @@ class LineSystem:
         check_carrier_fits(mc, config, offset)
         return offset
 
-    def _cascade_osnr_db(self, launch_dbm: float) -> float:
-        """:func:`cascade_osnr_db` of this line's spans."""
-        return launch_dbm + self._osnr_at_0dbm
-
-    def _nli_power_mw(self, launch_mw: float) -> float:
-        """:func:`nli_power_mw` of this line's spans."""
-        return self._nli_eta_per_mw2 * launch_mw ** 3
-
     def _total_snr_db(self, config: PltConfig, policy: PowerPolicy,
                       offset_ghz: float,
                       sim_time_h: float) -> tuple[float, float, float]:
@@ -508,10 +475,10 @@ class LineSystem:
         link = self.link
         power_dbm = carrier_power_dbm(policy, config, link.media_channel)
         power_mw = dbm_to_mw(power_dbm)
-        osnr = self._cascade_osnr_db(power_dbm)
+        osnr = power_dbm + self._osnr_at_0dbm  # cascade_osnr_db
         snr_ase = (osnr_to_snr_db(osnr, config.symbol_rate_gbd)
                    if math.isfinite(osnr) else math.inf)
-        nli_mw = self._nli_power_mw(power_mw)
+        nli_mw = self._nli_eta_per_mw2 * power_mw ** 3  # nli_power_mw
         snr_nli = (10.0 * math.log10(power_mw / nli_mw)
                    if nli_mw > 0 else math.inf)
         optical = harmonic_db_sum(snr_ase, snr_nli)

@@ -23,14 +23,7 @@ from __future__ import annotations
 import math
 
 from .spectrum import MediaChannel, PolicyKind, PowerPolicy
-from .linesystem import (
-    DispersionComp,
-    EqualizerGranularity,
-    EqualizerNode,
-    FilterElement,
-    LinkSpec,
-    SpanSpec,
-)
+from .linesystem import DispersionComp, FilterElement, LinkSpec, SpanSpec
 from .scenario import Scenario
 from .units import REF_BANDWIDTH_GHZ
 
@@ -117,7 +110,7 @@ def _longhaul(name: str, n_spans: int, length_km: float, ase_snr_db: float,
               nli_share: float, nf_db: float = 4.5, tilt: float = 0.0,
               ripple: tuple[tuple[float, float], ...] = (),
               mc: MediaChannel = LONGHAUL_MC,
-              equalizers: tuple[EqualizerNode, ...] = (),
+              equalizer_window_ghz: float | None = None,
               diurnal_amplitude: float = 0.0, diurnal_period: float = 24.0,
               seed: int = 7, noise_sigma: float = 0.05,
               monitor_config: str = "DP-QPSK-69.4") -> Scenario:
@@ -127,7 +120,7 @@ def _longhaul(name: str, n_spans: int, length_km: float, ase_snr_db: float,
         spans=_uncompensated(_spans(n_spans, length_km, ase_snr_db, nf_db,
                                     nli_share)),
         filters=(),
-        equalizers=equalizers,
+        equalizer_window_ghz=equalizer_window_ghz,
         tilt_db_per_mc=tilt,
         ripple=ripple,
         diurnal_amplitude_db=diurnal_amplitude,
@@ -225,9 +218,7 @@ def lh1792_5x75() -> Scenario:
     """Same route as LH-1792 operated as five adjacent 75 GHz channels with
     per-channel equalization."""
     return _longhaul("LH-1792-5x75", 24, 74.7, 13.62, 0.020, tilt=2.5,
-                     mc=LONGHAUL_5X75_MC,
-                     equalizers=(EqualizerNode(12, EqualizerGranularity.PER_NMC,
-                                               -26.0, 75.0),))
+                     mc=LONGHAUL_5X75_MC, equalizer_window_ghz=75.0)
 
 
 def lh2943() -> Scenario:

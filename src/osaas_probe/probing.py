@@ -491,6 +491,8 @@ def run_monitor(line, config: PltConfig, curve: CharacterizationCurve,
     hours from 0 to ``duration_h``: (sim time, GSNR estimate or None)."""
     if not interval_h > 0:
         raise ValueError("monitor interval must be positive")
+    if not 0 <= duration_h < math.inf:
+        raise ValueError("monitor duration must be finite and non-negative")
     series = []
     i = 0
     while (t := i * interval_h) <= duration_h + 1e-9:

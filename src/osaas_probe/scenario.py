@@ -3,7 +3,8 @@
 A scenario bundles the link under test with the catalog it should be probed
 with, the default power policy and the sweep step. Files are JSON with a
 schema version; frequencies are written in THz with 6 decimals and powers in
-dBm with 2 decimals.
+dBm with 2 decimals. Schema 2 states the equalizer as one window width;
+schema-1 files, which list equalizer nodes, are still read.
 """
 
 from __future__ import annotations
@@ -15,21 +16,24 @@ from pathlib import Path
 
 from .errors import ScenarioError
 from .spectrum import GRID_UNIT_GHZ, MediaChannel, PolicyKind, PowerPolicy
-from .linesystem import (
-    DEFAULT_ISI_FACTOR,
-    DispersionComp,
-    EqualizerGranularity,
-    EqualizerNode,
-    FilterElement,
-    LinkSpec,
-    SpanSpec,
-)
+from .linesystem import DispersionComp, FilterElement, LinkSpec, SpanSpec
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 # Lowest policy value (dBm or dBm/GHz). No probe carrier is launched that
 # low, and the bound keeps the realized carrier power, which every noise key
 # counts from -200 dBm, far above that origin.
 MIN_POLICY_VALUE = -100.0
+
+
+def check_policy_value(policy: PowerPolicy) -> None:
+    """Raise :class:`ScenarioError` unless the policy value is finite and at
+    least :data:`MIN_POLICY_VALUE`."""
+    value = policy.value
+    if not MIN_POLICY_VALUE <= value < math.inf:
+        unit = "dBm/GHz" if policy.kind is PolicyKind.CONSTANT_PSD else "dBm"
+        raise ScenarioError(
+            f"policy value {value} {unit} must be finite and at least "
+            f"{MIN_POLICY_VALUE:g} {unit}")
 
 
 @dataclass(frozen=True)
@@ -41,13 +45,7 @@ class Scenario:
     monitor_config_id: str = "DP-QPSK-69.4"
 
     def validate(self) -> None:
-        value = self.policy.value
-        if not MIN_POLICY_VALUE <= value < math.inf:
-            unit = ("dBm/GHz" if self.policy.kind is PolicyKind.CONSTANT_PSD
-                    else "dBm")
-            raise ScenarioError(
-                f"policy value {value} {unit} must be finite and at least "
-                f"{MIN_POLICY_VALUE:g} {unit}")
+        check_policy_value(self.policy)
         step, width = self.sweep_step_ghz, self.link.media_channel.width_ghz
         if not (0 < step < math.inf
                 and abs(step / GRID_UNIT_GHZ - round(step / GRID_UNIT_GHZ)) <= 1e-6
@@ -102,16 +100,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             }
             for f in link.filters
         ],
-        "equalizers": [
-            {
-                "position": eq.position,
-                "granularity": eq.granularity.value,
-                "target_psd_dbm_per_ghz": _round(eq.target_psd_dbm_per_ghz, 2),
-                "nmc_width_ghz": (None if eq.nmc_width_ghz is None
-                                  else _round(eq.nmc_width_ghz, 3)),
-            }
-            for eq in link.equalizers
-        ],
+        "equalizer_window_ghz": (None if link.equalizer_window_ghz is None
+                                 else _round(link.equalizer_window_ghz, 3)),
         "tilt_db_per_mc": _round(link.tilt_db_per_mc, 3),
         "ripple": [[_round(f, 3), _round(db, 3)] for f, db in link.ripple],
         "filter_misalignment_ghz": _round(link.filter_misalignment_ghz, 3),
@@ -123,20 +113,64 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+# Optional keys and how each file value converts; an absent key takes the
+# LinkSpec or Scenario default.
+_LINK_OPTIONAL = {
+    "equalizer_window_ghz": lambda width: None if width is None else float(width),
+    "tilt_db_per_mc": float,
+    "ripple": lambda points: tuple((float(f), float(db)) for f, db in points),
+    "filter_misalignment_ghz": float,
+    "diurnal_amplitude_db": float,
+    "diurnal_period_h": float,
+    "isi_factor": float,
+    "seed": int,
+    "noise_sigma_q_db": float,
+}
+_SCENARIO_OPTIONAL = {
+    "catalog": str,
+    "sweep_step_ghz": float,
+    "monitor_config_id": str,
+}
+
+
+def _present(data: dict, converters: dict) -> dict:
+    return {key: convert(data[key]) for key, convert in converters.items()
+            if key in data}
+
+
+def _v1_equalizer_window(equalizers: list, channel_width_ghz: float) -> float | None:
+    """The window a schema-1 equalizer list re-levels over: the last per-NMC
+    node's width, else the media channel if there is any node. A node's
+    position and target PSD never reached an output."""
+    window = channel_width_ghz if equalizers else None
+    for node in equalizers:
+        granularity = node["granularity"]
+        if granularity == "per_nmc":
+            window = float(node["nmc_width_ghz"])
+        elif granularity != "per_media_channel":
+            raise ScenarioError(f"unknown equalizer granularity {granularity!r}")
+    return window
+
+
 def scenario_from_dict(data: dict) -> Scenario:
+    """Scenario of a schema-1 or schema-2 dict."""
     try:
-        if data["schema_version"] != SCHEMA_VERSION:
-            raise ScenarioError(
-                f"unsupported schema_version {data['schema_version']!r}")
+        version = data["schema_version"]
+        if version not in (1, SCHEMA_VERSION):
+            raise ScenarioError(f"unsupported schema_version {version!r}")
         mc = data["media_channel"]
+        media_channel = MediaChannel(
+            center_thz=float(mc["center_thz"]),
+            width_ghz=float(mc["width_ghz"]),
+            max_total_power_dbm=float(mc["max_total_power_dbm"]),
+            max_psd_dbm_per_ghz=float(mc["max_psd_dbm_per_ghz"]),
+        )
+        if version == 1:
+            data = dict(data, equalizer_window_ghz=_v1_equalizer_window(
+                data.get("equalizers", []), media_channel.width_ghz))
         link = LinkSpec(
             name=data["name"],
-            media_channel=MediaChannel(
-                center_thz=float(mc["center_thz"]),
-                width_ghz=float(mc["width_ghz"]),
-                max_total_power_dbm=float(mc["max_total_power_dbm"]),
-                max_psd_dbm_per_ghz=float(mc["max_psd_dbm_per_ghz"]),
-            ),
+            media_channel=media_channel,
             spans=tuple(
                 SpanSpec(
                     length_km=float(s["length_km"]),
@@ -156,34 +190,14 @@ def scenario_from_dict(data: dict) -> Scenario:
                 )
                 for f in data["filters"]
             ),
-            equalizers=tuple(
-                EqualizerNode(
-                    position=int(eq["position"]),
-                    granularity=EqualizerGranularity(eq["granularity"]),
-                    target_psd_dbm_per_ghz=float(eq["target_psd_dbm_per_ghz"]),
-                    nmc_width_ghz=(None if eq.get("nmc_width_ghz") is None
-                                   else float(eq["nmc_width_ghz"])),
-                )
-                for eq in data.get("equalizers", [])
-            ),
-            tilt_db_per_mc=float(data.get("tilt_db_per_mc", 0.0)),
-            ripple=tuple((float(f), float(db))
-                         for f, db in data.get("ripple", [])),
-            filter_misalignment_ghz=float(data.get("filter_misalignment_ghz", 0.0)),
-            diurnal_amplitude_db=float(data.get("diurnal_amplitude_db", 0.0)),
-            diurnal_period_h=float(data.get("diurnal_period_h", 24.0)),
-            isi_factor=float(data.get("isi_factor", DEFAULT_ISI_FACTOR)),
-            seed=int(data.get("seed", 1)),
-            noise_sigma_q_db=float(data.get("noise_sigma_q_db", 0.0)),
+            **_present(data, _LINK_OPTIONAL),
         )
         policy_data = data["policy"]
         scenario = Scenario(
             link=link,
-            catalog=data.get("catalog", "default"),
             policy=PowerPolicy(PolicyKind(policy_data["kind"]),
                                float(policy_data["value"])),
-            sweep_step_ghz=float(data.get("sweep_step_ghz", 6.25)),
-            monitor_config_id=data.get("monitor_config_id", "DP-QPSK-69.4"),
+            **_present(data, _SCENARIO_OPTIONAL),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):

@@ -20,18 +20,6 @@ ASE_BUDGET_CONSTANT_DB = 58.0
 _STANDARD_NORMAL = NormalDist()
 
 
-def db_to_linear(value_db: float) -> float:
-    """Convert a dB ratio to a linear ratio."""
-    return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(ratio: float) -> float:
-    """Convert a linear ratio to dB. Raises ValueError for ratio <= 0."""
-    if ratio <= 0.0:
-        raise ValueError(f"dB of non-positive ratio {ratio!r} is undefined")
-    return 10.0 * math.log10(ratio)
-
-
 def dbm_to_mw(power_dbm: float) -> float:
     return 10.0 ** (power_dbm / 10.0)
 
@@ -72,12 +60,6 @@ def osnr_to_snr_db(osnr_01nm_db: float, symbol_rate_gbd: float) -> float:
     if symbol_rate_gbd <= 0.0:
         raise ValueError("symbol rate must be positive")
     return osnr_01nm_db + 10.0 * math.log10(REF_BANDWIDTH_GHZ / symbol_rate_gbd)
-
-
-def snr_to_osnr_db(snr_db: float, symbol_rate_gbd: float) -> float:
-    if symbol_rate_gbd <= 0.0:
-        raise ValueError("symbol rate must be positive")
-    return snr_db - 10.0 * math.log10(REF_BANDWIDTH_GHZ / symbol_rate_gbd)
 
 
 def harmonic_db_sum(*terms_db: float) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -364,3 +365,42 @@ def test_policy_value_out_of_range_is_invalid_scenario(tmp_path, curves_dir):
         "invalid scenario: policy value -1000.0 dBm/GHz must be finite and "
         "at least -100 dBm/GHz"]
     assert not (tmp_path / "B-621-low-report.json").exists()
+
+
+@pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -75.0, 1000.0])
+def test_bad_equalizer_window_is_invalid_scenario(tmp_path, curves_dir, capsys,
+                                                  window):
+    scenario = json.loads((SCENARIOS / "LH-1792-5x75.json").read_text())
+    scenario["equalizer_window_ghz"] = window
+    path = tmp_path / "bad-window.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    assert run(["sweep", "--scenario", path, "--curves", curves_dir,
+                "--out", out]) == 4
+    stderr = capsys.readouterr().err.splitlines()
+    assert len(stderr) == 1
+    assert stderr[0].startswith("invalid scenario: equalizer window")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name, flags", [
+    ("regime", "LH-5738", ["--psd-ref", "-1000"]),
+    ("regime", "LH-5738", ["--psd-ref", "nan"]),
+    ("regime", "LH-5738", ["--rs-ref", "0"]),
+    ("regime", "LH-5738", ["--rs-ref", "nan"]),
+    ("monitor", "LH-3751-monitor-summer", ["--duration-h", "nan"]),
+    ("monitor", "LH-3751-monitor-summer", ["--duration-h", "-5"]),
+    ("monitor", "LH-3751-monitor-summer", ["--duration-h", "inf"]),
+    ("probe", "B-485", ["--theta-db", "nan"]),
+    ("probe", "B-485", ["--theta-db=-inf"]),
+    ("throughput", "B-621", ["--theta-db", "nan"]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_bad_flag_is_config_error(tmp_path, curves_dir, capsys, command, name,
+                                  flags):
+    out = tmp_path / "out"
+    assert run([command, "--scenario", SCENARIOS / f"{name}.json",
+                "--curves", curves_dir, "--out", out] + flags) == 3
+    stderr = capsys.readouterr().err.splitlines()
+    assert len(stderr) == 1
+    assert stderr[0].startswith(f"error: {flags[0].split('=')[0]}")
+    assert not out.exists()

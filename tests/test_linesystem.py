@@ -11,8 +11,6 @@ from osaas_probe.errors import CarrierRejectedError, LimitViolationError, Scenar
 from osaas_probe.linesystem import (
     DISPERSION_COMP_NLI_FACTOR,
     DispersionComp,
-    EqualizerGranularity,
-    EqualizerNode,
     FilterElement,
     LineSystem,
     LinkSpec,
@@ -215,18 +213,14 @@ def test_equalizer_granularity():
     cfg = config(rate=31.5)
     policy = PowerPolicy.constant_psd(-26.0)
     base = replace(ase_only_line(15.0, 31.5).link, tilt_db_per_mc=2.0)
-    per_mc = LineSystem(
-        replace(base, equalizers=(EqualizerNode(
-            1, EqualizerGranularity.PER_MEDIA_CHANNEL, -26.0),)),
-        ModemModel(math.inf))
+    per_mc = LineSystem(replace(base, equalizer_window_ghz=MC.width_ghz),
+                        ModemModel(math.inf))
     lo = per_mc.ground_truth_gsnr(cfg, policy, MC.center_thz - 0.030)
     hi = per_mc.ground_truth_gsnr(cfg, policy, MC.center_thz + 0.030)
     # per-MC equalization recenters but keeps the intra-channel tilt
     assert hi - lo == pytest.approx(2.0 * 60.0 / 100.0, abs=0.01)
-    per_nmc = LineSystem(
-        replace(base, equalizers=(EqualizerNode(
-            1, EqualizerGranularity.PER_NMC, -26.0, nmc_width_ghz=25.0),)),
-        ModemModel(math.inf))
+    per_nmc = LineSystem(replace(base, equalizer_window_ghz=25.0),
+                         ModemModel(math.inf))
     offsets = np.arange(-31.25, 31.26, 6.25)
     values = [per_nmc.ground_truth_gsnr(cfg, policy, MC.center_thz + o / 1000.0)
               for o in offsets]
@@ -310,7 +304,7 @@ def test_line_constants_match_per_span_sums(path):
                 10.0 ** (-span_osnr_db(s, launch_dbm) / 10.0) for s in spans))
         else:
             reference_osnr = math.inf
-        for osnr in (line._cascade_osnr_db(launch_dbm),
+        for osnr in (launch_dbm + line._osnr_at_0dbm,
                      cascade_osnr_db(spans, launch_dbm)):
             assert osnr == reference_osnr or abs(osnr - reference_osnr) <= 1e-9
         reference_nli = sum(
@@ -318,7 +312,8 @@ def test_line_constants_match_per_span_sums(path):
             * (1.0 if s.dispersion_comp is DispersionComp.NONE
                else DISPERSION_COMP_NLI_FACTOR)
             for s in spans)
-        for nli in (line._nli_power_mw(launch_mw), nli_power_mw(spans, launch_mw)):
+        for nli in (line._nli_eta_per_mw2 * launch_mw ** 3,
+                    nli_power_mw(spans, launch_mw)):
             assert nli == pytest.approx(reference_nli, rel=1e-9, abs=1e-30)
 
 
@@ -397,24 +392,35 @@ def reference_gsnr_offset_db(line, f_offset_ghz):
         return float(np.mean(raw(np.arange(lo, hi + 0.125, 0.25))))
 
     value = float(raw(f_offset_ghz))
-    per_nmc = [eq for eq in link.equalizers
-               if eq.granularity is EqualizerGranularity.PER_NMC]
-    if per_nmc:
-        width = per_nmc[-1].nmc_width_ghz
-        index = math.floor((f_offset_ghz - mc.lower_edge_ghz) / width)
-        index = min(max(index, 0), int(round(mc.width_ghz / width)) - 1)
-        lo = mc.lower_edge_ghz + index * width
-        return value - mean(lo, lo + width)
-    if link.equalizers:
+    width = link.equalizer_window_ghz
+    if width is None:
+        return value
+    if width == mc.width_ghz:
         return value - mean(mc.lower_edge_ghz, mc.upper_edge_ghz)
-    return value
+    index = math.floor((f_offset_ghz - mc.lower_edge_ghz) / width)
+    index = min(max(index, 0), int(round(mc.width_ghz / width)) - 1)
+    lo = mc.lower_edge_ghz + index * width
+    return value - mean(lo, lo + width)
 
 
-@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
-def test_gsnr_offset_matches_per_call_formula(path):
+# Every scenario file, then LH-1792 (tilt and ripple) re-levelled per media
+# channel and per NMC of several widths, one of them not dividing the channel.
+OFFSET_CASES = ([(path, None) for path in SCENARIO_FILES]
+                + [(SCENARIOS / "LH-1792.json", window)
+                   for window in (400.0, 75.0, 33.25, 0.25)])
+
+
+@pytest.mark.parametrize(
+    "path, window", OFFSET_CASES,
+    ids=[path.stem if window is None else f"{path.stem}-window-{window:g}"
+         for path, window in OFFSET_CASES])
+def test_gsnr_offset_matches_per_call_formula(path, window):
     """Bit for bit at every 0.25 GHz offset, LH-1792 (ripple) and
     LH-1792-5x75 (per-NMC equalizer) among the files."""
-    line = LineSystem(load_scenario(path).link)
+    link = load_scenario(path).link
+    if window is not None:
+        link = replace(link, equalizer_window_ghz=window)
+    line = LineSystem(link)
     mc = line.media_channel
     units = to_grid_units(mc.width_ghz / 2.0)
     for k in range(-units, units + 1):

@@ -29,6 +29,7 @@ from osaas_probe.probing import (
     profile_tilt_ripple,
     run_extended_probe,
     run_frequency_sweep,
+    run_monitor,
     run_probe_workflow,
     select_best_config,
     verify_margin_accuracy,
@@ -434,3 +435,13 @@ def test_regime_stability_under_noise(lh_line_and_curves):
         if report.entries["DP-QPSK-31.5"].classification is not Regime.LINEAR:
             flips += 1
     assert flips / trials < 0.01
+
+
+@pytest.mark.parametrize("duration_h", [math.nan, -5.0, math.inf])
+def test_monitor_duration_must_be_finite_and_non_negative(lh_line_and_curves,
+                                                          duration_h):
+    line, catalog, curves = lh_line_and_curves
+    config = catalog[0]
+    with pytest.raises(ValueError, match="duration"):
+        run_monitor(line, config, curves[config.config_id], POLICY,
+                    duration_h, 1.0)

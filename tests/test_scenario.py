@@ -1,10 +1,13 @@
 import json
+import math
 
 import pytest
 
 from osaas_probe.errors import ScenarioError
+from osaas_probe.linesystem import LinkSpec
 from osaas_probe.presets import PRESETS, preset, write_scenario_files
 from osaas_probe.scenario import (
+    Scenario,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -12,6 +15,8 @@ from osaas_probe.scenario import (
 )
 
 from conftest import REPO_ROOT
+
+SCENARIO_FILES = sorted((REPO_ROOT / "scenarios").glob("*.json"))
 
 
 def test_round_trip_every_preset(tmp_path):
@@ -96,3 +101,74 @@ def test_policy_value_floor_accepted():
     data = scenario_to_dict(preset("B-621"))
     data["policy"]["value"] = -100.0
     assert scenario_from_dict(data).policy.value == -100.0
+
+
+def _v1_node(granularity, nmc_width_ghz=None, position=12):
+    return {"position": position, "granularity": granularity,
+            "target_psd_dbm_per_ghz": -26.0, "nmc_width_ghz": nmc_width_ghz}
+
+
+def _v1_rendering(data, nodes=None):
+    """Schema-1 form of a schema-2 dict: the window as an equalizer list,
+    or ``nodes`` in its place."""
+    data = dict(data, schema_version=1)
+    window = data.pop("equalizer_window_ghz")
+    if nodes is None:
+        if window is None:
+            nodes = []
+        elif window == data["media_channel"]["width_ghz"]:
+            nodes = [_v1_node("per_media_channel", position=0)]
+        else:
+            nodes = [_v1_node("per_nmc", window)]
+    data["equalizers"] = nodes
+    return data
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.stem)
+def test_v1_rendering_loads_like_the_v2_file(path):
+    data = json.loads(path.read_text())
+    assert data["schema_version"] == 2
+    assert scenario_from_dict(_v1_rendering(data)) == load_scenario(path)
+
+
+@pytest.mark.parametrize("nodes, window", [
+    ([], None),
+    ([_v1_node("per_media_channel")], 400.0),
+    ([_v1_node("per_nmc", 25.0)], 25.0),
+    ([_v1_node("per_nmc", 25.0), _v1_node("per_media_channel")], 25.0),
+    ([_v1_node("per_nmc", 25.0), _v1_node("per_nmc", 50.0, position=3)], 50.0),
+])
+def test_v1_equalizer_list_is_one_window(nodes, window):
+    """The last per-NMC width, else the media channel if any node exists."""
+    data = _v1_rendering(scenario_to_dict(preset("LH-1792")), nodes)
+    assert scenario_from_dict(data).link.equalizer_window_ghz == window
+
+
+@pytest.mark.parametrize("node", [_v1_node("per_span"), _v1_node("per_nmc"),
+                                  _v1_node("per_nmc", 0.0)])
+def test_v1_bad_equalizer_node_rejected(node):
+    data = _v1_rendering(scenario_to_dict(preset("LH-1792")), [node])
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -75.0, 0.1, 1000.0])
+def test_equalizer_window_out_of_range_rejected(window):
+    """Outside the 0.25 GHz grid unit to media-channel width range."""
+    data = scenario_to_dict(preset("LH-1792-5x75"))
+    data["equalizer_window_ghz"] = window
+    with pytest.raises(ScenarioError, match="equalizer window"):
+        scenario_from_dict(data)
+
+
+def test_absent_optional_keys_take_the_dataclass_defaults():
+    data = scenario_to_dict(preset("LH-1792-5x75"))
+    for key in ("equalizer_window_ghz", "tilt_db_per_mc", "ripple",
+                "filter_misalignment_ghz", "diurnal_amplitude_db",
+                "diurnal_period_h", "isi_factor", "seed", "noise_sigma_q_db",
+                "catalog", "sweep_step_ghz", "monitor_config_id"):
+        del data[key]
+    loaded = scenario_from_dict(data)
+    link = LinkSpec(loaded.link.name, loaded.link.media_channel,
+                    loaded.link.spans, loaded.link.filters)
+    assert loaded == Scenario(link, policy=loaded.policy)
