@@ -40,6 +40,7 @@ from .modem import (
 )
 from .probing import (
     DEFAULT_CAP_THETA_DB,
+    check_monitor_span,
     detect_operation_regime,
     monitor_upgrade,
     run_frequency_sweep,
@@ -222,6 +223,10 @@ def cmd_regime(args) -> int:
     if args.rs_ref is not None and not 0 < args.rs_ref < math.inf:
         raise CliError(f"--rs-ref must be finite and positive, got {args.rs_ref:g}")
     scenario, catalog, curves, line = _context(args)
+    width = scenario.link.media_channel.width_ghz
+    if args.rs_ref is not None and args.rs_ref > width:
+        raise CliError(f"--rs-ref {args.rs_ref:g} GBd is above the {width:g} GHz "
+                       f"media channel: no carrier of that rate fits")
     psd_ref = (args.psd_ref if args.psd_ref is not None
                else scenario.policy.value)
     rs_ref = (args.rs_ref if args.rs_ref is not None
@@ -284,11 +289,10 @@ def cmd_monitor(args) -> int:
         raise CliError(f"monitor config {scenario.monitor_config_id!r} not in "
                        f"catalog")
     config = by_id[scenario.monitor_config_id]
-    if not args.interval_h > 0:
-        raise CliError("--interval-h must be positive")
-    if not 0 <= args.duration_h < math.inf:
-        raise CliError(f"--duration-h must be finite and non-negative, "
-                       f"got {args.duration_h:g}")
+    try:
+        check_monitor_span(args.duration_h, args.interval_h)
+    except ValueError as exc:
+        raise CliError(f"--duration-h/--interval-h: {exc}")
     series = run_monitor(line, config, curves[config.config_id],
                          scenario.policy, args.duration_h, args.interval_h)
     ests = [v for _, v in series if v is not None]

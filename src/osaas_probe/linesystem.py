@@ -30,9 +30,13 @@ carrier offset in 0.25 GHz units + 2^20, realized power in 0.01 dB above
 -200 dBm, time in whole seconds). The draw is the first value of numpy's
 ``SeedSequence(key)`` -> ``PCG64`` -> ``Generator.standard_normal`` stream,
 so identical probe settings always read identically and probe order never
-matters. Rather than building that stream anew for every probe, a line
-reseeds one generator: numpy mixes the key into the SeedSequence pool, and
-the PCG64 state the pool seeds is computed here and written into it.
+matters. The draw is a pure function of its key, so it is memoized once per
+process and every line shares the memo: a probe that repeats a key (a
+re-probe, a what-if copy of the line, the same carrier under another
+policy) reads it back instead of drawing it again. A new key reseeds one
+module generator rather than building that stream anew: numpy mixes the key
+into the SeedSequence pool, and the PCG64 state the pool seeds is computed
+here and written into the generator.
 """
 
 from __future__ import annotations
@@ -329,6 +333,24 @@ def _pcg64_state(pool: list[int]) -> tuple[int, int]:
     return ((inc + seed) * PCG64_MULTIPLIER + inc) & _MASK128, inc
 
 
+_generator = None  # made on the first noisy draw
+
+
+@lru_cache(maxsize=4096)
+def _standard_normal(key: tuple[int, ...]) -> float:
+    """``default_rng(SeedSequence(key)).standard_normal()``, drawn by
+    reseeding the module's one generator."""
+    global _generator
+    words = np.array(_key_words(key), dtype=np.uint32)
+    state, inc = _pcg64_state(np.random.SeedSequence(words).pool.tolist())
+    if _generator is None:
+        _generator = np.random.Generator(np.random.PCG64(0))
+    _generator.bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+        "has_uint32": 0, "uinteger": 0}
+    return _generator.standard_normal()
+
+
 @lru_cache(maxsize=64)
 def _penalty_grid(rs: float, roll_off: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Integration grid over the occupied band of one carrier shape, the RRC
@@ -417,7 +439,6 @@ class LineSystem:
                 float(np.mean(self._raw_profile_db(
                     np.arange(lo, lo + width + 0.125, 0.25))))
                 for lo in (lower + index * width for index in range(count)))
-        self._generator = None  # made on the first noisy draw
 
     @property
     def name(self) -> str:
@@ -502,19 +523,7 @@ class LineSystem:
             int(round((power_dbm + 200.0) * 100.0)),
             int(round(sim_time_h * 3600.0)),
         )
-        return sigma * self._standard_normal(key)
-
-    def _standard_normal(self, key: tuple[int, ...]) -> float:
-        """``default_rng(SeedSequence(key)).standard_normal()``, drawn by
-        reseeding this line's one generator."""
-        words = np.array(_key_words(key), dtype=np.uint32)
-        state, inc = _pcg64_state(np.random.SeedSequence(words).pool.tolist())
-        if self._generator is None:
-            self._generator = np.random.Generator(np.random.PCG64(0))
-        self._generator.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
-        return self._generator.standard_normal()
+        return sigma * _standard_normal(key)
 
     def probe(self, config: PltConfig, policy: PowerPolicy,
               carrier_center_thz: float | None = None,

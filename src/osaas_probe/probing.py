@@ -11,7 +11,7 @@ channel metadata. Ground-truth oracles of the simulator are off limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -30,6 +30,7 @@ from .spectrum import (
     PolicyKind,
     PowerPolicy,
     admissible_offsets_ghz,
+    carrier_power_dbm,
 )
 from .units import q_db_from_ber
 
@@ -37,6 +38,7 @@ NEAR_ZERO_MARGIN_DB = 1.5
 DEFAULT_CAP_THETA_DB = 2.0
 REGIME_DEADBAND_DB = 0.1
 MISALIGNMENT_FLAT_PROFILE_DB = 0.1
+MAX_MONITOR_SAMPLES = 100_000
 
 
 class ProbeStatus(Enum):
@@ -436,6 +438,10 @@ def detect_operation_regime(line, catalog: tuple[PltConfig, ...],
     carrier would get under the reference PSD, so narrower configurations run
     at a higher PSD. A configuration that improves under the extra power is
     in the linear regime; one that degrades is past the optimum.
+
+    A configuration at the reference rate gets the same carrier under both
+    policies, so its constant-PSD reading stands for both and it is probed
+    once.
     """
     power_ref = psd_ref_dbm_per_ghz + 10.0 * math.log10(rs_ref_gbd)
     tested = tuple(cfg for cfg in catalog
@@ -443,9 +449,16 @@ def detect_operation_regime(line, catalog: tuple[PltConfig, ...],
     psd_policy = PowerPolicy(PolicyKind.CONSTANT_PSD, psd_ref_dbm_per_ghz)
     power_policy = PowerPolicy(PolicyKind.CONSTANT_TOTAL_POWER, power_ref)
     psd_campaign = run_extended_probe(line, tested, curves, psd_policy)
-    power_campaign = run_extended_probe(line, tested, curves, power_policy)
     psd_by_id = {r.config_id: r for r in psd_campaign.results}
-    power_by_id = {r.config_id: r for r in power_campaign.results}
+    power_by_id = {}
+    for config in tested:
+        cid = config.config_id
+        if (carrier_power_dbm(psd_policy, config)
+                == carrier_power_dbm(power_policy, config)):
+            power_by_id[cid] = replace(psd_by_id[cid], policy=power_policy)
+        else:
+            power_by_id[cid] = probe_once(line, config, curves[cid],
+                                          power_policy)
 
     report = RegimeReport(psd_ref_dbm_per_ghz=psd_ref_dbm_per_ghz,
                           rs_ref_gbd=rs_ref_gbd, entries={})
@@ -484,15 +497,26 @@ def detect_operation_regime(line, catalog: tuple[PltConfig, ...],
     return report
 
 
+def check_monitor_span(duration_h: float, interval_h: float) -> None:
+    """Raise ValueError unless ``duration_h`` and ``interval_h`` make a
+    finite series of at most MAX_MONITOR_SAMPLES samples."""
+    if not interval_h > 0:
+        raise ValueError("monitor interval must be positive")
+    if not 0 <= duration_h < math.inf:
+        raise ValueError(f"monitor duration must be finite and non-negative, "
+                         f"got {duration_h:g}")
+    if (duration_h + 1e-9) / interval_h >= MAX_MONITOR_SAMPLES:
+        raise ValueError(f"monitor duration {duration_h:g} h at interval "
+                         f"{interval_h:g} h asks for more than "
+                         f"{MAX_MONITOR_SAMPLES} samples")
+
+
 def run_monitor(line, config: PltConfig, curve: CharacterizationCurve,
                 policy: PowerPolicy, duration_h: float,
                 interval_h: float) -> list[tuple[float, float | None]]:
     """Probe one configuration at the channel center every ``interval_h``
     hours from 0 to ``duration_h``: (sim time, GSNR estimate or None)."""
-    if not interval_h > 0:
-        raise ValueError("monitor interval must be positive")
-    if not 0 <= duration_h < math.inf:
-        raise ValueError("monitor duration must be finite and non-negative")
+    check_monitor_span(duration_h, interval_h)
     series = []
     i = 0
     while (t := i * interval_h) <= duration_h + 1e-9:

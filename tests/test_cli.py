@@ -383,6 +383,34 @@ def test_bad_equalizer_window_is_invalid_scenario(tmp_path, curves_dir, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, name, flags, message", [
+    ("monitor", "LH-3751-monitor-summer", ["--duration-h", "1e12"],
+     "error: --duration-h/--interval-h: monitor duration 1e+12 h at interval "
+     "1 h asks for more than 100000 samples"),
+    ("monitor", "LH-3751-monitor-summer", ["--interval-h", "1e-300"],
+     "error: --duration-h/--interval-h: monitor duration 48 h at interval "
+     "1e-300 h asks for more than 100000 samples"),
+    ("regime", "LH-5738", ["--rs-ref", "1e300"],
+     "error: --rs-ref 1e+300 GBd is above the 400 GHz media channel: no "
+     "carrier of that rate fits"),
+    ("regime", "LH-5738", ["--rs-ref", "400.5"],
+     "error: --rs-ref 400.5 GBd is above the 400 GHz media channel: no "
+     "carrier of that rate fits"),
+], ids=["duration-h-1e12", "interval-h-1e-300", "rs-ref-1e300",
+        "rs-ref-400.5"])
+def test_unbounded_flag_is_config_error(tmp_path, curves_dir, command, name,
+                                        flags, message):
+    """A monitor span of more than 100 000 samples used to run without end,
+    and a reference rate no carrier fits was reported as a power change;
+    each is one line and exit 3, in a fresh interpreter."""
+    out = tmp_path / "out"
+    code, stderr = run_process(
+        [command, "--scenario", SCENARIOS / f"{name}.json", "--curves",
+         curves_dir, "--out", out] + flags, tmp_path)
+    assert (code, stderr.splitlines()) == (3, [message])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, name, flags", [
     ("regime", "LH-5738", ["--psd-ref", "-1000"]),
     ("regime", "LH-5738", ["--psd-ref", "nan"]),

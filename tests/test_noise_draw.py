@@ -1,5 +1,6 @@
 """The per-probe noise draw: numpy's SeedSequence -> PCG64 ->
-standard_normal stream, produced by reseeding one generator per line."""
+standard_normal stream, produced by reseeding one module generator and
+memoized once per process."""
 
 import os
 import random
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from osaas_probe.catalog import resolve_catalog
 from osaas_probe.cli import main
-from osaas_probe.linesystem import LineSystem
+from osaas_probe.linesystem import LineSystem, _standard_normal
 from osaas_probe.presets import preset
 from osaas_probe.spectrum import admissible_offsets_ghz
 
@@ -29,9 +30,8 @@ def reference(key):
     return np.random.default_rng(np.random.SeedSequence(key)).standard_normal()
 
 
-@pytest.fixture(scope="module")
-def line():
-    return LineSystem(preset("B-485").link)
+# The draw itself, past the memo: every call computes its value.
+draw = _standard_normal.__wrapped__
 
 
 def random_part(rng):
@@ -40,14 +40,14 @@ def random_part(rng):
     return rng.getrandbits(rng.randint(1, 100))
 
 
-def test_draw_matches_numpy_on_random_keys(line):
+def test_draw_matches_numpy_on_random_keys():
     """One reseeded generator reads what a fresh numpy stream reads, on
     20 000 keys: a new key per draw, so a draw never sees the last one's
     state."""
     rng = random.Random(20211)
     for _ in range(20_000):
         key = tuple(random_part(rng) for _ in range(5))
-        assert line._standard_normal(key) == reference(key), key
+        assert draw(key) == reference(key), key
 
 
 parts = st.one_of(st.sampled_from(EDGES), st.integers(0, 2 ** 100))
@@ -57,16 +57,27 @@ parts = st.one_of(st.sampled_from(EDGES), st.integers(0, 2 ** 100))
 @given(st.lists(parts, min_size=1, max_size=7).map(tuple))
 @example((0, 0, 0, 0, 0))
 @example((2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1, 0, 2 ** 64 - 1))
-def test_draw_matches_numpy(line, key):
-    assert line._standard_normal(key) == reference(key)
+def test_draw_matches_numpy(key):
+    assert draw(key) == reference(key)
 
 
 @pytest.mark.parametrize("key", [(1, -1, 0, 0, 0), (-(2 ** 40),)])
-def test_negative_key_part_raises_as_numpy_does(line, key):
+def test_negative_key_part_raises_as_numpy_does(key):
     with pytest.raises(ValueError):
         reference(key)
     with pytest.raises(ValueError):
-        line._standard_normal(key)
+        _standard_normal(key)
+
+
+def test_repeated_key_is_a_memo_hit():
+    """A key drawn again is read back from the memo, with the same value
+    the draw computes."""
+    key = (7, 2 ** 32, 2 ** 20, 19_950, 3600)
+    _standard_normal.cache_clear()
+    first = _standard_normal(key)
+    assert _standard_normal.cache_info()[:2] == (0, 1)  # hits, misses
+    assert _standard_normal(key) == first == draw(key) == reference(key)
+    assert _standard_normal.cache_info()[:2] == (1, 1)
 
 
 def noisy_probes(name):
@@ -82,8 +93,9 @@ def noisy_probes(name):
 
 
 def test_interleaved_lines_read_as_fresh_lines():
-    """Probe order never matters: two lines probed in turn, each reseeding
-    its one generator, read what a fresh line reads for each probe alone."""
+    """Probe order never matters: two lines probed in turn, sharing the
+    module generator, read what a fresh line reads for each probe alone
+    with the memo emptied, so that every fresh reading is drawn anew."""
     routes = [noisy_probes(name) for name in ("B-485", "LH-5738")]
     lines = [LineSystem(sc.link) for sc, _ in routes]
     shared = [[], []]
@@ -94,6 +106,7 @@ def test_interleaved_lines_read_as_fresh_lines():
     for (sc, probes), readings in zip(routes, shared):
         assert len(readings) == len(probes) > 20
         assert len({r.pre_fec_ber for r in readings}) > 1
+        _standard_normal.cache_clear()
         assert readings == [LineSystem(sc.link).probe(*args) for args in probes]
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from osaas_probe.catalog import default_catalog, regional_catalog
+from osaas_probe.catalog import default_catalog, regional_catalog, resolve_catalog
 from osaas_probe.errors import InsufficientDataError, NoSignalError
 from osaas_probe.linesystem import (
     LineSystem,
@@ -14,12 +14,14 @@ from osaas_probe.linesystem import (
 from osaas_probe.modem import ModemModel, characterize
 from osaas_probe.presets import preset
 from osaas_probe.probing import (
+    MAX_MONITOR_SAMPLES,
     GsnrProfile,
     ProbeCampaign,
     ProbeResult,
     ProbeStatus,
     Regime,
     VerificationFlag,
+    check_monitor_span,
     compute_margins,
     compute_penalties,
     detect_misalignment,
@@ -38,6 +40,7 @@ from osaas_probe.spectrum import (
     MediaChannel,
     ModulationFormat,
     PltConfig,
+    PolicyKind,
     PowerPolicy,
 )
 
@@ -445,3 +448,59 @@ def test_monitor_duration_must_be_finite_and_non_negative(lh_line_and_curves,
     with pytest.raises(ValueError, match="duration"):
         run_monitor(line, config, curves[config.config_id], POLICY,
                     duration_h, 1.0)
+
+
+@pytest.mark.parametrize("duration_h, interval_h", [
+    (1e12, 1.0), (48.0, 1e-300), (48.0, 5e-324), (MAX_MONITOR_SAMPLES, 1.0)])
+def test_monitor_sample_count_is_bounded(catalog, curves, duration_h,
+                                         interval_h):
+    """A finite span that asks for more than MAX_MONITOR_SAMPLES samples is
+    refused before the first probe (the line here has no probe surface)."""
+    config = catalog[0]
+    with pytest.raises(ValueError, match="samples"):
+        run_monitor(None, config, curves[config.config_id], POLICY,
+                    duration_h, interval_h)
+
+
+def test_monitor_sample_bound_is_inclusive():
+    check_monitor_span(MAX_MONITOR_SAMPLES - 1.0, 1.0)  # exactly the bound
+    check_monitor_span(48.0, math.inf)  # one sample, at t = 0
+
+
+class CountingProxy(BlackBoxProxy):
+    """The probe surface, recording the policy of every probe."""
+
+    def __init__(self, line):
+        super().__init__(line)
+        self.policies = []
+
+    def probe(self, config, policy, carrier_center_thz=None, sim_time_h=0.0):
+        self.policies.append(policy.kind)
+        return super().probe(config, policy, carrier_center_thz, sim_time_h)
+
+
+def test_regime_probes_the_reference_rate_once(curves):
+    """LH-5738's catalog has two 69.4 GBd configurations, which get the same
+    carrier under both policies: 11 constant-PSD probes and 9
+    constant-power probes, where probing both policies would take 22."""
+    sc = preset("LH-5738")
+    catalog = resolve_catalog(sc.catalog)
+    rs_ref = max(c.symbol_rate_gbd for c in catalog)
+    line = LineSystem(sc.link, ModemModel(26.0))
+    proxy = CountingProxy(line)
+    report = detect_operation_regime(proxy, catalog, curves, sc.policy.value,
+                                     rs_ref)
+    reference_rate = [c for c in catalog if c.symbol_rate_gbd == rs_ref]
+    assert len(catalog) == 11 and len(reference_rate) == 2
+    assert len(proxy.policies) == 20
+    assert proxy.policies.count(PolicyKind.CONSTANT_PSD) == 11
+    entry = report.entries["DP-QPSK-69.4"]
+    assert entry.delta_db == 0.0
+    assert entry.classification is Regime.NEAR_OPTIMUM
+    assert report.excluded["DP-P-16QAM-69.4"] == "outage under both power policies"
+    # the reading reused for the constant-power policy is the one it gets
+    assert sc.link.noise_sigma_q_db > 0
+    power = PowerPolicy.constant_total_power(
+        sc.policy.value + 10.0 * math.log10(rs_ref))
+    for config in reference_rate:
+        assert line.probe(config, sc.policy) == line.probe(config, power)
