@@ -37,6 +37,18 @@ policy) reads it back instead of drawing it again. A new key reseeds one
 module generator rather than building that stream anew: numpy mixes the key
 into the SeedSequence pool, and the PCG64 state the pool seeds is computed
 here and written into the generator.
+
+Each line memoizes the time-independent terms of every carrier it is
+probed with, keyed on (config, policy, carrier centre): received power,
+optical SNR (ASE/NLI, filtering penalty, equalized tilt/ripple), the noise
+key without its time word and, without diurnal drift, the BER law and Q.
+The config object is the key, not its id, which omits roll-off and FEC
+threshold. A repeated carrier then costs a lookup, the diurnal term, the
+memoized draw and the Q-to-BER readout, with the float operations in the
+same order as a fresh line's, so it reads bit-identically. Rejected
+carriers and limit violations raise before anything is stored. The memo
+lives on the line: a new line, as every workflow and CLI run makes, starts
+empty.
 """
 
 from __future__ import annotations
@@ -417,8 +429,9 @@ class LineSystem:
     and to probe through this instance; constructing both from one model
     object keeps that honest.
 
-    ``LinkSpec`` is frozen, so the span sums and the filter cascade are
-    computed once here rather than on every probe.
+    ``LinkSpec`` and ``ModemModel`` are frozen, so the span sums and the
+    filter cascade are computed once here, and the time-independent terms
+    of each carrier once on its first probe, rather than on every probe.
     """
 
     def __init__(self, link: LinkSpec, modem: ModemModel | None = None):
@@ -439,6 +452,9 @@ class LineSystem:
                 float(np.mean(self._raw_profile_db(
                     np.arange(lo, lo + width + 0.125, 0.25))))
                 for lo in (lower + index * width for index in range(count)))
+        # (config, policy, carrier centre) -> the time-independent terms of
+        # that carrier's probes; see _memoize_carrier.
+        self._carriers: dict[tuple, tuple] = {}
 
     @property
     def name(self) -> str:
@@ -488,11 +504,11 @@ class LineSystem:
         check_carrier_fits(mc, config, offset)
         return offset
 
-    def _total_snr_db(self, config: PltConfig, policy: PowerPolicy,
-                      offset_ghz: float,
-                      sim_time_h: float) -> tuple[float, float, float]:
-        """Total SNR, realized launch power and the in-band filter loss
-        before the ISI factor, all in dB(m)."""
+    def _static_snr_db(self, config: PltConfig, policy: PowerPolicy,
+                       offset_ghz: float) -> tuple[float, float, float]:
+        """The time-independent link budget of one carrier: optical SNR
+        without the diurnal term, realized launch power and the in-band
+        filter loss before the ISI factor, all in dB(m)."""
         link = self.link
         power_dbm = carrier_power_dbm(policy, config, link.media_channel)
         power_mw = dbm_to_mw(power_dbm)
@@ -507,23 +523,65 @@ class LineSystem:
                                        offset_ghz, 1.0)
         optical -= link.isi_factor * in_band
         optical += self.gsnr_offset_db(offset_ghz)
-        optical += self._diurnal_db(sim_time_h)
-        total = harmonic_db_sum(optical, self.modem.snr_modem_db)
-        return total, power_dbm, in_band
+        return optical, power_dbm, in_band
 
-    def _noise_db(self, config: PltConfig, offset_ghz: float,
-                  power_dbm: float, sim_time_h: float) -> float:
-        sigma = self.link.noise_sigma_q_db
-        if sigma == 0.0:
-            return 0.0
-        key = (
+    def _total_snr_db(self, optical_db: float, sim_time_h: float) -> float:
+        """Total SNR from the static optical SNR at one time of day."""
+        return harmonic_db_sum(optical_db + self._diurnal_db(sim_time_h),
+                               self.modem.snr_modem_db)
+
+    def _ber_law(self, config: PltConfig, optical_db: float,
+                 sim_time_h: float) -> tuple[float, float | None]:
+        """True BER and its Q in dB; the Q is None when the reading is
+        fixed: coin flips (0.5) or error-free (0.0)."""
+        ber_true = ber_from_snr(config.format,
+                                self._total_snr_db(optical_db, sim_time_h))
+        return ber_true, (q_db_from_ber(ber_true) if 0.0 < ber_true < 0.5
+                          else None)
+
+    def _noise_key(self, config: PltConfig, offset_ghz: float,
+                   power_dbm: float) -> tuple[int, ...]:
+        """The noise key of a realized carrier, without its time word."""
+        return (
             self.link.seed,
             zlib.crc32(config.config_id.encode()),
             to_grid_units(offset_ghz) + 2 ** 20,
             int(round((power_dbm + 200.0) * 100.0)),
-            int(round(sim_time_h * 3600.0)),
         )
-        return sigma * _standard_normal(key)
+
+    def _keyed_noise_db(self, noise_key: tuple[int, ...],
+                        sim_time_h: float) -> float:
+        """Noise on the Q readout of a noisy line's carrier at one time."""
+        return self.link.noise_sigma_q_db * _standard_normal(
+            noise_key + (int(round(sim_time_h * 3600.0)),))
+
+    def _noise_db(self, config: PltConfig, offset_ghz: float,
+                  power_dbm: float, sim_time_h: float) -> float:
+        """Noise on the Q readout of one probe, from its realized carrier."""
+        if self.link.noise_sigma_q_db == 0.0:
+            return 0.0
+        return self._keyed_noise_db(
+            self._noise_key(config, offset_ghz, power_dbm), sim_time_h)
+
+    def _memoize_carrier(self, config: PltConfig, policy: PowerPolicy,
+                         carrier_center_thz: float | None) -> tuple:
+        """Compute and store the time-independent terms of one carrier:
+        rx power, static optical SNR, noise key (None on a noiseless line)
+        and, on a line without diurnal drift, the BER law. A rejected
+        carrier or a violated limit raises before anything is stored."""
+        offset = self._carrier_offset_ghz(config, carrier_center_thz)
+        optical, power_dbm, in_band = self._static_snr_db(config, policy, offset)
+        link = self.link
+        carrier = (
+            power_dbm - in_band,
+            optical,
+            (self._noise_key(config, offset, power_dbm)
+             if link.noise_sigma_q_db else None),
+            (None if link.diurnal_amplitude_db
+             else self._ber_law(config, optical, 0.0)),
+        )
+        self._carriers[(config, policy, carrier_center_thz)] = carrier
+        return carrier
 
     def probe(self, config: PltConfig, policy: PowerPolicy,
               carrier_center_thz: float | None = None,
@@ -532,26 +590,30 @@ class LineSystem:
 
         Deterministic for fixed link seed and probe settings; the noise draw
         is keyed on the realized carrier, not on the policy that produced it.
+        A carrier probed before costs one memo lookup plus what moves with
+        time: the diurnal term, the noise draw and the Q-to-BER readout.
         """
-        offset = self._carrier_offset_ghz(config, carrier_center_thz)
-        total, power_dbm, in_band = self._total_snr_db(config, policy, offset,
-                                                       sim_time_h)
-        ber_true = ber_from_snr(config.format, total)
-        if not ber_true < 0.5:
+        carrier = self._carriers.get((config, policy, carrier_center_thz))
+        if carrier is None:
+            carrier = self._memoize_carrier(config, policy, carrier_center_thz)
+        rx_power_dbm, optical, noise_key, law = carrier
+        ber_true, q_true = (self._ber_law(config, optical, sim_time_h)
+                            if law is None else law)
+        if q_true is not None:
+            noise = (0.0 if noise_key is None
+                     else self._keyed_noise_db(noise_key, sim_time_h))
+            ber = ber_from_q_db(q_true + noise)
+        elif ber_true < 0.5:
+            # noiseless line: the counter reads error-free
+            ber = 0.0
+        else:
             # blocked or drowned carrier (a NaN total when the ISI factor
             # is 0): the decisions are coin flips
             ber = 0.5
-        elif ber_true > 0.0:
-            q_read = (q_db_from_ber(ber_true)
-                      + self._noise_db(config, offset, power_dbm, sim_time_h))
-            ber = ber_from_q_db(q_read)
-        else:
-            # noiseless line: the counter reads error-free
-            ber = 0.0
         return BerReading(
             pre_fec_ber=ber,
             post_fec_ok=ber <= config.fec_threshold_ber,
-            rx_power_dbm=power_dbm - in_band,
+            rx_power_dbm=rx_power_dbm,
         )
 
     # -- test-only oracles ---------------------------------------------------
@@ -566,7 +628,8 @@ class LineSystem:
         algorithms must not call it.
         """
         offset = self._carrier_offset_ghz(config, carrier_center_thz)
-        return self._total_snr_db(config, policy, offset, sim_time_h)[0]
+        optical = self._static_snr_db(config, policy, offset)[0]
+        return self._total_snr_db(optical, sim_time_h)
 
     def without_filters(self) -> "LineSystem":
         """What-if copy of the line with every filtering element removed."""

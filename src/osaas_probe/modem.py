@@ -96,7 +96,7 @@ def _check_monotone(coefficients, lo: float, hi: float) -> None:
     """The fit gate: the polynomial must rise strictly over [lo, hi], sampled
     every MONOTONICITY_STEP_DB."""
     sample = np.arange(lo, hi + MONOTONICITY_STEP_DB / 2, MONOTONICITY_STEP_DB)
-    values = np.polynomial.polynomial.polyval(sample, coefficients)
+    values = np.polyval(coefficients[::-1], sample)
     if np.any(np.diff(values) <= 0):
         raise FitRejectedError("fitted curve is not monotone over the validity range")
 

@@ -388,7 +388,8 @@ def detect_misalignment(profile: GsnrProfile) -> tuple[float, bool]:
         # Monotone or tilt-dominated profile; the vertex extrapolates outside
         # the slot and carries no alignment information.
         return 0.0, True
-    return round(vertex, 1), False
+    offset = float(round(vertex, 1))
+    return (offset if offset else 0.0), False  # never -0.0
 
 
 def profile_tilt_ripple(profile: GsnrProfile, config_id: str) -> tuple[float, float]:

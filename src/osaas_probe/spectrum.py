@@ -121,6 +121,14 @@ class PltConfig:
         if not 0.0 < self.fec_threshold_ber < 0.5:
             raise SpectrumError("FEC threshold BER must be in (0, 0.5)")
 
+    def __hash__(self) -> int:
+        """Hash of the numeric fields. A line looks every probe up by its
+        config, and the enum's Python-level hash would cost as much as the
+        rest of that lookup; equal configs still hash equal."""
+        return hash((self.symbol_rate_gbd, self.line_rate_gbps,
+                     self.required_gsnr_db, self.roll_off,
+                     self.fec_threshold_ber))
+
     @cached_property
     def config_id(self) -> str:
         return f"{self.format.label}-{self.symbol_rate_gbd:g}"
@@ -152,6 +160,10 @@ class PowerPolicy:
 
     kind: PolicyKind
     value: float  # dBm/GHz for CONSTANT_PSD, dBm for CONSTANT_TOTAL_POWER
+
+    def __hash__(self) -> int:
+        """Hash of the value alone, as for :class:`PltConfig`."""
+        return hash(self.value)
 
     @staticmethod
     def constant_psd(psd_dbm_per_ghz: float) -> "PowerPolicy":

@@ -376,6 +376,95 @@ def test_probe_looks_the_penalty_up_once(catalog_regional, monkeypatch):
     assert reading.rx_power_dbm == power - loss
 
 
+
+def test_repeated_probe_is_a_memo_hit(catalog_regional, monkeypatch):
+    """A carrier probed again reads equal, adds no memo entry and looks no
+    penalty up."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return filtering_penalty_db(*args)
+
+    monkeypatch.setattr(linesystem, "filtering_penalty_db", counting)
+    sc = preset("B-621")
+    assert sc.link.noise_sigma_q_db > 0
+    line = LineSystem(sc.link, ModemModel(26.0))
+    cfg = catalog_regional[0]
+    center = sc.link.media_channel.center_thz + 0.00625
+    first = line.probe(cfg, sc.policy, center)
+    assert len(line._carriers) == 1 and len(calls) == 1
+    assert line.probe(cfg, sc.policy, center) == first
+    assert len(line._carriers) == 1 and len(calls) == 1
+    assert LineSystem(sc.link, ModemModel(26.0)).probe(cfg, sc.policy,
+                                                       center) == first
+
+
+def test_memo_keys_on_the_config_not_its_id(catalog_regional):
+    """Roll-off and FEC threshold are not part of the configuration id, so
+    configs that share an id are distinct carriers; so are a config and
+    policy that hash as another, equal in all but the enum field."""
+    sc = preset("B-621")
+    line = LineSystem(sc.link, ModemModel(26.0))
+    cfg = catalog_regional[0]
+    assert cfg.format is ModulationFormat.DP_QPSK
+    base = line.probe(cfg, sc.policy)
+    narrow = replace(cfg, roll_off=0.05)
+    strict = replace(cfg, fec_threshold_ber=base.pre_fec_ber / 2.0)
+    assert narrow.config_id == strict.config_id == cfg.config_id
+    other_format = replace(cfg, format=ModulationFormat.DP_16QAM)
+    total_power = PowerPolicy.constant_total_power(sc.policy.value)
+    assert hash(other_format) == hash(cfg) and other_format != cfg
+    assert hash(total_power) == hash(sc.policy) and total_power != sc.policy
+    probes = [(narrow, sc.policy), (strict, sc.policy),
+              (other_format, sc.policy), (cfg, total_power)]
+    readings = [line.probe(*args) for args in probes]
+    assert len(line._carriers) == 5
+    assert readings == [LineSystem(sc.link, ModemModel(26.0)).probe(*args)
+                        for args in probes]
+    assert readings[0].rx_power_dbm != base.rx_power_dbm
+    assert base.post_fec_ok and not readings[1].post_fec_ok
+    assert readings[2].pre_fec_ber != base.pre_fec_ber
+    assert readings[3].rx_power_dbm != base.rx_power_dbm
+
+
+def test_rejected_probes_are_not_memoized():
+    """A carrier that leaves the slot and a policy over the channel limit
+    raise on every call and leave the memo empty."""
+    cfg = config(rate=69.4, line=200.0)
+    line = ase_only_line(17.0, 69.4)
+    for _ in range(2):
+        with pytest.raises(CarrierRejectedError):
+            line.probe(cfg, PowerPolicy.constant_psd(-26.0),
+                       carrier_center_thz=MC.center_thz + 0.02)
+        with pytest.raises(LimitViolationError):
+            line.probe(cfg, PowerPolicy.constant_psd(-15.0))
+    assert line._carriers == {}
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05])
+def test_diurnal_line_reuses_static_terms(catalog, monkeypatch, sigma):
+    """On a drifting line one carrier memo entry and one penalty lookup
+    serve every hour, and each hour reads as on a fresh line."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return filtering_penalty_db(*args)
+
+    sc = preset("LH-3751-monitor-summer")
+    assert sc.link.diurnal_amplitude_db > 0
+    link = replace(sc.link, noise_sigma_q_db=sigma)
+    cfg = {c.config_id: c for c in catalog}[sc.monitor_config_id]
+    hours = [float(h) for h in range(49)]
+    fresh = [LineSystem(link, ModemModel(26.0)).probe(cfg, sc.policy, None, h)
+             for h in hours]
+    monkeypatch.setattr(linesystem, "filtering_penalty_db", counting)
+    line = LineSystem(link, ModemModel(26.0))
+    assert [line.probe(cfg, sc.policy, None, h) for h in hours] == fresh
+    assert len(line._carriers) == 1 and len(calls) == 1
+    assert len({r.pre_fec_ber for r in fresh}) > 10
+
 def reference_gsnr_offset_db(line, f_offset_ghz):
     """Tilt/ripple offset as computed from the link on every call."""
     link = line.link

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from osaas_probe.catalog import regional_catalog
 from osaas_probe.errors import CurveRangeError, FitRejectedError, InsufficientDataError
 from osaas_probe.modem import (
+    MONOTONICITY_STEP_DB,
     ModemModel,
     ber_from_snr,
     characterize,
@@ -232,6 +234,20 @@ BAD_CURVE_EDITS = {
     "negative modem SNR": lambda d: d.update(snr_modem_db=-3.0),
     "non-monotone polynomial": make_non_monotone,
 }
+
+
+def test_monotonicity_gate_matches_numpy_polynomial(catalog, curves, modem):
+    """The gate evaluates its curve with numpy.polyval, which runs the same
+    Horner recurrence as numpy.polynomial's polyval: equal to the last bit
+    over every default and regional curve."""
+    regional = [characterize(modem, cfg) for cfg in regional_catalog()]
+    for curve in list(curves.values()) + regional:
+        lo, hi = curve.valid_range
+        sample = np.arange(lo, hi + MONOTONICITY_STEP_DB / 2, MONOTONICITY_STEP_DB)
+        reference = np.polynomial.polynomial.polyval(sample, curve.coefficients)
+        assert np.array_equal(np.polyval(curve.coefficients[::-1], sample),
+                              reference)
+    assert len(curves) + len(regional) == 20
 
 
 @pytest.mark.parametrize("edit", sorted(BAD_CURVE_EDITS))

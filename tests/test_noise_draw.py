@@ -93,39 +93,60 @@ def noisy_probes(name):
 
 
 def test_interleaved_lines_read_as_fresh_lines():
-    """Probe order never matters: two lines probed in turn, sharing the
-    module generator, read what a fresh line reads for each probe alone
-    with the memo emptied, so that every fresh reading is drawn anew."""
+    """Probe order and repetition never matter: two warm lines probed in
+    turn, each with every probe twice in shuffled order, so that most
+    probes are carrier memo hits, read what a fresh line reads for each
+    probe alone with the draw memo emptied, so that every fresh reading is
+    drawn anew."""
+    rng = random.Random(20)
     routes = [noisy_probes(name) for name in ("B-485", "LH-5738")]
     lines = [LineSystem(sc.link) for sc, _ in routes]
+    orders = [rng.sample(probes * 2, 2 * len(probes)) for _, probes in routes]
     shared = [[], []]
-    for pair in zip_longest(*(probes for _, probes in routes)):
+    for pair in zip_longest(*orders):
         for i, args in enumerate(pair):
             if args is not None:
                 shared[i].append(lines[i].probe(*args))
-    for (sc, probes), readings in zip(routes, shared):
-        assert len(readings) == len(probes) > 20
+    for (sc, probes), line, order, readings in zip(routes, lines, orders,
+                                                   shared):
+        assert len(readings) == 2 * len(probes) > 40
         assert len({r.pre_fec_ber for r in readings}) > 1
+        assert len(line._carriers) == len(probes) // 2  # two times each
         _standard_normal.cache_clear()
-        assert readings == [LineSystem(sc.link).probe(*args) for args in probes]
+        fresh = {args: LineSystem(sc.link).probe(*args) for args in probes}
+        assert readings == [fresh[args] for args in order]
+
+
+def loaded_after(tmp_path, command, module):
+    """Whether a fresh interpreter has ``module`` loaded after running the
+    CLI ``command`` on freshly characterized curves."""
+    curves = tmp_path / "curves"
+    assert main(["characterize", "--out", str(curves)]) == 0
+    argv = command + ["--curves", str(curves), "--out", str(tmp_path)]
+    code = ("import sys\n"
+            "from osaas_probe.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            f"print({module!r} in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return proc.stdout.splitlines()[-1] == "True"
 
 
 def test_noiseless_monitor_does_not_import_numpy_random(tmp_path):
     """The generator is made on the first noisy draw, so a sigma = 0 line
     never loads numpy.random."""
     assert preset("LH-3751-monitor-summer").link.noise_sigma_q_db == 0.0
-    curves = tmp_path / "curves"
-    assert main(["characterize", "--out", str(curves)]) == 0
     scenario = REPO_ROOT / "scenarios" / "LH-3751-monitor-summer.json"
-    argv = ["monitor", "--scenario", str(scenario), "--curves", str(curves),
-            "--out", str(tmp_path)]
-    code = ("import sys\n"
-            "from osaas_probe.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
-            "print('numpy.random' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert not loaded_after(tmp_path, ["monitor", "--scenario", str(scenario)],
+                            "numpy.random")
+
+
+def test_probe_does_not_import_numpy_polynomial(tmp_path):
+    """Loading curves checks their monotonicity with numpy.polyval, so only
+    characterize, which fits, loads numpy.polynomial."""
+    scenario = REPO_ROOT / "scenarios" / "B-485.json"
+    assert not loaded_after(tmp_path, ["probe", "--scenario", str(scenario)],
+                            "numpy.polynomial")

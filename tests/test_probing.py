@@ -343,6 +343,20 @@ def test_detect_misalignment_symmetric_is_zero():
     assert offset == pytest.approx(0.0, abs=0.1)
 
 
+@pytest.mark.parametrize("vertex, expected", [(-0.04, 0.0), (0.04, 0.0),
+                                              (-6.3, -6.3), (6.3, 6.3)])
+def test_detect_misalignment_returns_a_float_never_minus_zero(vertex, expected):
+    cfg = PltConfig(ModulationFormat.DP_16QAM, 34.5, 200.0, 12.71)
+    pts = [(off, 15.0 - 0.01 * (off - vertex) ** 2) for off in
+           (-12.5, -6.25, 0.0, 6.25, 12.5)]
+    profile = synthetic_profile({cfg.config_id: pts}, [cfg])
+    offset, indeterminate = detect_misalignment(profile)
+    assert not indeterminate
+    assert type(offset) is float
+    assert offset == expected
+    assert math.copysign(1.0, offset) == math.copysign(1.0, expected)
+
+
 def test_detect_misalignment_flat_profile_indeterminate():
     cfg = PltConfig(ModulationFormat.DP_16QAM, 34.5, 200.0, 12.71)
     pts = [(off, 15.0) for off in (-6.25, 0.0, 6.25)]
