@@ -33,10 +33,7 @@ so identical probe settings always read identically and probe order never
 matters. The draw is a pure function of its key, so it is memoized once per
 process and every line shares the memo: a probe that repeats a key (a
 re-probe, a what-if copy of the line, the same carrier under another
-policy) reads it back instead of drawing it again. A new key reseeds one
-module generator rather than building that stream anew: numpy mixes the key
-into the SeedSequence pool, and the PCG64 state the pool seeds is computed
-here and written into the generator.
+policy) reads it back instead of drawing it again.
 
 Each line memoizes the time-independent terms of every carrier it is
 probed with, keyed on (config, policy, carrier centre): received power,
@@ -101,14 +98,7 @@ _LN2 = math.log(2.0)
 # 2**27 + 1 splits a double into two halves whose products are exact.
 _VELTKAMP_SPLIT = 134217729.0
 
-# numpy's SeedSequence.generate_state hash constants and PCG64's 128-bit
-# LCG multiplier; together they turn a SeedSequence pool into the state
-# that PCG64(seed_sequence) starts from.
-INIT_B = 0x8B51F9DD
-MULT_B = 0x58F38DED
-PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 
 
 class DispersionComp(Enum):
@@ -205,12 +195,6 @@ class BerReading:
     rx_power_dbm: float
 
 
-def span_osnr_db(span: SpanSpec, launch_dbm: float) -> float:
-    """OSNR (0.1 nm) contributed by a single transparent span."""
-    return (launch_dbm + ASE_BUDGET_CONSTANT_DB
-            - span.loss_db - span.amp_noise_figure_db)
-
-
 def cascade_osnr_at_0dbm(spans: tuple[SpanSpec, ...]) -> float:
     """OSNR (0.1 nm) of a chain of transparent spans at 0 dBm launch.
 
@@ -220,13 +204,9 @@ def cascade_osnr_at_0dbm(spans: tuple[SpanSpec, ...]) -> float:
     """
     if not spans:
         return math.inf
-    acc = sum(10.0 ** (-span_osnr_db(s, 0.0) / 10.0) for s in spans)
+    acc = sum(10.0 ** (-(ASE_BUDGET_CONSTANT_DB - s.loss_db
+                         - s.amp_noise_figure_db) / 10.0) for s in spans)
     return -10.0 * math.log10(acc)
-
-
-def cascade_osnr_db(spans: tuple[SpanSpec, ...], launch_dbm: float) -> float:
-    """OSNR (0.1 nm) after a chain of transparent spans; ASE adds linearly."""
-    return launch_dbm + cascade_osnr_at_0dbm(spans)
 
 
 def nli_eta_per_mw2(spans: tuple[SpanSpec, ...]) -> float:
@@ -239,13 +219,6 @@ def nli_eta_per_mw2(spans: tuple[SpanSpec, ...]) -> float:
             eta *= DISPERSION_COMP_NLI_FACTOR
         total += eta
     return total
-
-
-def nli_power_mw(spans: tuple[SpanSpec, ...], launch_mw: float) -> float:
-    """Nonlinear interference power in the signal band, incoherent sum."""
-    if launch_mw < 0:
-        raise ValueError("launch power must be non-negative")
-    return nli_eta_per_mw2(spans) * launch_mw ** 3
 
 
 def _identical_counts(filters) -> tuple[tuple[FilterElement, int], ...]:
@@ -329,38 +302,13 @@ def _key_words(key: tuple[int, ...]) -> list[int]:
     return words
 
 
-def _pcg64_state(pool: list[int]) -> tuple[int, int]:
-    """(state, increment) of ``PCG64(seed_sequence)`` from the sequence's
-    4-word pool: ``generate_state(4, uint64)``, eight hashed 32-bit words
-    paired little-endian into a 128-bit seed and sequence, each high half
-    first, then PCG's srandom (step from 0, add the seed, step)."""
-    hash_const, w = INIT_B, []
-    for i in range(8):
-        value = pool[i & 3] ^ hash_const
-        hash_const = hash_const * MULT_B & _MASK32
-        value = value * hash_const & _MASK32
-        w.append(value ^ value >> 16)
-    seed = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-    inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & _MASK128 | 1
-    return ((inc + seed) * PCG64_MULTIPLIER + inc) & _MASK128, inc
-
-
-_generator = None  # made on the first noisy draw
-
-
 @lru_cache(maxsize=4096)
 def _standard_normal(key: tuple[int, ...]) -> float:
-    """``default_rng(SeedSequence(key)).standard_normal()``, drawn by
-    reseeding the module's one generator."""
-    global _generator
+    """``default_rng(SeedSequence(key)).standard_normal()``, seeded from
+    the key's words as one array."""
     words = np.array(_key_words(key), dtype=np.uint32)
-    state, inc = _pcg64_state(np.random.SeedSequence(words).pool.tolist())
-    if _generator is None:
-        _generator = np.random.Generator(np.random.PCG64(0))
-    _generator.bit_generator.state = {
-        "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-        "has_uint32": 0, "uinteger": 0}
-    return _generator.standard_normal()
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(words))).standard_normal()
 
 
 @lru_cache(maxsize=64)
@@ -512,10 +460,10 @@ class LineSystem:
         link = self.link
         power_dbm = carrier_power_dbm(policy, config, link.media_channel)
         power_mw = dbm_to_mw(power_dbm)
-        osnr = power_dbm + self._osnr_at_0dbm  # cascade_osnr_db
+        osnr = power_dbm + self._osnr_at_0dbm
         snr_ase = (osnr_to_snr_db(osnr, config.symbol_rate_gbd)
                    if math.isfinite(osnr) else math.inf)
-        nli_mw = self._nli_eta_per_mw2 * power_mw ** 3  # nli_power_mw
+        nli_mw = self._nli_eta_per_mw2 * power_mw ** 3
         snr_nli = (10.0 * math.log10(power_mw / nli_mw)
                    if nli_mw > 0 else math.inf)
         optical = harmonic_db_sum(snr_ase, snr_nli)
@@ -554,14 +502,6 @@ class LineSystem:
         """Noise on the Q readout of a noisy line's carrier at one time."""
         return self.link.noise_sigma_q_db * _standard_normal(
             noise_key + (int(round(sim_time_h * 3600.0)),))
-
-    def _noise_db(self, config: PltConfig, offset_ghz: float,
-                  power_dbm: float, sim_time_h: float) -> float:
-        """Noise on the Q readout of one probe, from its realized carrier."""
-        if self.link.noise_sigma_q_db == 0.0:
-            return 0.0
-        return self._keyed_noise_db(
-            self._noise_key(config, offset_ghz, power_dbm), sim_time_h)
 
     def _memoize_carrier(self, config: PltConfig, policy: PowerPolicy,
                          carrier_center_thz: float | None) -> tuple:

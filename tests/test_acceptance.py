@@ -16,7 +16,7 @@ from osaas_probe.linesystem import (
     LineSystem,
     LinkSpec,
     SpanSpec,
-    cascade_osnr_db,
+    cascade_osnr_at_0dbm,
 )
 from osaas_probe.modem import ModemModel, characterize
 from osaas_probe.presets import preset
@@ -101,7 +101,7 @@ def test_criterion_02_noise_decomposition_identity(catalog):
     link = ase_only_link(20.0, math.inf, config.symbol_rate_gbd)
     power_dbm = POLICY.value + 10 * math.log10(config.symbol_rate_gbd)
     power_mw = dbm_to_mw(power_dbm)
-    osnr = cascade_osnr_db(link.spans, power_dbm)
+    osnr = power_dbm + cascade_osnr_at_0dbm(link.spans)
     ase_mw = power_mw / 10 ** (osnr_to_snr_db(osnr, config.symbol_rate_gbd) / 10)
     eta = ase_mw / power_mw ** 3
     span = link.spans[0]
@@ -278,7 +278,7 @@ def test_criterion_11_operation_regime(catalog, curves):
             a, c = c, d
             d = a + phi * (b - a)
     p_star = dbm_to_mw(0.5 * (a + b))
-    osnr = cascade_osnr_db((span,), 0.5 * (a + b))
+    osnr = 0.5 * (a + b) + cascade_osnr_at_0dbm((span,))
     ase_mw = p_star / 10 ** (osnr_to_snr_db(osnr, config.symbol_rate_gbd) / 10)
     p_analytic = (ase_mw / (2 * eta)) ** (1 / 3)
     assert abs(p_star - p_analytic) / p_analytic <= 0.01

@@ -16,11 +16,10 @@ from osaas_probe.linesystem import (
     LinkSpec,
     SpanSpec,
     _penalty_cached,
-    cascade_osnr_db,
+    cascade_osnr_at_0dbm,
     filter_transfer,
     filtering_penalty_db,
-    nli_power_mw,
-    span_osnr_db,
+    nli_eta_per_mw2,
 )
 from osaas_probe.modem import ModemModel, ber_from_snr
 from osaas_probe.presets import preset
@@ -34,7 +33,12 @@ from osaas_probe.spectrum import (
     carrier_power_dbm,
     to_grid_units,
 )
-from osaas_probe.units import dbm_to_mw, osnr_to_snr_db, q_db_from_ber
+from osaas_probe.units import (
+    ASE_BUDGET_CONSTANT_DB,
+    dbm_to_mw,
+    osnr_to_snr_db,
+    q_db_from_ber,
+)
 
 MC = MediaChannel(193.2, 100.0, 9.0, -20.0)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -55,25 +59,25 @@ def test_span_requires_transparency():
 
 
 def test_single_span_osnr():
-    assert span_osnr_db(span(20.0, 5.0), 0.0) == pytest.approx(33.0)
+    assert cascade_osnr_at_0dbm((span(20.0, 5.0),)) == pytest.approx(33.0)
 
 
 def test_cascade_osnr_ten_identical_spans():
     spans = (span(20.0, 5.0),) * 10
-    assert cascade_osnr_db(spans, 0.0) == pytest.approx(23.0, abs=1e-9)
+    assert cascade_osnr_at_0dbm(spans) == pytest.approx(23.0, abs=1e-9)
 
 
 def test_zero_spans_infinite_osnr():
-    assert cascade_osnr_db((), 0.0) == math.inf
+    assert cascade_osnr_at_0dbm(()) == math.inf
 
 
 def test_nli_power():
-    assert nli_power_mw((span(eta=0.0),) * 3, 1.0) == 0.0
-    assert nli_power_mw((span(eta=0.01),), 1.0) == pytest.approx(0.01)
+    assert nli_eta_per_mw2((span(eta=0.0),) * 3) == 0.0
+    assert nli_eta_per_mw2((span(eta=0.01),)) == pytest.approx(0.01)
     # dispersion-compensated spans carry the coherence surcharge
-    assert nli_power_mw((span(eta=0.01, comp=DispersionComp.DCF),), 1.0) == \
+    assert nli_eta_per_mw2((span(eta=0.01, comp=DispersionComp.DCF),)) == \
         pytest.approx(0.015)
-    assert nli_power_mw((span(eta=0.01), span(eta=0.02)), 2.0) == \
+    assert nli_eta_per_mw2((span(eta=0.01), span(eta=0.02))) * 2.0 ** 3 == \
         pytest.approx((0.01 + 0.02) * 8.0)
 
 
@@ -284,7 +288,7 @@ def test_launch_power_optimum_at_ase_twice_nli():
             a, c = c, d
             d = a + phi * (b - a)
     p_star_mw = dbm_to_mw(0.5 * (a + b))
-    osnr = cascade_osnr_db(one_span, 0.5 * (a + b))
+    osnr = 0.5 * (a + b) + cascade_osnr_at_0dbm(one_span)
     ase_mw = p_star_mw / 10 ** (osnr_to_snr_db(osnr, cfg.symbol_rate_gbd) / 10)
     p_analytic = (ase_mw / (2 * eta)) ** (1 / 3)
     assert abs(p_star_mw - p_analytic) / p_analytic <= 0.01
@@ -301,20 +305,19 @@ def test_line_constants_match_per_span_sums(path):
         launch_mw = dbm_to_mw(launch_dbm)
         if spans:
             reference_osnr = -10.0 * math.log10(sum(
-                10.0 ** (-span_osnr_db(s, launch_dbm) / 10.0) for s in spans))
+                10.0 ** (-(launch_dbm + ASE_BUDGET_CONSTANT_DB - s.loss_db
+                           - s.amp_noise_figure_db) / 10.0) for s in spans))
         else:
             reference_osnr = math.inf
-        for osnr in (launch_dbm + line._osnr_at_0dbm,
-                     cascade_osnr_db(spans, launch_dbm)):
-            assert osnr == reference_osnr or abs(osnr - reference_osnr) <= 1e-9
+        osnr = launch_dbm + line._osnr_at_0dbm
+        assert osnr == reference_osnr or abs(osnr - reference_osnr) <= 1e-9
         reference_nli = sum(
             s.nli_coeff_per_mw2 * launch_mw ** 3
             * (1.0 if s.dispersion_comp is DispersionComp.NONE
                else DISPERSION_COMP_NLI_FACTOR)
             for s in spans)
-        for nli in (line._nli_eta_per_mw2 * launch_mw ** 3,
-                    nli_power_mw(spans, launch_mw)):
-            assert nli == pytest.approx(reference_nli, rel=1e-9, abs=1e-30)
+        assert line._nli_eta_per_mw2 * launch_mw ** 3 == pytest.approx(
+            reference_nli, rel=1e-9, abs=1e-30)
 
 
 def test_cold_sweep_integrates_each_placement_once(curves):
@@ -347,7 +350,8 @@ def test_noise_draws_are_pinned(catalog, name, config_id, offset, power, hours,
     and generator must not change."""
     line = LineSystem(preset(name).link)
     config = {c.config_id: c for c in catalog}[config_id]
-    assert line._noise_db(config, offset, power, hours) == expected
+    assert line._keyed_noise_db(line._noise_key(config, offset, power),
+                                hours) == expected
 
 
 @pytest.mark.parametrize("isi_factor", [-7.0, -1e-9, math.inf, math.nan])

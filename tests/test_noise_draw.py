@@ -1,6 +1,5 @@
 """The per-probe noise draw: numpy's SeedSequence -> PCG64 ->
-standard_normal stream, produced by reseeding one module generator and
-memoized once per process."""
+standard_normal stream, memoized once per process."""
 
 import os
 import random
@@ -41,9 +40,8 @@ def random_part(rng):
 
 
 def test_draw_matches_numpy_on_random_keys():
-    """One reseeded generator reads what a fresh numpy stream reads, on
-    20 000 keys: a new key per draw, so a draw never sees the last one's
-    state."""
+    """The draw, seeded from the key's words as one array, reads what
+    numpy's stream seeded from the int tuple reads, on 20 000 keys."""
     rng = random.Random(20211)
     for _ in range(20_000):
         key = tuple(random_part(rng) for _ in range(5))
@@ -136,8 +134,8 @@ def loaded_after(tmp_path, command, module):
 
 
 def test_noiseless_monitor_does_not_import_numpy_random(tmp_path):
-    """The generator is made on the first noisy draw, so a sigma = 0 line
-    never loads numpy.random."""
+    """Only a noisy draw uses numpy.random, so a sigma = 0 line never
+    loads it."""
     assert preset("LH-3751-monitor-summer").link.noise_sigma_q_db == 0.0
     scenario = REPO_ROOT / "scenarios" / "LH-3751-monitor-summer.json"
     assert not loaded_after(tmp_path, ["monitor", "--scenario", str(scenario)],
