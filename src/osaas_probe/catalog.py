@@ -10,12 +10,11 @@ limit of the simulated transceiver.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 from .errors import ScenarioError
+from .modem import required_snr_db
 from .spectrum import DEFAULT_ROLL_OFF, ModulationFormat, PltConfig
-from .units import erfcinv
 
 DEFAULT_FEC_THRESHOLD_BER = 2.0e-2
 
@@ -37,23 +36,6 @@ _DEFAULT_CONFIGS = (
 # 58 GBd units are deployed on the flex-grid network only; the probing pool
 # for fixed-grid regional links is customized accordingly.
 _REGIONAL_EXCLUDED_RATES = (58.0,)
-
-
-def _rect_qam_params(fmt: ModulationFormat) -> tuple[float, float]:
-    """Prefactor and distance coefficient of the rectangular-QAM BER law."""
-    li, lj = fmt.constellation_grid
-    prefactor = ((li - 1) / li + (lj - 1) / lj) / math.log2(li * lj)
-    distance = math.sqrt(3.0 / (li * li + lj * lj - 2.0))
-    return prefactor, distance
-
-
-def required_snr_db(fmt: ModulationFormat, ber: float) -> float:
-    """SNR in dB at which the analytic BER of the format equals ``ber``."""
-    if not 0.0 < ber < 0.5:
-        raise ValueError("target BER must be in (0, 0.5)")
-    prefactor, distance = _rect_qam_params(fmt)
-    snr_lin = (erfcinv(ber / prefactor) / distance) ** 2
-    return 10.0 * math.log10(snr_lin)
 
 
 def default_catalog(fec_threshold_ber: float = DEFAULT_FEC_THRESHOLD_BER,

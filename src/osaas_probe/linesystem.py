@@ -119,12 +119,13 @@ class SpanSpec:
     dispersion_comp: DispersionComp = DispersionComp.NONE
 
     def __post_init__(self):
-        if self.loss_db < 0:
-            raise ScenarioError("span loss must be non-negative")
+        if not 0.0 <= self.loss_db < math.inf:
+            raise ScenarioError("span loss must be finite and non-negative")
         if abs(self.amp_gain_db - self.loss_db) > 1e-9:
             raise ScenarioError("transparent span convention requires gain == loss")
-        if self.nli_coeff_per_mw2 < 0:
-            raise ScenarioError("nonlinear coefficient must be non-negative")
+        if not 0.0 <= self.nli_coeff_per_mw2 < math.inf:
+            raise ScenarioError(
+                "nonlinear coefficient must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,8 @@ class FilterElement:
     order: int
 
     def __post_init__(self):
-        if self.bandwidth_3db_ghz <= 0:
-            raise ScenarioError("filter 3-dB bandwidth must be positive")
+        if not 0.0 < self.bandwidth_3db_ghz < math.inf:
+            raise ScenarioError("filter 3-dB bandwidth must be finite and positive")
         if self.order < 1:
             raise ScenarioError("filter order must be >= 1")
 
@@ -167,14 +168,20 @@ class LinkSpec:
     noise_sigma_q_db: float = 0.0
 
     def __post_init__(self):
-        if self.diurnal_amplitude_db < 0:
-            raise ScenarioError("diurnal amplitude must be non-negative")
-        if self.diurnal_period_h <= 0:
-            raise ScenarioError("diurnal period must be positive")
+        if not 0.0 <= self.diurnal_amplitude_db < math.inf:
+            raise ScenarioError("diurnal amplitude must be finite and non-negative")
+        if not 0.0 < self.diurnal_period_h < math.inf:
+            raise ScenarioError("diurnal period must be finite and positive")
         if self.seed < 0:
             raise ScenarioError("seed must be non-negative")
-        if self.noise_sigma_q_db < 0:
-            raise ScenarioError("noise sigma must be non-negative")
+        if not 0.0 <= self.noise_sigma_q_db < math.inf:
+            raise ScenarioError("noise sigma must be finite and non-negative")
+        if not all(map(math.isfinite, (self.tilt_db_per_mc,
+                                       self.filter_misalignment_ghz,
+                                       *(v for point in self.ripple
+                                         for v in point)))):
+            raise ScenarioError(
+                "tilt, ripple and filter misalignment must be finite")
         if not 0.0 <= self.isi_factor < math.inf:
             raise ScenarioError(
                 f"ISI factor must be finite and non-negative, got {self.isi_factor}")

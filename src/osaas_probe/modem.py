@@ -23,10 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import _rect_qam_params
 from .errors import CurveRangeError, FitRejectedError, InsufficientDataError
 from .spectrum import ModulationFormat, PltConfig
-from .units import harmonic_db_sum, q_db_from_ber
+from .units import erfcinv, harmonic_db_sum, q_db_from_ber
 
 # Readings at or beyond this pre-FEC BER carry no usable decision quality
 # and are dropped from characterization (far beyond any FEC threshold).
@@ -64,6 +63,23 @@ class ModemModel:
     def __post_init__(self):
         if not self.snr_modem_db > 0:
             raise ValueError("modem SNR must be positive dB")
+
+
+def _rect_qam_params(fmt: ModulationFormat) -> tuple[float, float]:
+    """Prefactor and distance coefficient of the rectangular-QAM BER law."""
+    li, lj = fmt.constellation_grid
+    prefactor = ((li - 1) / li + (lj - 1) / lj) / math.log2(li * lj)
+    distance = math.sqrt(3.0 / (li * li + lj * lj - 2.0))
+    return prefactor, distance
+
+
+def required_snr_db(fmt: ModulationFormat, ber: float) -> float:
+    """SNR in dB at which the analytic BER of the format equals ``ber``."""
+    if not 0.0 < ber < 0.5:
+        raise ValueError("target BER must be in (0, 0.5)")
+    prefactor, distance = _rect_qam_params(fmt)
+    snr_lin = (erfcinv(ber / prefactor) / distance) ** 2
+    return 10.0 * math.log10(snr_lin)
 
 
 def ber_from_snr(fmt: ModulationFormat, snr_db: float) -> float:

@@ -37,7 +37,7 @@ from .units import q_db_from_ber
 NEAR_ZERO_MARGIN_DB = 1.5
 DEFAULT_CAP_THETA_DB = 2.0
 REGIME_DEADBAND_DB = 0.1
-MISALIGNMENT_FLAT_PROFILE_DB = 0.1
+MISALIGNMENT_EDGE_DROP_DB = 1.0
 MAX_MONITOR_SAMPLES = 100_000
 
 
@@ -363,7 +363,10 @@ def detect_misalignment(profile: GsnrProfile) -> tuple[float, bool]:
     Fits a parabola through the three best GSNR points of the configuration
     with the smallest occupied bandwidth and reports the vertex offset from
     the nominal channel center, rounded to 0.1 GHz. Returns (offset_ghz,
-    indeterminate); a flat profile is indeterminate.
+    indeterminate). The profile must fall off at both ends of the channel:
+    unless its first and last sweep points are each an outage or at least
+    MISALIGNMENT_EDGE_DROP_DB below its peak, no filter edge was seen and
+    the result is indeterminate.
     """
     usable = [cid for cid in profile.points
               if len(_working_points(profile, cid)) >= 3]
@@ -372,8 +375,10 @@ def detect_misalignment(profile: GsnrProfile) -> tuple[float, bool]:
     narrowest = min(usable,
                     key=lambda cid: profile.configs[cid].occupied_bandwidth_ghz)
     points = _working_points(profile, narrowest)
-    values = [v for _, v in points]
-    if max(values) - min(values) < MISALIGNMENT_FLAT_PROFILE_DB:
+    peak = max(v for _, v in points)
+    series = profile.points[narrowest]
+    if any(v is not None and peak - v < MISALIGNMENT_EDGE_DROP_DB
+           for _, v in (series[0], series[-1])):
         return 0.0, True
     top = sorted(points, key=lambda p: p[1], reverse=True)[:3]
     top.sort()

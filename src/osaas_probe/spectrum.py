@@ -72,8 +72,8 @@ class MediaChannel:
     max_psd_dbm_per_ghz: float
 
     def __post_init__(self):
-        if self.width_ghz <= 0:
-            raise SpectrumError("media channel width must be positive")
+        if not 0.0 < self.width_ghz < math.inf:
+            raise SpectrumError("media channel width must be finite and positive")
         if not C_BAND_MIN_THZ <= self.center_thz <= C_BAND_MAX_THZ:
             raise SpectrumError(
                 f"center {self.center_thz} THz outside C-band "

@@ -8,11 +8,11 @@ from osaas_probe.catalog import (
     default_catalog,
     load_catalog,
     regional_catalog,
-    required_snr_db,
     resolve_catalog,
     save_catalog,
 )
 from osaas_probe.errors import ScenarioError
+from osaas_probe.modem import required_snr_db
 from osaas_probe.spectrum import ModulationFormat
 
 

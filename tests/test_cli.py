@@ -367,6 +367,20 @@ def test_policy_value_out_of_range_is_invalid_scenario(tmp_path, curves_dir):
     assert not (tmp_path / "B-621-low-report.json").exists()
 
 
+def test_nan_noise_sigma_is_invalid_scenario(tmp_path, curves_dir):
+    """A NaN sigma is a bad scenario, not a line on which no probe works."""
+    scenario = json.loads((SCENARIOS / "B-485.json").read_text())
+    scenario["noise_sigma_q_db"] = math.nan
+    path = tmp_path / "B-485-nan.json"
+    path.write_text(json.dumps(scenario))
+    code, stderr = run_process(["probe", "--scenario", path, "--curves",
+                                curves_dir, "--out", tmp_path], tmp_path)
+    assert code == 4
+    assert stderr.splitlines() == [
+        "invalid scenario: noise sigma must be finite and non-negative"]
+    assert not (tmp_path / "B-485-report.json").exists()
+
+
 @pytest.mark.parametrize("window", [math.nan, math.inf, 0.0, -75.0, 1000.0])
 def test_bad_equalizer_window_is_invalid_scenario(tmp_path, curves_dir, capsys,
                                                   window):

@@ -12,7 +12,7 @@ from osaas_probe.linesystem import (
     SpanSpec,
 )
 from osaas_probe.modem import ModemModel, characterize
-from osaas_probe.presets import preset
+from osaas_probe.presets import PRESETS, preset
 from osaas_probe.probing import (
     MAX_MONITOR_SAMPLES,
     GsnrProfile,
@@ -333,6 +333,11 @@ def synthetic_profile(points_by_config, configs, width=100.0):
     )
 
 
+def with_outage_edges(pts):
+    """A sweep series that ends in an outage at both channel edges."""
+    return [(pts[0][0] - 6.25, None)] + pts + [(pts[-1][0] + 6.25, None)]
+
+
 def test_detect_misalignment_symmetric_is_zero():
     cfg = PltConfig(ModulationFormat.DP_16QAM, 34.5, 200.0, 12.71)
     pts = [(off, 15.0 - 0.01 * off ** 2) for off in
@@ -349,7 +354,7 @@ def test_detect_misalignment_returns_a_float_never_minus_zero(vertex, expected):
     cfg = PltConfig(ModulationFormat.DP_16QAM, 34.5, 200.0, 12.71)
     pts = [(off, 15.0 - 0.01 * (off - vertex) ** 2) for off in
            (-12.5, -6.25, 0.0, 6.25, 12.5)]
-    profile = synthetic_profile({cfg.config_id: pts}, [cfg])
+    profile = synthetic_profile({cfg.config_id: with_outage_edges(pts)}, [cfg])
     offset, indeterminate = detect_misalignment(profile)
     assert not indeterminate
     assert type(offset) is float
@@ -373,11 +378,45 @@ def test_detect_misalignment_uses_narrowest_config():
     pts_wide = [(off, 14.0 - 0.02 * (off + 6.25) ** 2)
                 for off in (-12.5, -6.25, 0.0, 6.25, 12.5)]
     profile = synthetic_profile(
-        {narrow.config_id: pts_narrow, wide.config_id: pts_wide},
+        {narrow.config_id: with_outage_edges(pts_narrow),
+         wide.config_id: pts_wide},
         [narrow, wide])
     offset, indeterminate = detect_misalignment(profile)
     assert not indeterminate
     assert offset == pytest.approx(6.25, abs=0.1)
+
+
+@pytest.mark.parametrize("first, last, indeterminate", [
+    (None, None, False), (14.0, None, False), (None, 14.0, False),
+    (14.0, 14.0, False), (14.01, None, True), (None, 14.01, True),
+    (15.0, 15.0, True)])
+def test_detect_misalignment_needs_both_edges(first, last, indeterminate):
+    """Determinate only when the first and last sweep points are each an
+    outage or at least 1 dB below the peak."""
+    cfg = PltConfig(ModulationFormat.DP_16QAM, 34.5, 200.0, 12.71)
+    pts = [(-12.5, first), (-6.25, 14.8), (0.0, 15.0), (6.25, 14.9),
+           (12.5, last)]
+    profile = synthetic_profile({cfg.config_id: pts}, [cfg])
+    assert detect_misalignment(profile)[1] is indeterminate
+
+
+@pytest.mark.parametrize("name", sorted(n for n in PRESETS if n.startswith("LH-"))
+                         + ["C-284-sweep"])
+def test_preset_sweeps_find_misalignment_only_where_injected(name, curves):
+    """Filterless long-haul lines show no filter edge, so their sweeps are
+    indeterminate; the +6.25 GHz cascade offset of C-284-sweep is found
+    within half a sweep step."""
+    for seed in (1, 123, 424242):
+        sc = preset(name).with_seed(seed)
+        line = LineSystem(sc.link, ModemModel(26.0))
+        profile = run_frequency_sweep(line, resolve_catalog(sc.catalog), curves,
+                                      sc.sweep_step_ghz, sc.policy)
+        offset, indeterminate = detect_misalignment(profile)
+        if sc.link.filter_misalignment_ghz:
+            assert not indeterminate and abs(offset - 6.25) <= 3.13, seed
+        else:
+            assert not sc.link.filters
+            assert indeterminate and offset == 0.0, seed
 
 
 def test_detect_misalignment_needs_three_points():

@@ -161,6 +161,40 @@ def test_equalizer_window_out_of_range_rejected(window):
         scenario_from_dict(data)
 
 
+def _set_span(field):
+    def edit(data, value):
+        data["spans"][0][field] = value
+    return edit
+
+
+NON_FINITE_FIELDS = {
+    "diurnal_amplitude_db": lambda d, v: d.update(diurnal_amplitude_db=v),
+    "diurnal_period_h": lambda d, v: d.update(diurnal_period_h=v),
+    "noise_sigma_q_db": lambda d, v: d.update(noise_sigma_q_db=v),
+    "tilt_db_per_mc": lambda d, v: d.update(tilt_db_per_mc=v),
+    "filter_misalignment_ghz": lambda d, v: d.update(filter_misalignment_ghz=v),
+    "ripple_offset": lambda d, v: d.update(ripple=[[-10.0, 0.1], [v, 0.2]]),
+    "ripple_db": lambda d, v: d.update(ripple=[[-10.0, 0.1], [10.0, v]]),
+    "span_loss_db": _set_span("loss_db"),
+    "span_nli_coeff_per_mw2": _set_span("nli_coeff_per_mw2"),
+    "filter_bandwidth_3db_ghz":
+        lambda d, v: d["filters"][0].update(bandwidth_3db_ghz=v),
+    "media_channel_width_ghz":
+        lambda d, v: d["media_channel"].update(width_ghz=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
+def test_non_finite_link_field_rejected(field, value):
+    """NaN fails every sign check, so each check also asks for a finite
+    value."""
+    data = scenario_to_dict(preset("B-621"))
+    NON_FINITE_FIELDS[field](data, value)
+    with pytest.raises(ScenarioError, match="finite"):
+        scenario_from_dict(data)
+
+
 def test_absent_optional_keys_take_the_dataclass_defaults():
     data = scenario_to_dict(preset("LH-1792-5x75"))
     for key in ("equalizer_window_ghz", "tilt_db_per_mc", "ripple",
