@@ -15,10 +15,11 @@ Physics is deliberately reduced to what a probing campaign can observe:
 * Bandwidth narrowing is a cascade of super-Gaussian power transfers applied
   to the root-raised-cosine carrier spectrum. Each element passes
   exp(-ln2 * x^2n), so the cascade is a single exponential of the
-  count-weighted sum over its distinct elements. The resulting in-band loss
-  is amplified by an ISI factor to account for shape distortion on top of
-  pure power clipping. A cascade that passes no power blocks the carrier,
-  and its probes read a failed FEC.
+  count-weighted sum over its distinct elements. They are evaluated
+  together, as the rows of one array, bit-identically to evaluating them
+  one at a time. The resulting in-band loss is amplified by an ISI factor
+  to account for shape distortion on top of pure power clipping. A cascade
+  that passes no power blocks the carrier, and its probes read a failed FEC.
 * Tilt and ripple are injected frequency profiles. The line re-levels them
   over one equalizer window: the whole media channel, which keeps the
   intra-channel tilt, or each network media channel of a narrower width.
@@ -55,7 +56,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -123,6 +124,9 @@ class SpanSpec:
             raise ScenarioError("span loss must be finite and non-negative")
         if abs(self.amp_gain_db - self.loss_db) > 1e-9:
             raise ScenarioError("transparent span convention requires gain == loss")
+        if not math.isfinite(self.amp_noise_figure_db):
+            raise ScenarioError(
+                f"amplifier noise figure must be finite, got {self.amp_noise_figure_db}")
         if not 0.0 <= self.nli_coeff_per_mw2 < math.inf:
             raise ScenarioError(
                 "nonlinear coefficient must be finite and non-negative")
@@ -137,6 +141,9 @@ class FilterElement:
     order: int
 
     def __post_init__(self):
+        if not math.isfinite(self.center_offset_ghz):
+            raise ScenarioError(
+                f"filter centre offset must be finite, got {self.center_offset_ghz}")
         if not 0.0 < self.bandwidth_3db_ghz < math.inf:
             raise ScenarioError("filter 3-dB bandwidth must be finite and positive")
         if self.order < 1:
@@ -228,35 +235,46 @@ def nli_eta_per_mw2(spans: tuple[SpanSpec, ...]) -> float:
     return total
 
 
-def _identical_counts(filters) -> tuple[tuple[FilterElement, int], ...]:
-    """Distinct elements of a cascade, each with the number of its copies."""
-    return tuple(Counter(filters).items())
+class FilterCascade(tuple):
+    """Tuple of filter elements that hashes its elements once, and builds
+    the column arrays of its distinct elements on its first integral.
 
-
-def _even_power(x: np.ndarray, order: int) -> np.ndarray:
-    """x ** (2 * order) by repeated squaring, to a few ulps at every order.
-
-    Squaring alone would multiply the rounding of x * x by ``order``, which
-    far out on a filter skirt, where x^2n is hundreds, is the whole error
-    budget of exp(-ln2 * x^2n). Dekker's exact product recovers that
-    rounding, and the first-order term order * error * square^(order - 1)
-    puts it back.
+    The penalty cache is keyed on the cascade, and a line hands the same
+    cascade to it on every probe; a plain tuple would re-hash each frozen
+    element on every lookup. Building a line or probing a warm placement
+    never builds the columns.
     """
-    square = x * x
-    if order == 1:
-        return square
-    scaled = x * _VELTKAMP_SPLIT
-    high = scaled - (scaled - x)
-    low = x - high
-    error = (high * high - square) + low * (high + x)  # x * x - square
-    power, base, exponent = None, square, order - 1
-    while True:
-        if exponent & 1:
-            power = base if power is None else power * base
-        exponent >>= 1
-        if not exponent:
-            return square * power + (order * error) * power
-        base = base * base
+
+    def __new__(cls, elements=()):
+        cascade = super().__new__(cls, elements)
+        cascade._hash = tuple.__hash__(cascade)
+        return cascade
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _columns(self):
+        """The distinct elements as (k, 1) columns of centre, half width,
+        copy count and correction weight, the orders above 1, and the row
+        of each distinct element in cascade order.
+
+        Rows with an order above 1 come first, so Dekker's correction runs
+        on one leading slice; an order-1 row is the plain square.
+        """
+        counts = Counter(self)
+        rows = sorted(counts, key=lambda filt: filt.order == 1)
+        corrected = tuple(filt.order for filt in rows if filt.order > 1)
+
+        def column(values):
+            return np.array(values, dtype=float).reshape(-1, 1)
+
+        return (column([filt.center_offset_ghz for filt in rows]),
+                column([filt.bandwidth_3db_ghz for filt in rows]) / 2.0,
+                column([counts[filt] for filt in rows]),
+                column(corrected),
+                corrected,
+                tuple(rows.index(filt) for filt in counts))
 
 
 def filter_transfer(filters: tuple[FilterElement, ...], f: np.ndarray) -> np.ndarray:
@@ -265,33 +283,58 @@ def filter_transfer(filters: tuple[FilterElement, ...], f: np.ndarray) -> np.nda
     Each element passes exp(-ln2 * x^2n) at its normalized offset x, so k
     identical elements pass exp(-k ln2 x^2n) and the whole cascade is one
     exponential of the count-weighted sum over its distinct elements.
+
+    The distinct elements are evaluated together, one row each of a (k, n)
+    array, with the float operations of evaluating them one at a time, so
+    the result is bit-identical to that. x^2n is the repeated squaring of
+    x * x. Squaring alone would multiply the rounding of x * x by n, which
+    far out on a filter skirt, where x^2n is hundreds, is the whole error
+    budget of exp(-ln2 * x^2n); Dekker's exact product (Veltkamp split)
+    recovers that rounding, and the first-order term n * error * x^(2n - 2)
+    puts it back. Only the squaring chain runs per row, as orders differ.
+    The rows are summed in cascade order.
     """
-    counts = (filters.counts if isinstance(filters, FilterCascade)
-              else _identical_counts(filters))
-    exponent = np.zeros_like(f)
-    for filt, count in counts:
-        x = (f - filt.center_offset_ghz) / (filt.bandwidth_3db_ghz / 2.0)
-        exponent += count * _even_power(x, filt.order)
-    return np.exp(-_LN2 * exponent)
-
-
-class FilterCascade(tuple):
-    """Tuple of filter elements that hashes its elements and counts the
-    identical ones once.
-
-    The penalty cache is keyed on the cascade, and a line hands the same
-    cascade to it on every probe; a plain tuple would re-hash each frozen
-    element on every lookup, and re-count its elements on every integral.
-    """
-
-    def __new__(cls, elements=()):
-        cascade = super().__new__(cls, elements)
-        cascade._hash = tuple.__hash__(cascade)
-        cascade.counts = _identical_counts(cascade)
-        return cascade
-
-    def __hash__(self):
-        return self._hash
+    if not isinstance(filters, FilterCascade):
+        filters = FilterCascade(filters)
+    centers, halves, counts, weights, orders, sum_rows = filters._columns
+    x = np.subtract(f, centers)
+    x /= halves
+    square = x * x
+    # The leading rows, of order above 1, as named views: an augmented
+    # assignment to a subscript would copy the result back onto itself.
+    x, head = x[:len(orders)], square[:len(orders)]
+    # Dekker: error = x * x - square, exactly
+    low = x * _VELTKAMP_SPLIT                    # scaled
+    error = low - x                              # scaled - x
+    np.subtract(low, error, out=error)           # high
+    np.subtract(x, error, out=low)               # low = x - high
+    x += error                                   # high + x
+    low *= x
+    error *= error                               # high * high
+    error -= head
+    error += low
+    # x^(2n - 2) per row by repeated squaring, into the free rows of x
+    power = x
+    power.fill(1.0)
+    for base, power_row, scratch, order in zip(head, power, low, orders):
+        exponent = order - 1
+        while exponent:
+            if exponent & 1:
+                power_row *= base
+            exponent >>= 1
+            if exponent:
+                base = np.multiply(base, base, out=scratch)
+    error *= weights
+    error *= power
+    head *= power
+    head += error
+    square *= counts
+    # No row holds -0.0, so the first row has the bits of 0.0 + that row.
+    exponent = square[sum_rows[0]] if sum_rows else np.zeros_like(f)
+    for row in sum_rows[1:]:
+        exponent += square[row]
+    exponent *= -_LN2
+    return np.exp(exponent, out=exponent)
 
 
 def _key_words(key: tuple[int, ...]) -> list[int]:

@@ -152,6 +152,14 @@ def _v1_equalizer_window(equalizers: list, channel_width_ghz: float) -> float | 
     return window
 
 
+def _filter_order(value) -> int:
+    """A filter order from a file. int() alone would cut 3.7 to 3 and end
+    in an OverflowError on an infinite order; FilterElement checks >= 1."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"filter order must be an integer, got {value}")
+    return int(value)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Scenario of a schema-1 or schema-2 dict."""
     try:
@@ -186,7 +194,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                 FilterElement(
                     center_offset_ghz=float(f["center_offset_ghz"]),
                     bandwidth_3db_ghz=float(f["bandwidth_3db_ghz"]),
-                    order=int(f["order"]),
+                    order=_filter_order(f["order"]),
                 )
                 for f in data["filters"]
             ),

@@ -79,6 +79,12 @@ class MediaChannel:
                 f"center {self.center_thz} THz outside C-band "
                 f"[{C_BAND_MIN_THZ}, {C_BAND_MAX_THZ}]"
             )
+        if not (math.isfinite(self.max_total_power_dbm)
+                and math.isfinite(self.max_psd_dbm_per_ghz)):
+            raise SpectrumError(
+                "media channel power and PSD limits must be finite, got "
+                f"{self.max_total_power_dbm} dBm and "
+                f"{self.max_psd_dbm_per_ghz} dBm/GHz")
 
     @property
     def lower_edge_ghz(self) -> float:

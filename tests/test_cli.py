@@ -397,6 +397,45 @@ def test_bad_equalizer_window_is_invalid_scenario(tmp_path, curves_dir, capsys,
     assert not out.exists()
 
 
+def _filters(key, value):
+    return lambda s: [f.update({key: value}) for f in s["filters"]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_filters("center_offset_ghz", math.nan),
+     "filter centre offset must be finite, got nan"),
+    (_filters("center_offset_ghz", math.inf),
+     "filter centre offset must be finite, got inf"),
+    (_filters("order", 3.7), "filter order must be an integer, got 3.7"),
+    (_filters("order", math.inf), "filter order must be an integer, got inf"),
+    (lambda s: [span.update(amp_noise_figure_db=math.nan)
+                for span in s["spans"]],
+     "amplifier noise figure must be finite, got nan"),
+    (lambda s: s["media_channel"].update(max_total_power_dbm=math.nan),
+     "malformed scenario: media channel power and PSD limits must be "
+     "finite, got nan dBm and -20.0 dBm/GHz"),
+    (lambda s: s["media_channel"].update(max_psd_dbm_per_ghz=math.nan),
+     "malformed scenario: media channel power and PSD limits must be "
+     "finite, got 9.0 dBm and nan dBm/GHz"),
+], ids=["centre-nan", "centre-inf", "order-3.7", "order-inf",
+        "noise-figure-nan", "total-power-nan", "psd-nan"])
+def test_bad_element_or_limit_is_invalid_scenario(tmp_path, curves_dir, capsys,
+                                                  edit, message):
+    """Each once loaded: a NaN centre read "no signal", a NaN noise figure or
+    limit made up a report, order 3.7 was cut to 3 and an infinite order
+    ended in a traceback."""
+    scenario = json.loads((SCENARIOS / "B-485.json").read_text())
+    edit(scenario)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    assert run(["probe", "--scenario", path, "--curves", curves_dir,
+                "--out", out]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"invalid scenario: {message}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, name, flags, message", [
     ("monitor", "LH-3751-monitor-summer", ["--duration-h", "1e12"],
      "error: --duration-h/--interval-h: monitor duration 1e+12 h at interval "

@@ -1,9 +1,10 @@
 """The filter cascade as one exponential, against the naive per-element
-product it replaces."""
+product it replaces, and its distinct elements evaluated as one array,
+against evaluating them one at a time."""
 
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from osaas_probe.linesystem import (
     FilterCascade,
     FilterElement,
     LineSystem,
+    _LN2,
+    _VELTKAMP_SPLIT,
     _penalty_cached,
     _penalty_grid,
     filter_transfer,
@@ -45,6 +48,37 @@ def reference_transfer(filters, f, factors=None):
     return value
 
 
+def _even_power(x, order):
+    """x ** (2 * order) by repeated squaring of x * x, plus Dekker's
+    correction of the rounding of x * x; one element at a time."""
+    square = x * x
+    if order == 1:
+        return square
+    scaled = x * _VELTKAMP_SPLIT
+    high = scaled - (scaled - x)
+    low = x - high
+    error = (high * high - square) + low * (high + x)  # x * x - square
+    power, base, exponent = None, square, order - 1
+    while True:
+        if exponent & 1:
+            power = base if power is None else power * base
+        exponent >>= 1
+        if not exponent:
+            return square * power + (order * error) * power
+        base = base * base
+
+
+def per_element_transfer(filters, f):
+    """The cascade transfer with its distinct elements evaluated one at a
+    time, in cascade order: the bit-for-bit reference of the stacked
+    evaluation in ``filter_transfer``."""
+    exponent = np.zeros_like(f)
+    for filt, count in Counter(filters).items():
+        x = (f - filt.center_offset_ghz) / (filt.bandwidth_3db_ghz / 2.0)
+        exponent += count * _even_power(x, filt.order)
+    return np.exp(-_LN2 * exponent)
+
+
 elements = st.builds(
     FilterElement,
     center_offset_ghz=st.floats(-60.0, 60.0),
@@ -72,6 +106,52 @@ def test_transfer_matches_product_of_exponentials(groups, rng):
     assert np.all(np.abs(transfer[resolved] - reference[resolved])
                   <= 1e-12 * reference[resolved])
     assert np.all(transfer[~resolved] <= 2e-300)
+
+
+distinct_cascades = st.lists(
+    st.tuples(st.builds(FilterElement,
+                        center_offset_ghz=st.floats(-60.0, 60.0),
+                        bandwidth_3db_ghz=st.floats(5.0, 200.0),
+                        order=st.integers(1, 12)),
+              st.integers(1, 5)),
+    min_size=1, max_size=4, unique_by=lambda group: group[0])
+
+
+@settings(deadline=None)
+@given(distinct_cascades, st.randoms(use_true_random=False))
+# Order-1 rows, which take no correction, before and between corrected ones.
+@example([(FilterElement(0.0, 60.0, 1), 2), (FilterElement(5.0, 80.0, 5), 1),
+          (FilterElement(-3.0, 40.0, 1), 1), (FilterElement(0.0, 90.0, 12), 3)],
+         random.Random(0))
+@example([(FilterElement(-59.99, 99.0, 9), 1)], random.Random(0))
+def test_stacked_transfer_is_bit_identical_to_per_element(groups, rng):
+    filters = [filt for filt, copies in groups for _ in range(copies)]
+    rng.shuffle(filters)
+    f = np.linspace(-200.0, 200.0, 2001)
+    reference = per_element_transfer(filters, f)
+    assert np.array_equal(filter_transfer(tuple(filters), f), reference)
+    assert np.array_equal(filter_transfer(FilterCascade(filters), f), reference)
+
+
+def test_stacked_transfer_is_bit_identical_on_scenario_placements():
+    """Every scenario file's cascade over the default and regional catalogs,
+    on the penalty grid at every 25th admissible placement."""
+    cascades = set()  # (cascade, media channel)
+    for path in sorted(SCENARIOS.glob("*.json")):
+        line = LineSystem(load_scenario(path).link)
+        if line.effective_filters:
+            cascades.add((line.effective_filters, line.media_channel))
+    configs = set(default_catalog()) | set(regional_catalog())
+    placements = 0
+    for cascade, channel in cascades:
+        for cfg in configs:
+            f = _penalty_grid(cfg.symbol_rate_gbd, cfg.roll_off)[0]
+            for offset in admissible_offsets_ghz(channel, cfg, 0.25)[::25]:
+                shifted = f + to_grid_units(offset) * 0.25
+                assert np.array_equal(filter_transfer(cascade, shifted),
+                                      per_element_transfer(cascade, shifted))
+                placements += 1
+    assert placements > 300
 
 
 def test_transfer_of_no_filters_is_one():

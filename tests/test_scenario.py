@@ -177,10 +177,17 @@ NON_FINITE_FIELDS = {
     "ripple_db": lambda d, v: d.update(ripple=[[-10.0, 0.1], [10.0, v]]),
     "span_loss_db": _set_span("loss_db"),
     "span_nli_coeff_per_mw2": _set_span("nli_coeff_per_mw2"),
+    "span_amp_noise_figure_db": _set_span("amp_noise_figure_db"),
     "filter_bandwidth_3db_ghz":
         lambda d, v: d["filters"][0].update(bandwidth_3db_ghz=v),
+    "filter_center_offset_ghz":
+        lambda d, v: d["filters"][0].update(center_offset_ghz=v),
     "media_channel_width_ghz":
         lambda d, v: d["media_channel"].update(width_ghz=v),
+    "media_channel_max_total_power_dbm":
+        lambda d, v: d["media_channel"].update(max_total_power_dbm=v),
+    "media_channel_max_psd_dbm_per_ghz":
+        lambda d, v: d["media_channel"].update(max_psd_dbm_per_ghz=v),
 }
 
 
@@ -193,6 +200,30 @@ def test_non_finite_link_field_rejected(field, value):
     NON_FINITE_FIELDS[field](data, value)
     with pytest.raises(ScenarioError, match="finite"):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("order, message", [
+    (3.7, "filter order must be an integer"),
+    (math.nan, "filter order must be an integer"),
+    (math.inf, "filter order must be an integer"),
+    (-math.inf, "filter order must be an integer"),
+    (0, "filter order must be >= 1"),
+    (-2.0, "filter order must be >= 1"),
+])
+def test_bad_filter_order_rejected(order, message):
+    """int() would cut 3.7 to 3 and raise OverflowError on an infinite
+    order."""
+    data = scenario_to_dict(preset("B-621"))
+    data["filters"][0]["order"] = order
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(data)
+
+
+def test_integral_float_filter_order_accepted():
+    data = scenario_to_dict(preset("B-621"))
+    data["filters"][0]["order"] = float(data["filters"][0]["order"])
+    assert scenario_from_dict(data) == scenario_from_dict(
+        scenario_to_dict(preset("B-621")))
 
 
 def test_absent_optional_keys_take_the_dataclass_defaults():
