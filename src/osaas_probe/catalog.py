@@ -14,9 +14,7 @@ from pathlib import Path
 
 from .errors import ScenarioError
 from .modem import required_snr_db
-from .spectrum import DEFAULT_ROLL_OFF, ModulationFormat, PltConfig
-
-DEFAULT_FEC_THRESHOLD_BER = 2.0e-2
+from .spectrum import DEFAULT_FEC_THRESHOLD_BER, ModulationFormat, PltConfig
 
 # (format, symbol rate GBd, line rate Gbit/s)
 _DEFAULT_CONFIGS = (
@@ -38,25 +36,21 @@ _DEFAULT_CONFIGS = (
 _REGIONAL_EXCLUDED_RATES = (58.0,)
 
 
-def default_catalog(fec_threshold_ber: float = DEFAULT_FEC_THRESHOLD_BER,
-                    roll_off: float = DEFAULT_ROLL_OFF) -> tuple[PltConfig, ...]:
+def default_catalog() -> tuple[PltConfig, ...]:
     return tuple(
         PltConfig(
             format=fmt,
             symbol_rate_gbd=rate,
             line_rate_gbps=line_rate,
-            required_gsnr_db=required_snr_db(fmt, fec_threshold_ber),
-            roll_off=roll_off,
-            fec_threshold_ber=fec_threshold_ber,
+            required_gsnr_db=required_snr_db(fmt, DEFAULT_FEC_THRESHOLD_BER),
         )
         for fmt, rate, line_rate in _DEFAULT_CONFIGS
     )
 
 
-def regional_catalog(fec_threshold_ber: float = DEFAULT_FEC_THRESHOLD_BER,
-                     roll_off: float = DEFAULT_ROLL_OFF) -> tuple[PltConfig, ...]:
+def regional_catalog() -> tuple[PltConfig, ...]:
     """Probing pool customized for fixed-grid regional links."""
-    return tuple(cfg for cfg in default_catalog(fec_threshold_ber, roll_off)
+    return tuple(cfg for cfg in default_catalog()
                  if cfg.symbol_rate_gbd not in _REGIONAL_EXCLUDED_RATES)
 
 
@@ -71,27 +65,6 @@ def resolve_catalog(name_or_path: str) -> tuple[PltConfig, ...]:
     if name_or_path in NAMED_CATALOGS:
         return NAMED_CATALOGS[name_or_path]()
     return load_catalog(name_or_path)
-
-
-def catalog_to_records(catalog: tuple[PltConfig, ...]) -> list[dict]:
-    return [
-        {
-            "format": cfg.format.label,
-            "symbol_rate_gbd": cfg.symbol_rate_gbd,
-            "roll_off": cfg.roll_off,
-            "line_rate_gbps": cfg.line_rate_gbps,
-            "required_gsnr_db": round(cfg.required_gsnr_db, 4),
-            "fec_threshold_ber": cfg.fec_threshold_ber,
-        }
-        for cfg in catalog
-    ]
-
-
-def save_catalog(catalog: tuple[PltConfig, ...], path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(catalog_to_records(catalog), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 def load_catalog(path: str | Path) -> tuple[PltConfig, ...]:

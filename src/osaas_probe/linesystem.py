@@ -108,13 +108,17 @@ class DispersionComp(Enum):
     DCG = "dcg"
 
 
+# Amplifier noise figures a span may state, in dB. Below 0 dB an amplifier
+# would remove noise, and 20 dB is far above any line amplifier's. Far
+# outside the range a span's ASE term overflows or underflows to zero.
+AMP_NOISE_FIGURE_RANGE_DB = (0.0, 20.0)
+
+
 @dataclass(frozen=True)
 class SpanSpec:
     """One amplified fiber span; the amplifier exactly recovers the loss."""
 
-    length_km: float
     loss_db: float
-    amp_gain_db: float
     amp_noise_figure_db: float
     nli_coeff_per_mw2: float
     dispersion_comp: DispersionComp = DispersionComp.NONE
@@ -122,11 +126,11 @@ class SpanSpec:
     def __post_init__(self):
         if not 0.0 <= self.loss_db < math.inf:
             raise ScenarioError("span loss must be finite and non-negative")
-        if abs(self.amp_gain_db - self.loss_db) > 1e-9:
-            raise ScenarioError("transparent span convention requires gain == loss")
-        if not math.isfinite(self.amp_noise_figure_db):
+        low, high = AMP_NOISE_FIGURE_RANGE_DB
+        if not low <= self.amp_noise_figure_db <= high:
             raise ScenarioError(
-                f"amplifier noise figure must be finite, got {self.amp_noise_figure_db}")
+                f"amplifier noise figure must be finite and between {low:g} "
+                f"and {high:g} dB, got {self.amp_noise_figure_db}")
         if not 0.0 <= self.nli_coeff_per_mw2 < math.inf:
             raise ScenarioError(
                 "nonlinear coefficient must be finite and non-negative")

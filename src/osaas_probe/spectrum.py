@@ -22,6 +22,7 @@ C_BAND_WIDTH_GHZ = 4800.0
 
 GRID_UNIT_GHZ = 0.25
 DEFAULT_ROLL_OFF = 0.19
+DEFAULT_FEC_THRESHOLD_BER = 2.0e-2
 
 
 class ModulationFormat(Enum):
@@ -112,11 +113,16 @@ class PltConfig:
     line_rate_gbps: float
     required_gsnr_db: float
     roll_off: float = DEFAULT_ROLL_OFF
-    fec_threshold_ber: float = 2.0e-2
+    fec_threshold_ber: float = DEFAULT_FEC_THRESHOLD_BER
 
     def __post_init__(self):
         if self.symbol_rate_gbd <= 0:
             raise SpectrumError("symbol rate must be positive")
+        if not 0.0 < self.roll_off <= 1.0:
+            raise SpectrumError(f"roll-off must be in (0, 1], got {self.roll_off}")
+        if not 0.0 < self.line_rate_gbps < math.inf:
+            raise SpectrumError(
+                f"line rate must be finite and positive, got {self.line_rate_gbps}")
         if self.line_rate_gbps > self.format.bits_per_symbol_dualpol * self.symbol_rate_gbd + 1e-9:
             raise SpectrumError(
                 f"{self.line_rate_gbps} Gbit/s exceeds the information rate bound "

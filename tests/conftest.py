@@ -1,3 +1,4 @@
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -9,9 +10,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from osaas_probe.catalog import default_catalog, regional_catalog
 from osaas_probe.linesystem import LineSystem
 from osaas_probe.modem import ModemModel, characterize
-from osaas_probe.presets import preset
+from osaas_probe.scenario import load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = REPO_ROOT / "scenarios"
+SCENARIO_NAMES = sorted(path.stem for path in SCENARIOS.glob("*.json"))
+
+
+def shipped_scenario(name):
+    """The scenario ``scenarios/<name>.json``, as the CLI loads it."""
+    return load_scenario(SCENARIOS / f"{name}.json")
+
+
+def shipped_data(name):
+    """The parsed JSON of ``scenarios/<name>.json``, for a test to change."""
+    return json.loads((SCENARIOS / f"{name}.json").read_text())
 
 
 def make_non_monotone(curve_data: dict) -> dict:
@@ -45,7 +58,7 @@ def curves(catalog, modem):
 @pytest.fixture(scope="session")
 def make_line(modem):
     def factory(name, sigma=None, seed=None):
-        link = preset(name).link
+        link = shipped_scenario(name).link
         if sigma is not None:
             link = replace(link, noise_sigma_q_db=sigma)
         if seed is not None:

@@ -19,7 +19,6 @@ from osaas_probe.linesystem import (
     cascade_osnr_at_0dbm,
 )
 from osaas_probe.modem import ModemModel, characterize
-from osaas_probe.presets import preset
 from osaas_probe.probing import (
     Regime,
     detect_misalignment,
@@ -38,7 +37,7 @@ from osaas_probe.spectrum import (
 )
 from osaas_probe.units import dbm_to_mw, osnr_to_snr_db
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, shipped_scenario
 
 POLICY = PowerPolicy.constant_psd(-26.0)
 SCENARIOS = REPO_ROOT / "scenarios"
@@ -59,11 +58,11 @@ def ase_only_link(total_gsnr_db, modem_db, rate, name="synthetic",
     launch = psd + 10 * math.log10(rate)
     loss = launch + 58.0 - 5.0 - (optical - 10 * math.log10(12.5 / rate))
     mc = MediaChannel(193.95, width, 9.0, -20.0)
-    return LinkSpec(name, mc, (SpanSpec(50.0, loss, loss, 5.0, 0.0),))
+    return LinkSpec(name, mc, (SpanSpec(loss, 5.0, 0.0),))
 
 
 def line_for(name, sigma=None, seed=None, modem=None):
-    link = preset(name).link
+    link = shipped_scenario(name).link
     if sigma is not None:
         link = replace(link, noise_sigma_q_db=sigma)
     if seed is not None:
@@ -132,7 +131,7 @@ def test_criterion_03_wide_band_accuracy(catalog, curves):
 def test_criterion_04_narrow_band_accuracy(curves):
     capped_worst = {}
     for name in ("B-485", "B-822", "B-1182", "B-1302"):
-        catalog = resolve_catalog(preset(name).catalog)
+        catalog = resolve_catalog(shipped_scenario(name).catalog)
         worst = 0.0
         for seed in range(100):
             line = line_for(name, seed=seed + 1)
@@ -141,7 +140,7 @@ def test_criterion_04_narrow_band_accuracy(curves):
         capped_worst[name] = worst
         assert worst <= 0.35, f"{name}: {worst}"
     # without the cap the same verification exceeds 1 dB
-    catalog = resolve_catalog(preset("B-485").catalog)
+    catalog = resolve_catalog(shipped_scenario("B-485").catalog)
     uncapped_min = math.inf
     for seed in range(100):
         line = line_for("B-485", seed=seed + 1)
@@ -170,7 +169,7 @@ def test_criterion_05_constant_psd_scatter(catalog, curves):
 
 
 def test_criterion_06_filtering_envelope(curves):
-    catalog = resolve_catalog(preset("b2b").catalog)
+    catalog = resolve_catalog(shipped_scenario("b2b").catalog)
     line = line_for("b2b", sigma=0.0)
     campaign = run_extended_probe(line, catalog, curves, POLICY)
     ests = {r.config_id: r.gsnr_est_db for r in campaign.working()}
@@ -185,7 +184,7 @@ def test_criterion_06_filtering_envelope(curves):
 def test_criterion_07_symbol_rate_caps(curves):
     expected = {"A-144": 55.5, "B-485": 52.0, "B-1182": 46.3, "B-1302": 46.3}
     for name, want in expected.items():
-        catalog = resolve_catalog(preset(name).catalog)
+        catalog = resolve_catalog(shipped_scenario(name).catalog)
         for seed in range(25):
             line = line_for(name, seed=seed + 1)
             rep = run_probe_workflow(line, catalog, curves, POLICY, theta_db=2.0)
@@ -208,7 +207,7 @@ def _value_at(profile, cid, offset_ghz):
 
 
 def test_criterion_08_sweep_penalties(curves):
-    scenario = preset("A-241-sweep")
+    scenario = shipped_scenario("A-241-sweep")
     line = line_for("A-241-sweep")
     catalog = resolve_catalog(scenario.catalog)
     profile = run_frequency_sweep(line, _sweep_trio(catalog), curves,
@@ -226,7 +225,7 @@ def test_criterion_08_sweep_penalties(curves):
 
 
 def test_criterion_09_misalignment(curves):
-    scenario = preset("C-284-sweep")
+    scenario = shipped_scenario("C-284-sweep")
     line = line_for("C-284-sweep")
     catalog = resolve_catalog(scenario.catalog)
     profile = run_frequency_sweep(line, _sweep_trio(catalog), curves,
@@ -239,7 +238,7 @@ def test_criterion_09_misalignment(curves):
 
 
 def test_criterion_10_tilt(curves):
-    scenario = preset("LH-1792")
+    scenario = shipped_scenario("LH-1792")
     catalog = resolve_catalog(scenario.catalog)
     line = line_for("LH-1792")
     profile = run_frequency_sweep(line, _sweep_trio(catalog), curves,
@@ -258,7 +257,7 @@ def test_criterion_10_tilt(curves):
 def test_criterion_11_operation_regime(catalog, curves):
     # launch power sweep peaks where ASE noise is twice the NLI noise
     eta = 0.05
-    span = SpanSpec(80.0, 16.0, 16.0, 5.0, eta)
+    span = SpanSpec(16.0, 5.0, eta)
     mc = MediaChannel(193.2, 100.0, 9.0, -5.0)
     line = LineSystem(LinkSpec("opt", mc, (span,)), ModemModel(math.inf))
     config = next(c for c in catalog if c.config_id == "DP-QPSK-31.5")
@@ -288,18 +287,18 @@ def test_criterion_11_operation_regime(catalog, curves):
                        ("A-652", Regime.NONLINEAR),
                        ("LH-5738", Regime.NONLINEAR)]:
         line = line_for(name)
-        cat = resolve_catalog(preset(name).catalog)
+        cat = resolve_catalog(shipped_scenario(name).catalog)
         report = detect_operation_regime(line, cat, curves, -26.0, 69.4)
         assert report.entries["DP-QPSK-31.5"].classification is want, name
     report_pass(11, f"optimum launch power at ASE=2xNLI within "
                     f"{abs(p_star - p_analytic) / p_analytic * 100:.2f}% of "
-                    f"analytic; short presets linear, longest nonlinear")
+                    f"analytic; short routes linear, longest nonlinear")
 
 
 def test_criterion_12_throughput_gain(curves):
     gains = {}
     for name in ("B-485", "B-621", "B-822", "B-1182", "B-1302"):
-        scenario = preset(name)
+        scenario = shipped_scenario(name)
         catalog = resolve_catalog(scenario.catalog)
         by_id = {c.config_id: c for c in catalog}
         line = line_for(name)
@@ -319,7 +318,7 @@ def test_criterion_12_throughput_gain(curves):
 def test_criterion_13_monitoring(catalog, curves):
     for name, amplitude in (("LH-3751-monitor-summer", 1.5),
                             ("LH-3751-monitor-winter", 0.4)):
-        scenario = preset(name)
+        scenario = shipped_scenario(name)
         line = line_for(name)
         config = next(c for c in catalog
                       if c.config_id == scenario.monitor_config_id)

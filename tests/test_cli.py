@@ -130,7 +130,7 @@ def test_probe_no_signal_exit_2(tmp_path, curves_dir):
     # an absurdly long link: every configuration sees post-FEC errors
     scenario = json.loads((SCENARIOS / "B-621.json").read_text())
     for span in scenario["spans"]:
-        span["loss_db"] = span["amp_gain_db"] = 30.0
+        span["loss_db"] = 30.0
     dead = tmp_path / "dead.json"
     dead.write_text(json.dumps(scenario))
     assert run(["probe", "--scenario", dead, "--curves", curves_dir,
@@ -289,7 +289,7 @@ def _variant(tmp_path, name, edit):
 
 def _dead_spans(scenario):
     for span in scenario["spans"]:
-        span["loss_db"] = span["amp_gain_db"] = 30.0
+        span["loss_db"] = 30.0
 
 
 def test_blocked_carrier_is_no_signal(tmp_path, curves_dir):
@@ -401,6 +401,10 @@ def _filters(key, value):
     return lambda s: [f.update({key: value}) for f in s["filters"]]
 
 
+def _spans(key, value):
+    return lambda s: [span.update({key: value}) for span in s["spans"]]
+
+
 @pytest.mark.parametrize("edit, message", [
     (_filters("center_offset_ghz", math.nan),
      "filter centre offset must be finite, got nan"),
@@ -408,9 +412,19 @@ def _filters(key, value):
      "filter centre offset must be finite, got inf"),
     (_filters("order", 3.7), "filter order must be an integer, got 3.7"),
     (_filters("order", math.inf), "filter order must be an integer, got inf"),
-    (lambda s: [span.update(amp_noise_figure_db=math.nan)
-                for span in s["spans"]],
-     "amplifier noise figure must be finite, got nan"),
+    (_spans("amp_noise_figure_db", math.nan),
+     "amplifier noise figure must be finite and between 0 and 20 dB, got nan"),
+    (_spans("amp_noise_figure_db", 1e6),
+     "amplifier noise figure must be finite and between 0 and 20 dB, got "
+     "1000000.0"),
+    (_spans("amp_noise_figure_db", 1e308),
+     "amplifier noise figure must be finite and between 0 and 20 dB, got "
+     "1e+308"),
+    (_spans("amp_noise_figure_db", -1e308),
+     "amplifier noise figure must be finite and between 0 and 20 dB, got "
+     "-1e+308"),
+    (lambda s: s.update(seed=math.inf), "seed must be an integer, got inf"),
+    (lambda s: s.update(seed=3.7), "seed must be an integer, got 3.7"),
     (lambda s: s["media_channel"].update(max_total_power_dbm=math.nan),
      "malformed scenario: media channel power and PSD limits must be "
      "finite, got nan dBm and -20.0 dBm/GHz"),
@@ -418,12 +432,14 @@ def _filters(key, value):
      "malformed scenario: media channel power and PSD limits must be "
      "finite, got 9.0 dBm and nan dBm/GHz"),
 ], ids=["centre-nan", "centre-inf", "order-3.7", "order-inf",
-        "noise-figure-nan", "total-power-nan", "psd-nan"])
+        "noise-figure-nan", "noise-figure-1e6", "noise-figure-1e308",
+        "noise-figure--1e308", "seed-inf", "seed-3.7", "total-power-nan",
+        "psd-nan"])
 def test_bad_element_or_limit_is_invalid_scenario(tmp_path, curves_dir, capsys,
                                                   edit, message):
     """Each once loaded: a NaN centre read "no signal", a NaN noise figure or
-    limit made up a report, order 3.7 was cut to 3 and an infinite order
-    ended in a traceback."""
+    limit made up a report, order or seed 3.7 was cut to 3, and an infinite
+    order or seed or a huge noise figure ended in a traceback."""
     scenario = json.loads((SCENARIOS / "B-485.json").read_text())
     edit(scenario)
     path = tmp_path / "bad.json"

@@ -22,7 +22,6 @@ from osaas_probe.linesystem import (
     nli_eta_per_mw2,
 )
 from osaas_probe.modem import ModemModel, ber_from_snr
-from osaas_probe.presets import preset
 from osaas_probe.probing import run_frequency_sweep
 from osaas_probe.scenario import load_scenario
 from osaas_probe.spectrum import (
@@ -40,22 +39,19 @@ from osaas_probe.units import (
     q_db_from_ber,
 )
 
+from conftest import shipped_scenario
+
 MC = MediaChannel(193.2, 100.0, 9.0, -20.0)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_FILES = sorted(SCENARIOS.glob("*.json"))
 
 
 def span(loss=20.0, nf=5.0, eta=0.0, comp=DispersionComp.NONE):
-    return SpanSpec(80.0, loss, loss, nf, eta, comp)
+    return SpanSpec(loss, nf, eta, comp)
 
 
 def config(fmt=ModulationFormat.DP_QPSK, rate=31.5, line=100.0, req=6.2509):
     return PltConfig(fmt, rate, line, req)
-
-
-def test_span_requires_transparency():
-    with pytest.raises(ScenarioError):
-        SpanSpec(80.0, 20.0, 18.0, 5.0, 0.0)
 
 
 def test_single_span_osnr():
@@ -348,7 +344,7 @@ def test_noise_draws_are_pinned(catalog, name, config_id, offset, power, hours,
                                 expected):
     """The per-probe noise draw is part of every seeded report; its entropy
     and generator must not change."""
-    line = LineSystem(preset(name).link)
+    line = LineSystem(shipped_scenario(name).link)
     config = {c.config_id: c for c in catalog}[config_id]
     assert line._keyed_noise_db(line._noise_key(config, offset, power),
                                 hours) == expected
@@ -357,7 +353,7 @@ def test_noise_draws_are_pinned(catalog, name, config_id, offset, power, hours,
 @pytest.mark.parametrize("isi_factor", [-7.0, -1e-9, math.inf, math.nan])
 def test_isi_factor_must_be_finite_and_non_negative(isi_factor):
     with pytest.raises(ScenarioError, match="ISI factor"):
-        replace(preset("B-621").link, isi_factor=isi_factor)
+        replace(shipped_scenario("B-621").link, isi_factor=isi_factor)
 
 
 def test_probe_looks_the_penalty_up_once(catalog_regional, monkeypatch):
@@ -369,7 +365,7 @@ def test_probe_looks_the_penalty_up_once(catalog_regional, monkeypatch):
         return filtering_penalty_db(*args)
 
     monkeypatch.setattr(linesystem, "filtering_penalty_db", counting)
-    sc = preset("B-621")
+    sc = shipped_scenario("B-621")
     line = LineSystem(sc.link, ModemModel(26.0))
     cfg = catalog_regional[0]
     reading = line.probe(cfg, sc.policy)
@@ -391,7 +387,7 @@ def test_repeated_probe_is_a_memo_hit(catalog_regional, monkeypatch):
         return filtering_penalty_db(*args)
 
     monkeypatch.setattr(linesystem, "filtering_penalty_db", counting)
-    sc = preset("B-621")
+    sc = shipped_scenario("B-621")
     assert sc.link.noise_sigma_q_db > 0
     line = LineSystem(sc.link, ModemModel(26.0))
     cfg = catalog_regional[0]
@@ -408,7 +404,7 @@ def test_memo_keys_on_the_config_not_its_id(catalog_regional):
     """Roll-off and FEC threshold are not part of the configuration id, so
     configs that share an id are distinct carriers; so are a config and
     policy that hash as another, equal in all but the enum field."""
-    sc = preset("B-621")
+    sc = shipped_scenario("B-621")
     line = LineSystem(sc.link, ModemModel(26.0))
     cfg = catalog_regional[0]
     assert cfg.format is ModulationFormat.DP_QPSK
@@ -456,7 +452,7 @@ def test_diurnal_line_reuses_static_terms(catalog, monkeypatch, sigma):
         calls.append(args)
         return filtering_penalty_db(*args)
 
-    sc = preset("LH-3751-monitor-summer")
+    sc = shipped_scenario("LH-3751-monitor-summer")
     assert sc.link.diurnal_amplitude_db > 0
     link = replace(sc.link, noise_sigma_q_db=sigma)
     cfg = {c.config_id: c for c in catalog}[sc.monitor_config_id]
@@ -526,7 +522,7 @@ def test_blocked_carrier_reads_failed(catalog_regional, misalignment):
     """Filters moved off the carrier leave it little or no power: every
     probe reads a failed FEC; with no power at all every format reads coin
     flips, and the noisy line draws no noise for them."""
-    sc = preset("B-621")
+    sc = shipped_scenario("B-621")
     assert sc.link.noise_sigma_q_db > 0
     line = LineSystem(replace(sc.link, filter_misalignment_ghz=misalignment),
                       ModemModel(26.0))

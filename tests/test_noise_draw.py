@@ -14,10 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 from osaas_probe.catalog import resolve_catalog
 from osaas_probe.cli import main
 from osaas_probe.linesystem import LineSystem, _standard_normal
-from osaas_probe.presets import preset
 from osaas_probe.spectrum import admissible_offsets_ghz
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, shipped_scenario
 
 # Key parts around the 32- and 64-bit word boundaries, where a part splits
 # into one more little-endian word.
@@ -81,7 +80,7 @@ def test_repeated_key_is_a_memo_hit():
 def noisy_probes(name):
     """(scenario, probe arguments) over the scenario catalog, every
     admissible 12.5 GHz placement and two times of day."""
-    sc = preset(name)
+    sc = shipped_scenario(name)
     assert sc.link.noise_sigma_q_db > 0
     mc = sc.link.media_channel
     return sc, [(config, sc.policy, mc.center_thz + offset / 1000.0, hours)
@@ -136,7 +135,7 @@ def loaded_after(tmp_path, command, module):
 def test_noiseless_monitor_does_not_import_numpy_random(tmp_path):
     """Only a noisy draw uses numpy.random, so a sigma = 0 line never
     loads it."""
-    assert preset("LH-3751-monitor-summer").link.noise_sigma_q_db == 0.0
+    assert shipped_scenario("LH-3751-monitor-summer").link.noise_sigma_q_db == 0.0
     scenario = REPO_ROOT / "scenarios" / "LH-3751-monitor-summer.json"
     assert not loaded_after(tmp_path, ["monitor", "--scenario", str(scenario)],
                             "numpy.random")

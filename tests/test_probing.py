@@ -12,7 +12,6 @@ from osaas_probe.linesystem import (
     SpanSpec,
 )
 from osaas_probe.modem import ModemModel, characterize
-from osaas_probe.presets import PRESETS, preset
 from osaas_probe.probing import (
     MAX_MONITOR_SAMPLES,
     GsnrProfile,
@@ -43,6 +42,8 @@ from osaas_probe.spectrum import (
     PolicyKind,
     PowerPolicy,
 )
+
+from conftest import SCENARIO_NAMES, shipped_scenario
 
 POLICY = PowerPolicy.constant_psd(-26.0)
 MC = MediaChannel(193.2, 100.0, 9.0, -20.0)
@@ -225,7 +226,7 @@ def lh_line_and_curves():
     modem = ModemModel(26.0)
     catalog = default_catalog()
     curves = {c.config_id: characterize(modem, c) for c in catalog}
-    line = LineSystem(preset("LH-1016").link, modem)
+    line = LineSystem(shipped_scenario("LH-1016").link, modem)
     return line, catalog, curves
 
 
@@ -283,13 +284,13 @@ def test_verify_margin_accuracy_flags(lh_line_and_curves):
     # correct near-zero predictions: no false predictions
     report = run_probe_workflow(line, catalog, curves, POLICY)
     near = {cid: m for cid, m in report.margins_db.items() if abs(m) <= 1.5}
-    assert near  # the preset is tuned to exercise verification
+    assert near  # the route is tuned to exercise verification
     bound, flag = verify_margin_accuracy(line, catalog, curves,
                                          report.margins_db, POLICY)
     assert bound == 0.0 and flag is VerificationFlag.NO_FALSE_PREDICTIONS
     # force a wrong prediction: positive margin on an impossible config
     wrong = {"DP-16QAM-58": 0.32}
-    dead = LineSystem(preset("B-621").link, line.modem)
+    dead = LineSystem(shipped_scenario("B-621").link, line.modem)
     bound, flag = verify_margin_accuracy(dead, catalog, curves, wrong, POLICY)
     assert bound == pytest.approx(0.32)
     assert flag is VerificationFlag.FALSE_PREDICTIONS
@@ -400,14 +401,14 @@ def test_detect_misalignment_needs_both_edges(first, last, indeterminate):
     assert detect_misalignment(profile)[1] is indeterminate
 
 
-@pytest.mark.parametrize("name", sorted(n for n in PRESETS if n.startswith("LH-"))
+@pytest.mark.parametrize("name", [n for n in SCENARIO_NAMES if n.startswith("LH-")]
                          + ["C-284-sweep"])
 def test_preset_sweeps_find_misalignment_only_where_injected(name, curves):
     """Filterless long-haul lines show no filter edge, so their sweeps are
     indeterminate; the +6.25 GHz cascade offset of C-284-sweep is found
     within half a sweep step."""
     for seed in (1, 123, 424242):
-        sc = preset(name).with_seed(seed)
+        sc = shipped_scenario(name).with_seed(seed)
         line = LineSystem(sc.link, ModemModel(26.0))
         profile = run_frequency_sweep(line, resolve_catalog(sc.catalog), curves,
                                       sc.sweep_step_ghz, sc.policy)
@@ -444,7 +445,7 @@ def test_profile_tilt_ripple_constructed_line():
 
 def test_regime_eta_zero_all_linear(lh_line_and_curves):
     _, catalog, curves = lh_line_and_curves
-    spans = tuple(SpanSpec(70.0, 14.0, 14.0, 5.0, 0.0) for _ in range(10))
+    spans = tuple(SpanSpec(14.0, 5.0, 0.0) for _ in range(10))
     line = LineSystem(LinkSpec("linear", MediaChannel(193.95, 400.0, 9.0, -20.0),
                                spans), ModemModel(26.0))
     report = detect_operation_regime(line, catalog, curves, -26.0, 69.4)
@@ -472,7 +473,7 @@ def test_regime_reference_rate_is_near_optimum(lh_line_and_curves):
 
 def test_regime_nonlinear_preset(lh_line_and_curves):
     _, catalog, curves = lh_line_and_curves
-    line = LineSystem(preset("LH-5738").link, ModemModel(26.0))
+    line = LineSystem(shipped_scenario("LH-5738").link, ModemModel(26.0))
     report = detect_operation_regime(line, catalog, curves, -26.0, 69.4)
     assert report.entries["DP-QPSK-31.5"].classification is Regime.NONLINEAR
     assert report.entries["DP-QPSK-31.5"].recommended_power_delta_db < 0
@@ -480,7 +481,7 @@ def test_regime_nonlinear_preset(lh_line_and_curves):
 
 def test_regime_stability_under_noise(lh_line_and_curves):
     _, catalog, curves = lh_line_and_curves
-    base = preset("A-144").link
+    base = shipped_scenario("A-144").link
     flips = 0
     trials = 200
     qpsk = tuple(c for c in regional_catalog() if c.format is ModulationFormat.DP_QPSK)
@@ -536,7 +537,7 @@ def test_regime_probes_the_reference_rate_once(curves):
     """LH-5738's catalog has two 69.4 GBd configurations, which get the same
     carrier under both policies: 11 constant-PSD probes and 9
     constant-power probes, where probing both policies would take 22."""
-    sc = preset("LH-5738")
+    sc = shipped_scenario("LH-5738")
     catalog = resolve_catalog(sc.catalog)
     rs_ref = max(c.symbol_rate_gbd for c in catalog)
     line = LineSystem(sc.link, ModemModel(26.0))
