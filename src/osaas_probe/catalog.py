@@ -74,19 +74,19 @@ def load_catalog(path: str | Path) -> tuple[PltConfig, ...]:
         raise ScenarioError(f"cannot read catalog {path}: {exc}") from exc
     if not isinstance(records, list):
         raise ScenarioError(f"catalog {path} must be a JSON array")
-    configs = []
+    configs = {}  # config id -> config; a workflow probes each id once
     for rec in records:
         try:
-            configs.append(
-                PltConfig(
-                    format=ModulationFormat.from_label(rec["format"]),
-                    symbol_rate_gbd=float(rec["symbol_rate_gbd"]),
-                    roll_off=float(rec["roll_off"]),
-                    line_rate_gbps=float(rec["line_rate_gbps"]),
-                    required_gsnr_db=float(rec["required_gsnr_db"]),
-                    fec_threshold_ber=float(rec["fec_threshold_ber"]),
-                )
+            config = PltConfig(
+                format=ModulationFormat.from_label(rec["format"]),
+                symbol_rate_gbd=float(rec["symbol_rate_gbd"]),
+                roll_off=float(rec["roll_off"]),
+                line_rate_gbps=float(rec["line_rate_gbps"]),
+                required_gsnr_db=float(rec["required_gsnr_db"]),
+                fec_threshold_ber=float(rec["fec_threshold_ber"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"bad catalog record {rec!r}: {exc}") from exc
-    return tuple(configs)
+        if configs.setdefault(config.config_id, config) is not config:
+            raise ScenarioError(f"catalog {path} repeats {config.config_id}")
+    return tuple(configs.values())

@@ -14,7 +14,6 @@ scenario file.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -27,11 +26,13 @@ from .errors import (
     InsufficientDataError,
     NoSignalError,
     ScenarioError,
+    check_range,
 )
 from .linesystem import LineSystem
 from .modem import (
     DEFAULT_FIT_DEGREE,
     GRID_STEP_DB,
+    GRID_STEP_RANGE_DB,
     ModemModel,
     characterize,
     default_gsnr_grid,
@@ -61,8 +62,7 @@ from .reports import (
     throughput_to_dict,
     write_report,
 )
-from .scenario import Scenario, check_policy_value, load_scenario
-from .spectrum import PowerPolicy
+from .scenario import POLICY_VALUE_RANGE, Scenario, load_scenario
 
 EXIT_OK = 0
 EXIT_NO_SIGNAL = 2
@@ -88,10 +88,7 @@ def _resolve_seed(args, scenario: Scenario) -> int:
         seed = args.seed if args.seed is not None else int(env)
     except ValueError:
         raise CliError(f"OSAAS_PROBE_SEED={env!r} is not an integer")
-    if seed < 0:
-        raise CliError(f"--seed or OSAAS_PROBE_SEED must be non-negative, "
-                       f"got {seed}")
-    return seed
+    return check_range("--seed or OSAAS_PROBE_SEED", seed, 0, error=CliError)
 
 
 def _load_curves(curves_dir: Path, catalog) -> dict:
@@ -134,13 +131,13 @@ def cmd_characterize(args) -> int:
         catalog = resolve_catalog(args.catalog)
     except ScenarioError as exc:
         raise CliError(str(exc))
-    if not args.modem_snr_db > 0:
-        raise CliError(f"--modem-snr-db must be positive, got {args.modem_snr_db:g}")
-    if args.degree < 1:
-        raise CliError(f"--degree must be at least 1, got {args.degree}")
-    if not args.grid_step_db > 0:
-        raise CliError(f"--grid-step-db must be positive, got {args.grid_step_db:g}")
-    modem = ModemModel(args.modem_snr_db)
+    try:
+        modem = ModemModel(args.modem_snr_db)
+    except ValueError as exc:
+        raise CliError(f"--modem-snr-db: {exc}")
+    check_range("--degree", args.degree, 1, error=CliError)
+    check_range("--grid-step-db", args.grid_step_db, *GRID_STEP_RANGE_DB,
+                unit="dB", error=CliError)
     out = Path(args.out)
     for config in catalog:
         grid = default_gsnr_grid(config, args.grid_step_db)
@@ -157,13 +154,8 @@ def cmd_characterize(args) -> int:
     return EXIT_OK
 
 
-def _check_theta(args) -> None:
-    if not math.isfinite(args.theta_db):
-        raise CliError(f"--theta-db must be finite, got {args.theta_db:g}")
-
-
 def cmd_probe(args) -> int:
-    _check_theta(args)
+    check_range("--theta-db", args.theta_db, error=CliError)
     scenario, catalog, curves, line = _context(args)
     report = run_probe_workflow(line, catalog, curves, scenario.policy,
                                 args.theta_db)
@@ -216,17 +208,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_regime(args) -> int:
     if args.psd_ref is not None:
-        try:
-            check_policy_value(PowerPolicy.constant_psd(args.psd_ref))
-        except ScenarioError as exc:
-            raise CliError(f"--psd-ref: {exc}")
-    if args.rs_ref is not None and not 0 < args.rs_ref < math.inf:
-        raise CliError(f"--rs-ref must be finite and positive, got {args.rs_ref:g}")
+        check_range("--psd-ref", args.psd_ref, *POLICY_VALUE_RANGE, unit="dBm/GHz",
+                    error=CliError)
     scenario, catalog, curves, line = _context(args)
-    width = scenario.link.media_channel.width_ghz
-    if args.rs_ref is not None and args.rs_ref > width:
-        raise CliError(f"--rs-ref {args.rs_ref:g} GBd is above the {width:g} GHz "
-                       f"media channel: no carrier of that rate fits")
+    if args.rs_ref is not None:
+        # a carrier at a rate above the media-channel width never fits
+        check_range("--rs-ref", args.rs_ref, 0.0,
+                    scenario.link.media_channel.width_ghz, low_open=True,
+                    unit="GBd", error=CliError)
     psd_ref = (args.psd_ref if args.psd_ref is not None
                else scenario.policy.value)
     rs_ref = (args.rs_ref if args.rs_ref is not None
@@ -250,7 +239,7 @@ def cmd_regime(args) -> int:
 def cmd_throughput(args) -> int:
     if not args.scenario:
         raise CliError("--scenario is required (repeatable) for throughput")
-    _check_theta(args)
+    check_range("--theta-db", args.theta_db, error=CliError)
     entries = []
     for path in args.scenario:
         scenario, catalog, curves, line = _context(args, path)

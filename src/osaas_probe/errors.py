@@ -1,4 +1,7 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit, and the range check every
+loader and flag parser rejects a number with."""
+
+import math
 
 
 class SpectrumError(ValueError):
@@ -31,3 +34,21 @@ class NoSignalError(RuntimeError):
 
 class ScenarioError(ValueError):
     """Scenario or catalog file is malformed or internally inconsistent."""
+
+
+def check_range(name: str, value, low=-math.inf, high=math.inf, *,
+                low_open=False, high_open=False, unit="", error=ScenarioError):
+    """Return ``value`` if it is finite and within ``low`` and ``high``, each
+    end closed unless marked open, or raise ``error`` with one line naming
+    the field, the interval and the value. The finiteness test compares, as
+    math.isfinite overflows on a huge int; NaN fails every comparison."""
+    if (-math.inf < value < math.inf
+            and (low < value if low_open else low <= value)
+            and (value < high if high_open else value <= high)):
+        return value
+    interval = ""
+    if low > -math.inf or high < math.inf:
+        left = "(" if low_open or low == -math.inf else "["
+        right = ")" if high_open or high == math.inf else "]"
+        interval = f" and in {left}{low:g}, {high:g}{right} {unit}".rstrip()
+    raise error(f"{name} must be finite{interval}, got {value}")

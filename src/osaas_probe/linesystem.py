@@ -60,9 +60,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import check_range
 from .modem import ModemModel, ber_from_snr
 from .spectrum import (
+    C_BAND_WIDTH_GHZ,
     GRID_UNIT_GHZ,
     MediaChannel,
     PltConfig,
@@ -108,10 +109,21 @@ class DispersionComp(Enum):
     DCG = "dcg"
 
 
-# Amplifier noise figures a span may state, in dB. Below 0 dB an amplifier
-# would remove noise, and 20 dB is far above any line amplifier's. Far
-# outside the range a span's ASE term overflows or underflows to zero.
+# Ranges a span may state. Span losses above 50 dB leave no amplified
+# line, and near 3000 dB the span's ASE term overflows. Below 0 dB an
+# amplifier would remove noise, and 20 dB is far above any line amplifier's
+# noise figure. The largest shipped NLI coefficient is 0.128 /mW^2.
+SPAN_LOSS_RANGE_DB = (0.0, 50.0)
 AMP_NOISE_FIGURE_RANGE_DB = (0.0, 20.0)
+NLI_COEFF_RANGE_PER_MW2 = (0.0, 10.0)
+# Filter centres and their common misalignment lie within a C-band width of
+# the channel centre, and orders reach 20 at most (the shipped ones 8). With
+# 3-dB bandwidths of at least the grid unit, x^2n stays far below overflow.
+# The shipped lines' Q noise is 0.05 dB at most and their tilt 2.5 dB.
+FILTER_OFFSET_RANGE_GHZ = (-C_BAND_WIDTH_GHZ, C_BAND_WIDTH_GHZ)
+FILTER_ORDER_RANGE = (1, 20)
+NOISE_SIGMA_RANGE_DB = (0.0, 1.0)
+TILT_RANGE_DB = (-100.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -124,16 +136,11 @@ class SpanSpec:
     dispersion_comp: DispersionComp = DispersionComp.NONE
 
     def __post_init__(self):
-        if not 0.0 <= self.loss_db < math.inf:
-            raise ScenarioError("span loss must be finite and non-negative")
-        low, high = AMP_NOISE_FIGURE_RANGE_DB
-        if not low <= self.amp_noise_figure_db <= high:
-            raise ScenarioError(
-                f"amplifier noise figure must be finite and between {low:g} "
-                f"and {high:g} dB, got {self.amp_noise_figure_db}")
-        if not 0.0 <= self.nli_coeff_per_mw2 < math.inf:
-            raise ScenarioError(
-                "nonlinear coefficient must be finite and non-negative")
+        check_range("span loss", self.loss_db, *SPAN_LOSS_RANGE_DB, unit="dB")
+        check_range("amplifier noise figure", self.amp_noise_figure_db,
+                    *AMP_NOISE_FIGURE_RANGE_DB, unit="dB")
+        check_range("nonlinear coefficient", self.nli_coeff_per_mw2,
+                    *NLI_COEFF_RANGE_PER_MW2, unit="/mW^2")
 
 
 @dataclass(frozen=True)
@@ -145,13 +152,11 @@ class FilterElement:
     order: int
 
     def __post_init__(self):
-        if not math.isfinite(self.center_offset_ghz):
-            raise ScenarioError(
-                f"filter centre offset must be finite, got {self.center_offset_ghz}")
-        if not 0.0 < self.bandwidth_3db_ghz < math.inf:
-            raise ScenarioError("filter 3-dB bandwidth must be finite and positive")
-        if self.order < 1:
-            raise ScenarioError("filter order must be >= 1")
+        check_range("filter centre offset", self.center_offset_ghz,
+                    *FILTER_OFFSET_RANGE_GHZ, unit="GHz")
+        check_range("filter 3-dB bandwidth", self.bandwidth_3db_ghz,
+                    GRID_UNIT_GHZ, unit="GHz")
+        check_range("filter order", self.order, *FILTER_ORDER_RANGE)
 
 
 @dataclass(frozen=True)
@@ -179,29 +184,21 @@ class LinkSpec:
     noise_sigma_q_db: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.diurnal_amplitude_db < math.inf:
-            raise ScenarioError("diurnal amplitude must be finite and non-negative")
-        if not 0.0 < self.diurnal_period_h < math.inf:
-            raise ScenarioError("diurnal period must be finite and positive")
-        if self.seed < 0:
-            raise ScenarioError("seed must be non-negative")
-        if not 0.0 <= self.noise_sigma_q_db < math.inf:
-            raise ScenarioError("noise sigma must be finite and non-negative")
-        if not all(map(math.isfinite, (self.tilt_db_per_mc,
-                                       self.filter_misalignment_ghz,
-                                       *(v for point in self.ripple
-                                         for v in point)))):
-            raise ScenarioError(
-                "tilt, ripple and filter misalignment must be finite")
-        if not 0.0 <= self.isi_factor < math.inf:
-            raise ScenarioError(
-                f"ISI factor must be finite and non-negative, got {self.isi_factor}")
-        window, width = self.equalizer_window_ghz, self.media_channel.width_ghz
-        if window is not None and not GRID_UNIT_GHZ <= window <= width:
-            raise ScenarioError(
-                f"equalizer window {window} GHz must be finite and between "
-                f"the {GRID_UNIT_GHZ} GHz grid unit and the {width:g} GHz "
-                f"media channel")
+        check_range("diurnal amplitude", self.diurnal_amplitude_db, 0.0, unit="dB")
+        # a period under an hour is not diurnal, and far under it the phase overflows
+        check_range("diurnal period", self.diurnal_period_h, 1.0, unit="h")
+        check_range("seed", self.seed, 0)
+        check_range("noise sigma", self.noise_sigma_q_db,
+                    *NOISE_SIGMA_RANGE_DB, unit="dB")
+        check_range("tilt", self.tilt_db_per_mc, *TILT_RANGE_DB, unit="dB")
+        check_range("filter misalignment", self.filter_misalignment_ghz,
+                    *FILTER_OFFSET_RANGE_GHZ, unit="GHz")
+        for value in (v for point in self.ripple for v in point):
+            check_range("ripple", value)
+        check_range("ISI factor", self.isi_factor, 0.0)
+        if self.equalizer_window_ghz is not None:
+            check_range("equalizer window", self.equalizer_window_ghz,
+                        GRID_UNIT_GHZ, self.media_channel.width_ghz, unit="GHz")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CurveRangeError, FitRejectedError, InsufficientDataError
+from .errors import CurveRangeError, FitRejectedError, InsufficientDataError, check_range
 from .spectrum import ModulationFormat, PltConfig
 from .units import erfcinv, harmonic_db_sum, q_db_from_ber
 
@@ -37,6 +37,10 @@ MONOTONICITY_STEP_DB = 0.01
 GRID_STEP_DB = 0.5
 GRID_BELOW_THRESHOLD_DB = 1.0
 GRID_ABOVE_THRESHOLD_DB = 14.0
+# Noise-loading steps a characterization may take, in dB: from the
+# monotonicity gate's sampling step to the whole grid.
+GRID_STEP_RANGE_DB = (MONOTONICITY_STEP_DB,
+                      GRID_BELOW_THRESHOLD_DB + GRID_ABOVE_THRESHOLD_DB)
 CURVE_SCHEMA_VERSION = 1
 # Curve files store points rounded to 6 decimals but the validity range
 # exactly, so the range may stick out of the stored points by this much.
@@ -61,8 +65,9 @@ class ModemModel:
     snr_modem_db: float = 26.0
 
     def __post_init__(self):
-        if not self.snr_modem_db > 0:
-            raise ValueError("modem SNR must be positive dB")
+        if self.snr_modem_db != math.inf:
+            check_range("modem SNR", self.snr_modem_db, 0.0,
+                        low_open=True, unit="dB", error=ValueError)
 
 
 def _rect_qam_params(fmt: ModulationFormat) -> tuple[float, float]:
@@ -108,11 +113,22 @@ def _horner(coefficients: tuple[float, ...], x: float) -> tuple[float, float]:
     return value, slope
 
 
-def _check_monotone(coefficients, lo: float, hi: float) -> None:
-    """The fit gate: the polynomial must rise strictly over [lo, hi], sampled
-    every MONOTONICITY_STEP_DB."""
+def _check_fit(coefficients, gs, qs, lo: float, hi: float) -> None:
+    """The fit gates: an RMS residual over the points (gs, qs) of at most
+    FIT_RMS_LIMIT_DB, then a strict rise over [lo, hi], sampled every
+    MONOTONICITY_STEP_DB. An overflowing polynomial fails the residual gate
+    silently. numpy.polyval runs numpy.polynomial's Horner recurrence, so
+    loading a curve does not import numpy.polynomial."""
+    descending = coefficients[::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual_rms = float(np.sqrt(np.mean(
+            (np.polyval(descending, gs) - qs) ** 2)))
+    if not residual_rms <= FIT_RMS_LIMIT_DB:
+        raise FitRejectedError(
+            f"fit residual RMS {residual_rms:.4f} dB exceeds {FIT_RMS_LIMIT_DB} dB"
+        )
     sample = np.arange(lo, hi + MONOTONICITY_STEP_DB / 2, MONOTONICITY_STEP_DB)
-    values = np.polyval(coefficients[::-1], sample)
+    values = np.polyval(descending, sample)
     if np.any(np.diff(values) <= 0):
         raise FitRejectedError("fitted curve is not monotone over the validity range")
 
@@ -199,14 +215,8 @@ def fit_characterization(
     if np.any(np.diff(gs) <= 0) or np.any(np.diff(qs) <= 0):
         raise InsufficientDataError("characterization points must be strictly monotone")
     coeffs = np.polynomial.polynomial.polyfit(gs, qs, degree)
-    residual_rms = float(np.sqrt(np.mean(
-        (np.polynomial.polynomial.polyval(gs, coeffs) - qs) ** 2)))
-    if residual_rms > FIT_RMS_LIMIT_DB:
-        raise FitRejectedError(
-            f"fit residual RMS {residual_rms:.4f} dB exceeds {FIT_RMS_LIMIT_DB} dB"
-        )
     lo, hi = float(gs[0]), float(gs[-1])
-    _check_monotone(coeffs, lo, hi)
+    _check_fit(coeffs, gs, qs, lo, hi)
     return CharacterizationCurve(
         config_id=config_id,
         points=tuple((float(g), float(q)) for g, q in points),
@@ -285,10 +295,7 @@ def curve_to_dict(curve: CharacterizationCurve) -> dict:
 
 
 def _finite(value) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{value!r} is not a finite number")
-    return number
+    return check_range("curve value", float(value), error=ValueError)
 
 
 def curve_from_dict(data: dict) -> CharacterizationCurve:
@@ -307,11 +314,10 @@ def curve_from_dict(data: dict) -> CharacterizationCurve:
         coefficients = tuple(_finite(c) for c in data["coefficients"])
         lo, hi = (_finite(v) for v in data["valid_range"])
         modem = data.get("snr_modem_db")
-        snr_modem_db = math.inf if modem is None else float(modem)
+        snr_modem_db = ModemModel(math.inf if modem is None
+                                  else float(modem)).snr_modem_db
     except (KeyError, TypeError, ValueError) as exc:
         raise FitRejectedError(f"malformed curve: {exc!r}") from exc
-    if not snr_modem_db > 0:
-        raise FitRejectedError("curve snr_modem_db must be positive")
     if not 2 <= len(coefficients) < len(points):
         raise FitRejectedError(
             f"{len(coefficients)} coefficients do not fit {len(points)} points")
@@ -323,7 +329,7 @@ def curve_from_dict(data: dict) -> CharacterizationCurve:
     if not gs[0] - slack <= lo < hi <= gs[-1] + slack:
         raise FitRejectedError(
             f"valid range [{lo}, {hi}] not inside the points [{gs[0]}, {gs[-1]}]")
-    _check_monotone(coefficients, lo, hi)
+    _check_fit(coefficients, gs, qs, lo, hi)
     return CharacterizationCurve(
         config_id=config_id,
         points=tuple(points),

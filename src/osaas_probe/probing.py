@@ -22,6 +22,7 @@ from .errors import (
     InsufficientDataError,
     LimitViolationError,
     NoSignalError,
+    check_range,
 )
 from .modem import CharacterizationCurve, gsnr_from_q
 from .spectrum import (
@@ -506,11 +507,10 @@ def detect_operation_regime(line, catalog: tuple[PltConfig, ...],
 def check_monitor_span(duration_h: float, interval_h: float) -> None:
     """Raise ValueError unless ``duration_h`` and ``interval_h`` make a
     finite series of at most MAX_MONITOR_SAMPLES samples."""
-    if not interval_h > 0:
-        raise ValueError("monitor interval must be positive")
-    if not 0 <= duration_h < math.inf:
-        raise ValueError(f"monitor duration must be finite and non-negative, "
-                         f"got {duration_h:g}")
+    if interval_h != math.inf:  # one sample, at t = 0
+        check_range("monitor interval", interval_h, 0.0,
+                    low_open=True, unit="h", error=ValueError)
+    check_range("monitor duration", duration_h, 0.0, unit="h", error=ValueError)
     if (duration_h + 1e-9) / interval_h >= MAX_MONITOR_SAMPLES:
         raise ValueError(f"monitor duration {duration_h:g} h at interval "
                          f"{interval_h:g} h asks for more than "

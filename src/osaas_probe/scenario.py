@@ -11,30 +11,19 @@ two keys are not.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import ScenarioError
+from .errors import ScenarioError, check_range
 from .spectrum import GRID_UNIT_GHZ, MediaChannel, PolicyKind, PowerPolicy
 from .linesystem import DispersionComp, FilterElement, LinkSpec, SpanSpec
 
 SCHEMA_VERSION = 3
-# Lowest policy value (dBm or dBm/GHz). No probe carrier is launched that
-# low, and the bound keeps the realized carrier power, which every noise key
-# counts from -200 dBm, far above that origin.
-MIN_POLICY_VALUE = -100.0
-
-
-def check_policy_value(policy: PowerPolicy) -> None:
-    """Raise :class:`ScenarioError` unless the policy value is finite and at
-    least :data:`MIN_POLICY_VALUE`."""
-    value = policy.value
-    if not MIN_POLICY_VALUE <= value < math.inf:
-        unit = "dBm/GHz" if policy.kind is PolicyKind.CONSTANT_PSD else "dBm"
-        raise ScenarioError(
-            f"policy value {value} {unit} must be finite and at least "
-            f"{MIN_POLICY_VALUE:g} {unit}")
+# Policy values (dBm or dBm/GHz). No probe carrier is launched near either
+# end. The low end keeps the realized carrier power, which every noise key
+# counts from -200 dBm, far above that origin; the high end keeps the NLI
+# power, the cube of the carrier power in mW, finite.
+POLICY_VALUE_RANGE = (-100.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -46,14 +35,15 @@ class Scenario:
     monitor_config_id: str = "DP-QPSK-69.4"
 
     def validate(self) -> None:
-        check_policy_value(self.policy)
+        unit = "dBm/GHz" if self.policy.kind is PolicyKind.CONSTANT_PSD else "dBm"
+        check_range("policy value", self.policy.value, *POLICY_VALUE_RANGE, unit=unit)
         step, width = self.sweep_step_ghz, self.link.media_channel.width_ghz
-        if not (0 < step < math.inf
-                and abs(step / GRID_UNIT_GHZ - round(step / GRID_UNIT_GHZ)) <= 1e-6
+        check_range("sweep step", step, GRID_UNIT_GHZ, width, unit="GHz")
+        if not (abs(step / GRID_UNIT_GHZ - round(step / GRID_UNIT_GHZ)) <= 1e-6
                 and abs(width / step - round(width / step)) <= 1e-9):
             raise ScenarioError(
-                f"sweep step {step} GHz is not a positive multiple of the "
-                f"{GRID_UNIT_GHZ} GHz grid dividing the {width} GHz media channel")
+                f"sweep step {step} GHz is not a multiple of the {GRID_UNIT_GHZ} "
+                f"GHz grid dividing the {width} GHz media channel")
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, link=replace(self.link, seed=seed))
@@ -134,7 +124,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                                float(policy_data["value"])),
             **_present(data, _SCENARIO_OPTIONAL),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"malformed scenario: {exc}") from exc

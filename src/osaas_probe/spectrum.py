@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CarrierRejectedError, LimitViolationError, SpectrumError
+from .errors import CarrierRejectedError, LimitViolationError, SpectrumError, check_range
 
 C_BAND_MIN_THZ = 191.0
 C_BAND_MAX_THZ = 196.0
@@ -23,6 +23,9 @@ C_BAND_WIDTH_GHZ = 4800.0
 GRID_UNIT_GHZ = 0.25
 DEFAULT_ROLL_OFF = 0.19
 DEFAULT_FEC_THRESHOLD_BER = 2.0e-2
+# Required GSNR a configuration may state, in dB. Characterization loads
+# noise from 1 dB below to 14 dB above it, within 0 to 40 dB.
+REQUIRED_GSNR_RANGE_DB = (1.0, 26.0)
 
 
 class ModulationFormat(Enum):
@@ -73,19 +76,14 @@ class MediaChannel:
     max_psd_dbm_per_ghz: float
 
     def __post_init__(self):
-        if not 0.0 < self.width_ghz < math.inf:
-            raise SpectrumError("media channel width must be finite and positive")
-        if not C_BAND_MIN_THZ <= self.center_thz <= C_BAND_MAX_THZ:
-            raise SpectrumError(
-                f"center {self.center_thz} THz outside C-band "
-                f"[{C_BAND_MIN_THZ}, {C_BAND_MAX_THZ}]"
-            )
-        if not (math.isfinite(self.max_total_power_dbm)
-                and math.isfinite(self.max_psd_dbm_per_ghz)):
-            raise SpectrumError(
-                "media channel power and PSD limits must be finite, got "
-                f"{self.max_total_power_dbm} dBm and "
-                f"{self.max_psd_dbm_per_ghz} dBm/GHz")
+        check_range("media channel width", self.width_ghz, 0.0, C_BAND_WIDTH_GHZ,
+                    low_open=True, unit="GHz", error=SpectrumError)
+        check_range("media channel centre", self.center_thz, C_BAND_MIN_THZ,
+                    C_BAND_MAX_THZ, unit="THz", error=SpectrumError)
+        check_range("media channel power limit", self.max_total_power_dbm,
+                    error=SpectrumError)
+        check_range("media channel PSD limit", self.max_psd_dbm_per_ghz,
+                    error=SpectrumError)
 
     @property
     def lower_edge_ghz(self) -> float:
@@ -116,22 +114,21 @@ class PltConfig:
     fec_threshold_ber: float = DEFAULT_FEC_THRESHOLD_BER
 
     def __post_init__(self):
-        if self.symbol_rate_gbd <= 0:
-            raise SpectrumError("symbol rate must be positive")
-        if not 0.0 < self.roll_off <= 1.0:
-            raise SpectrumError(f"roll-off must be in (0, 1], got {self.roll_off}")
-        if not 0.0 < self.line_rate_gbps < math.inf:
-            raise SpectrumError(
-                f"line rate must be finite and positive, got {self.line_rate_gbps}")
+        check_range("symbol rate", self.symbol_rate_gbd, 0.0,
+                    low_open=True, unit="GBd", error=SpectrumError)
+        check_range("roll-off", self.roll_off, 0.0, 1.0, low_open=True,
+                    error=SpectrumError)
+        check_range("line rate", self.line_rate_gbps, 0.0,
+                    low_open=True, unit="Gbit/s", error=SpectrumError)
         if self.line_rate_gbps > self.format.bits_per_symbol_dualpol * self.symbol_rate_gbd + 1e-9:
             raise SpectrumError(
                 f"{self.line_rate_gbps} Gbit/s exceeds the information rate bound "
                 f"of {self.format.label} at {self.symbol_rate_gbd} GBd"
             )
-        if not (math.isfinite(self.required_gsnr_db) and self.required_gsnr_db > 0):
-            raise SpectrumError("required GSNR must be finite and positive")
-        if not 0.0 < self.fec_threshold_ber < 0.5:
-            raise SpectrumError("FEC threshold BER must be in (0, 0.5)")
+        check_range("required GSNR", self.required_gsnr_db,
+                    *REQUIRED_GSNR_RANGE_DB, unit="dB", error=SpectrumError)
+        check_range("FEC threshold BER", self.fec_threshold_ber, 0.0, 0.5,
+                    low_open=True, high_open=True, error=SpectrumError)
 
     def __hash__(self) -> int:
         """Hash of the numeric fields. A line looks every probe up by its
@@ -254,8 +251,7 @@ def admissible_offsets_ghz(channel: MediaChannel, config: PltConfig,
     Offsets are multiples of the step around the channel center; placements
     whose occupied band would straddle a slot edge are clipped out.
     """
-    if step_ghz <= 0:
-        raise SpectrumError("sweep step must be positive")
+    check_range("sweep step", step_ghz, GRID_UNIT_GHZ, unit="GHz", error=SpectrumError)
     step_units = to_grid_units(step_ghz)
     half_occupied = config.occupied_bandwidth_ghz / 2.0
     max_offset = channel.width_ghz / 2.0 - half_occupied

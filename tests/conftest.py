@@ -27,11 +27,29 @@ def shipped_data(name):
     return json.loads((SCENARIOS / f"{name}.json").read_text())
 
 
+def catalog_records(catalog):
+    """The catalog file records of ``catalog``."""
+    return [{"format": cfg.format.label,
+             "symbol_rate_gbd": cfg.symbol_rate_gbd,
+             "roll_off": cfg.roll_off,
+             "line_rate_gbps": cfg.line_rate_gbps,
+             "required_gsnr_db": round(cfg.required_gsnr_db, 4),
+             "fec_threshold_ber": cfg.fec_threshold_ber}
+            for cfg in catalog]
+
+
 def make_non_monotone(curve_data: dict) -> dict:
     """Give a persisted curve -(g - mid)^2, which peaks mid-range, as its
     polynomial; the stored points stay monotone."""
     mid = 0.5 * sum(curve_data["valid_range"])
     curve_data["coefficients"] = [-mid * mid, 2.0 * mid, -1.0]
+    return curve_data
+
+
+def make_huge_residual(curve_data: dict) -> dict:
+    """Give a persisted curve a cubic coefficient of 1e300: the polynomial
+    still rises over the validity range, but misses every stored point."""
+    curve_data["coefficients"][3] = 1e300
     return curve_data
 
 

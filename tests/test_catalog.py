@@ -14,6 +14,8 @@ from osaas_probe.errors import ScenarioError
 from osaas_probe.modem import required_snr_db
 from osaas_probe.spectrum import ModulationFormat
 
+from conftest import catalog_records
+
 
 def test_default_catalog_shape(catalog):
     assert len(catalog) == 11
@@ -58,20 +60,9 @@ def test_required_gsnr_ordering(catalog):
             < by_fmt[ModulationFormat.DP_16QAM])
 
 
-def _records(catalog):
-    """The catalog file records of ``catalog``."""
-    return [{"format": cfg.format.label,
-             "symbol_rate_gbd": cfg.symbol_rate_gbd,
-             "roll_off": cfg.roll_off,
-             "line_rate_gbps": cfg.line_rate_gbps,
-             "required_gsnr_db": round(cfg.required_gsnr_db, 4),
-             "fec_threshold_ber": cfg.fec_threshold_ber}
-            for cfg in catalog]
-
-
 def test_catalog_file_round_trip(tmp_path, catalog):
     path = tmp_path / "catalog.json"
-    path.write_text(json.dumps(_records(catalog)))
+    path.write_text(json.dumps(catalog_records(catalog)))
     loaded = load_catalog(path)
     assert [c.config_id for c in loaded] == [c.config_id for c in catalog]
     for a, b in zip(loaded, catalog):
@@ -82,7 +73,7 @@ def test_resolve_catalog(tmp_path, catalog):
     assert resolve_catalog("default") == default_catalog()
     assert resolve_catalog("regional") == regional_catalog()
     path = tmp_path / "cat.json"
-    path.write_text(json.dumps(_records(catalog[:2])))
+    path.write_text(json.dumps(catalog_records(catalog[:2])))
     assert len(resolve_catalog(str(path))) == 2
     with pytest.raises(ScenarioError):
         resolve_catalog(str(tmp_path / "missing.json"))
@@ -97,11 +88,17 @@ def test_load_catalog_rejects_bad_records(tmp_path, catalog):
     for key, value, message in [
             ("roll_off", 0.0, "roll-off"), ("roll_off", math.nan, "roll-off"),
             ("roll_off", 2.0, "roll-off"), ("line_rate_gbps", math.nan, "line rate"),
-            ("line_rate_gbps", 0.0, "line rate")]:
-        record = dict(_records(catalog[:1])[0], **{key: value})
+            ("line_rate_gbps", 0.0, "line rate"),
+            ("required_gsnr_db", 1e308, "required GSNR"),
+            ("required_gsnr_db", 10 ** 400, "too large to convert")]:
+        record = dict(catalog_records(catalog[:1])[0], **{key: value})
         path.write_text(json.dumps([record]))
         with pytest.raises(ScenarioError, match=message):
             load_catalog(path)
+    # a repeated config id ended a probe in a "duplicate probe" traceback
+    path.write_text(json.dumps(catalog_records(catalog[:1]) * 2))
+    with pytest.raises(ScenarioError, match="repeats DP-QPSK-31.5"):
+        load_catalog(path)
     path.write_text(json.dumps({"not": "a list"}))
     with pytest.raises(ScenarioError):
         load_catalog(path)

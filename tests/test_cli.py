@@ -1,15 +1,29 @@
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from osaas_probe.catalog import resolve_catalog
 from osaas_probe.cli import main
 
-from conftest import REPO_ROOT, make_non_monotone
+from conftest import (
+    REPO_ROOT,
+    SCENARIO_NAMES,
+    catalog_records,
+    make_huge_residual,
+    make_non_monotone,
+    shipped_data,
+)
 
 SCENARIOS = REPO_ROOT / "scenarios"
 
@@ -72,17 +86,19 @@ def test_characterize_grid_step_must_be_positive(tmp_path):
                                 "--grid-step-db", "0"], tmp_path)
     assert code == 3
     assert "Traceback" not in stderr
-    assert "--grid-step-db must be positive" in stderr
+    assert "--grid-step-db must be finite and in [0.01, 15] dB, got 0.0" in stderr
     assert not (tmp_path / "curves").exists()
 
 
-@pytest.mark.parametrize("flags", [["--degree", "-1"], ["--modem-snr-db", "-3"]])
+@pytest.mark.parametrize("flags", [["--degree", "-1"], ["--modem-snr-db", "-3"],
+                                   ["--grid-step-db", "1e-300"]])
 def test_characterize_bad_flags_are_config_errors(tmp_path, flags):
     assert run(["characterize", "--out", tmp_path] + flags) == 3
 
 
 BROKEN_CURVES = {"malformed": lambda data: {"bad": 1},
-                 "non-monotone": make_non_monotone}
+                 "non-monotone": make_non_monotone,
+                 "residual": make_huge_residual}
 
 
 @pytest.mark.parametrize("kind", sorted(BROKEN_CURVES))
@@ -185,7 +201,7 @@ def test_sweep_command(tmp_path, curves_dir):
 
 
 def test_sweep_bad_step_is_invalid_scenario(tmp_path, curves_dir):
-    for step in ("7.3", "0", "-6.25", "3.125"):
+    for step in ("7.3", "0", "-6.25", "3.125", "1e308"):
         assert run(["sweep", "--scenario", SCENARIOS / "LH-1792.json",
                     "--curves", curves_dir, "--out", tmp_path,
                     "--step-ghz", step]) == 4, step
@@ -351,7 +367,7 @@ def test_negative_isi_factor_is_invalid_scenario(tmp_path, curves_dir):
                                 curves_dir, "--out", tmp_path], tmp_path)
     assert code == 4
     assert stderr.splitlines() == [
-        "invalid scenario: ISI factor must be finite and non-negative, got -7.0"]
+        "invalid scenario: ISI factor must be finite and in [0, inf), got -7.0"]
     assert not (tmp_path / "throughput.json").exists()
 
 
@@ -362,8 +378,8 @@ def test_policy_value_out_of_range_is_invalid_scenario(tmp_path, curves_dir):
                                 curves_dir, "--out", tmp_path], tmp_path)
     assert code == 4
     assert stderr.splitlines() == [
-        "invalid scenario: policy value -1000.0 dBm/GHz must be finite and "
-        "at least -100 dBm/GHz"]
+        "invalid scenario: policy value must be finite and in [-100, 100] "
+        "dBm/GHz, got -1000.0"]
     assert not (tmp_path / "B-621-low-report.json").exists()
 
 
@@ -377,7 +393,7 @@ def test_nan_noise_sigma_is_invalid_scenario(tmp_path, curves_dir):
                                 curves_dir, "--out", tmp_path], tmp_path)
     assert code == 4
     assert stderr.splitlines() == [
-        "invalid scenario: noise sigma must be finite and non-negative"]
+        "invalid scenario: noise sigma must be finite and in [0, 1] dB, got nan"]
     assert not (tmp_path / "B-485-report.json").exists()
 
 
@@ -407,39 +423,72 @@ def _spans(key, value):
 
 @pytest.mark.parametrize("edit, message", [
     (_filters("center_offset_ghz", math.nan),
-     "filter centre offset must be finite, got nan"),
+     "filter centre offset must be finite and in [-4800, 4800] GHz, got nan"),
     (_filters("center_offset_ghz", math.inf),
-     "filter centre offset must be finite, got inf"),
+     "filter centre offset must be finite and in [-4800, 4800] GHz, got inf"),
     (_filters("order", 3.7), "filter order must be an integer, got 3.7"),
     (_filters("order", math.inf), "filter order must be an integer, got inf"),
     (_spans("amp_noise_figure_db", math.nan),
-     "amplifier noise figure must be finite and between 0 and 20 dB, got nan"),
+     "amplifier noise figure must be finite and in [0, 20] dB, got nan"),
     (_spans("amp_noise_figure_db", 1e6),
-     "amplifier noise figure must be finite and between 0 and 20 dB, got "
-     "1000000.0"),
+     "amplifier noise figure must be finite and in [0, 20] dB, got 1000000.0"),
     (_spans("amp_noise_figure_db", 1e308),
-     "amplifier noise figure must be finite and between 0 and 20 dB, got "
-     "1e+308"),
+     "amplifier noise figure must be finite and in [0, 20] dB, got 1e+308"),
     (_spans("amp_noise_figure_db", -1e308),
-     "amplifier noise figure must be finite and between 0 and 20 dB, got "
-     "-1e+308"),
+     "amplifier noise figure must be finite and in [0, 20] dB, got -1e+308"),
     (lambda s: s.update(seed=math.inf), "seed must be an integer, got inf"),
     (lambda s: s.update(seed=3.7), "seed must be an integer, got 3.7"),
     (lambda s: s["media_channel"].update(max_total_power_dbm=math.nan),
-     "malformed scenario: media channel power and PSD limits must be "
-     "finite, got nan dBm and -20.0 dBm/GHz"),
+     "malformed scenario: media channel power limit must be finite, got nan"),
     (lambda s: s["media_channel"].update(max_psd_dbm_per_ghz=math.nan),
-     "malformed scenario: media channel power and PSD limits must be "
-     "finite, got 9.0 dBm and nan dBm/GHz"),
+     "malformed scenario: media channel PSD limit must be finite, got nan"),
+    (_spans("loss_db", 1e6),
+     "span loss must be finite and in [0, 50] dB, got 1000000.0"),
+    (_spans("loss_db", 1e308),
+     "span loss must be finite and in [0, 50] dB, got 1e+308"),
+    (lambda s: s.update(noise_sigma_q_db=1e6),
+     "noise sigma must be finite and in [0, 1] dB, got 1000000.0"),
+    (lambda s: s.update(noise_sigma_q_db=1e308),
+     "noise sigma must be finite and in [0, 1] dB, got 1e+308"),
+    (_spans("nli_coeff_per_mw2", 1e308),
+     "nonlinear coefficient must be finite and in [0, 10] /mW^2, got 1e+308"),
+    (lambda s: s.update(sweep_step_ghz=1e308),
+     "sweep step must be finite and in [0.25, 100] GHz, got 1e+308"),
+    (lambda s: s.update(sweep_step_ghz=1e-300),
+     "sweep step must be finite and in [0.25, 100] GHz, got 1e-300"),
+    (_spans("loss_db", 10 ** 400),
+     "malformed scenario: int too large to convert to float"),
+    (_filters("order", 4800), "filter order must be finite and in [1, 20], got 4800"),
+    (_filters("bandwidth_3db_ghz", 1e-300),
+     "filter 3-dB bandwidth must be finite and in [0.25, inf) GHz, got 1e-300"),
+    (_filters("center_offset_ghz", 1e308),
+     "filter centre offset must be finite and in [-4800, 4800] GHz, got 1e+308"),
+    (lambda s: s.update(filter_misalignment_ghz=-1e308),
+     "filter misalignment must be finite and in [-4800, 4800] GHz, got -1e+308"),
+    (lambda s: s.update(tilt_db_per_mc=1e308),
+     "tilt must be finite and in [-100, 100] dB, got 1e+308"),
+    (lambda s: s.update(diurnal_period_h=5e-324),
+     "diurnal period must be finite and in [1, inf) h, got 5e-324"),
+    (lambda s: s["media_channel"].update(width_ghz=1e6),
+     "malformed scenario: media channel width must be finite and in (0, 4800] "
+     "GHz, got 1000000.0"),
 ], ids=["centre-nan", "centre-inf", "order-3.7", "order-inf",
         "noise-figure-nan", "noise-figure-1e6", "noise-figure-1e308",
         "noise-figure--1e308", "seed-inf", "seed-3.7", "total-power-nan",
-        "psd-nan"])
+        "psd-nan", "loss-1e6", "loss-1e308", "noise-sigma-1e6",
+        "noise-sigma-1e308", "nli-1e308", "sweep-step-1e308",
+        "sweep-step-1e-300", "loss-1e400-int", "order-4800", "bandwidth-1e-300",
+        "centre-1e308", "misalignment--1e308", "tilt-1e308",
+        "diurnal-period-5e-324", "width-1e6"])
 def test_bad_element_or_limit_is_invalid_scenario(tmp_path, curves_dir, capsys,
                                                   edit, message):
     """Each once loaded: a NaN centre read "no signal", a NaN noise figure or
     limit made up a report, order or seed 3.7 was cut to 3, and an infinite
-    order or seed or a huge noise figure ended in a traceback."""
+    order or seed, a huge noise figure, span loss, noise sigma, NLI
+    coefficient or sweep step, or an integer no float holds, ended in a
+    traceback. A tiny sweep step asked for memory without end; filter
+    values far out and a huge tilt printed numpy overflow warnings, and a
+    period of 5e-324 h ended a monitor run in a traceback."""
     scenario = json.loads((SCENARIOS / "B-485.json").read_text())
     edit(scenario)
     path = tmp_path / "bad.json"
@@ -460,11 +509,9 @@ def test_bad_element_or_limit_is_invalid_scenario(tmp_path, curves_dir, capsys,
      "error: --duration-h/--interval-h: monitor duration 48 h at interval "
      "1e-300 h asks for more than 100000 samples"),
     ("regime", "LH-5738", ["--rs-ref", "1e300"],
-     "error: --rs-ref 1e+300 GBd is above the 400 GHz media channel: no "
-     "carrier of that rate fits"),
+     "error: --rs-ref must be finite and in (0, 400] GBd, got 1e+300"),
     ("regime", "LH-5738", ["--rs-ref", "400.5"],
-     "error: --rs-ref 400.5 GBd is above the 400 GHz media channel: no "
-     "carrier of that rate fits"),
+     "error: --rs-ref must be finite and in (0, 400] GBd, got 400.5"),
 ], ids=["duration-h-1e12", "interval-h-1e-300", "rs-ref-1e300",
         "rs-ref-400.5"])
 def test_unbounded_flag_is_config_error(tmp_path, curves_dir, command, name,
@@ -488,6 +535,7 @@ def test_unbounded_flag_is_config_error(tmp_path, curves_dir, command, name,
     ("monitor", "LH-3751-monitor-summer", ["--duration-h", "nan"]),
     ("monitor", "LH-3751-monitor-summer", ["--duration-h", "-5"]),
     ("monitor", "LH-3751-monitor-summer", ["--duration-h", "inf"]),
+    ("probe", "B-485", ["--seed", "-1"]),
     ("probe", "B-485", ["--theta-db", "nan"]),
     ("probe", "B-485", ["--theta-db=-inf"]),
     ("throughput", "B-621", ["--theta-db", "nan"]),
@@ -501,3 +549,55 @@ def test_bad_flag_is_config_error(tmp_path, curves_dir, capsys, command, name,
     assert len(stderr) == 1
     assert stderr[0].startswith(f"error: {flags[0].split('=')[0]}")
     assert not out.exists()
+
+
+def _number_paths(node, path=()):
+    """The path to every number in a parsed JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _number_paths(child, path + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+# Values at and beyond every range end: zero, signs, the float extremes and
+# an integer no float holds.
+EDGE_NUMBERS = (0, -1, 1e-300, 1e6, 1e308, -1e308, 10 ** 400, math.nan,
+                math.inf, -math.inf)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_numeric_mutation_ends_in_its_exit_code(curves_dir, data):
+    """One number of a shipped scenario or of a catalog record changed to
+    any value: probe and sweep end in exit 0, 2, 3 or 4, print one stderr
+    line on failure, raise nothing, warn nothing and write no NaN or
+    Infinity. The sweep takes the narrowest configuration only, which keeps
+    a wide media channel cheap."""
+    scenario = shipped_data(data.draw(st.sampled_from(SCENARIO_NAMES)))
+    records = catalog_records(resolve_catalog(scenario["catalog"]))
+    document = data.draw(st.sampled_from([scenario, records]))
+    *parents, key = data.draw(st.sampled_from(list(_number_paths(document))))
+    for parent in parents:
+        document = document[parent]
+    document[key] = data.draw(st.one_of(st.sampled_from(EDGE_NUMBERS),
+                                        st.floats(), st.integers()))
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        (work / "scenario.json").write_text(json.dumps(scenario))
+        (work / "catalog.json").write_text(json.dumps(records))
+        for command in (["probe"], ["sweep", "--configs", "DP-QPSK-31.5"]):
+            out, stderr = work / command[0], io.StringIO()
+            with warnings.catch_warnings(), redirect_stderr(stderr), \
+                    redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                code = run(command + [
+                    "--scenario", work / "scenario.json", "--catalog",
+                    work / "catalog.json", "--curves", curves_dir, "--out", out])
+            assert code in (0, 2, 3, 4)
+            assert len(stderr.getvalue().splitlines()) == (code != 0)
+            for written in out.glob("*") if out.exists() else ():
+                text = written.read_text()
+                assert "NaN" not in text and "Infinity" not in text

@@ -23,7 +23,7 @@ from osaas_probe.modem import (
 from osaas_probe.spectrum import ModulationFormat, PltConfig
 from osaas_probe.units import q_db_from_ber
 
-from conftest import make_non_monotone
+from conftest import make_huge_residual, make_non_monotone
 
 
 def qpsk_config():
@@ -233,6 +233,7 @@ BAD_CURVE_EDITS = {
         valid_range=[d["valid_range"][0] - 0.1, d["valid_range"][1]]),
     "negative modem SNR": lambda d: d.update(snr_modem_db=-3.0),
     "non-monotone polynomial": make_non_monotone,
+    "residual above the fit gate": make_huge_residual,
 }
 
 

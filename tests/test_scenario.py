@@ -64,7 +64,7 @@ def test_sweep_step_must_divide_channel():
 
 @pytest.mark.parametrize("kind", ["constant_psd", "constant_total_power"])
 @pytest.mark.parametrize("value", [-100.01, -1000.0, float("nan"),
-                                   float("inf"), float("-inf")])
+                                   float("inf"), float("-inf"), 100.01, 1e308])
 def test_policy_value_out_of_range_rejected(kind, value):
     data = shipped_data("B-621")
     data["policy"] = {"kind": kind, "value": value}
@@ -133,8 +133,11 @@ def test_non_finite_link_field_rejected(field, value):
     (math.nan, "filter order must be an integer"),
     (math.inf, "filter order must be an integer"),
     (-math.inf, "filter order must be an integer"),
-    (0, "filter order must be >= 1"),
-    (-2.0, "filter order must be >= 1"),
+    # ids as when the message read "filter order must be >= 1"
+    pytest.param(0, r"filter order must be finite and in \[1, 20\]",
+                 id="0-filter order must be >= 1"),
+    pytest.param(-2.0, r"filter order must be finite and in \[1, 20\]",
+                 id="-2.0-filter order must be >= 1"),
 ])
 def test_bad_filter_order_rejected(order, message):
     """int() would cut 3.7 to 3 and raise OverflowError on an infinite
