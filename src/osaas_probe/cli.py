@@ -176,8 +176,14 @@ def cmd_sweep(args) -> int:
         scenario = replace(scenario, sweep_step_ghz=args.step_ghz)
         scenario.validate()
     configs = catalog
-    if args.configs:
+    if args.configs is not None:
         wanted = [c.strip() for c in args.configs.split(",") if c.strip()]
+        if not wanted:
+            raise CliError(f"--configs selects no configuration: {args.configs!r}")
+        repeated = sorted({w for w in wanted if wanted.count(w) > 1})
+        if repeated:
+            # each probe of a repeat is another transceiver reconfiguration
+            raise CliError(f"--configs repeats {', '.join(repeated)}")
         by_id = {c.config_id: c for c in catalog}
         missing = [w for w in wanted if w not in by_id]
         if missing:
@@ -212,9 +218,11 @@ def cmd_regime(args) -> int:
                     error=CliError)
     scenario, catalog, curves, line = _context(args)
     if args.rs_ref is not None:
-        # a carrier at a rate above the media-channel width never fits
-        check_range("--rs-ref", args.rs_ref, 0.0,
-                    scenario.link.media_channel.width_ghz, low_open=True,
+        # below every catalog rate no configuration is tested, and a carrier
+        # at a rate above the media-channel width never fits
+        check_range("--rs-ref", args.rs_ref,
+                    min(c.symbol_rate_gbd for c in catalog),
+                    scenario.link.media_channel.width_ghz,
                     unit="GBd", error=CliError)
     psd_ref = (args.psd_ref if args.psd_ref is not None
                else scenario.policy.value)

@@ -36,17 +36,20 @@ process and every line shares the memo: a probe that repeats a key (a
 re-probe, a what-if copy of the line, the same carrier under another
 policy) reads it back instead of drawing it again.
 
-Each line memoizes the time-independent terms of every carrier it is
-probed with, keyed on (config, policy, carrier centre): received power,
-optical SNR (ASE/NLI, filtering penalty, equalized tilt/ripple), the noise
-key without its time word and, without diurnal drift, the BER law and Q.
-The config object is the key, not its id, which omits roll-off and FEC
-threshold. A repeated carrier then costs a lookup, the diurnal term, the
-memoized draw and the Q-to-BER readout, with the float operations in the
-same order as a fresh line's, so it reads bit-identically. Rejected
-carriers and limit violations raise before anything is stored. The memo
-lives on the line: a new line, as every workflow and CLI run makes, starts
-empty.
+The time-independent terms of every carrier probed are memoized, keyed on
+(config, policy, carrier centre): received power, optical SNR (ASE/NLI,
+filtering penalty, equalized tilt/ripple), the noise key without its seed
+and time words and, without diurnal drift, the BER law and Q. The config
+object is the key, not its id, which omits roll-off and FEC threshold. A
+repeated carrier then costs a lookup, the diurnal term, the memoized draw
+and the Q-to-BER readout, with the float operations in the same order as
+a fresh line's, so it reads bit-identically. Rejected carriers and limit
+violations raise before anything is stored. The memo is shared per
+budget: every line whose seed-free budget (everything those terms are
+computed from) is equal shares one, so another seed of a route, or the
+what-if copy of a route without filters, starts warm. A line of a new
+budget starts empty, as does every line once the memo's ``cache_clear``
+has run.
 """
 
 from __future__ import annotations
@@ -363,6 +366,14 @@ def _standard_normal(key: tuple[int, ...]) -> float:
 
 
 @lru_cache(maxsize=64)
+def _carrier_memo(budget: tuple) -> dict[tuple, tuple]:
+    """The carrier memo shared by every line with this seed-free budget:
+    (config, policy, carrier centre) -> the time-independent terms of that
+    carrier's probes; see LineSystem._memoize_carrier."""
+    return {}
+
+
+@lru_cache(maxsize=64)
 def _penalty_grid(rs: float, roll_off: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Integration grid over the occupied band of one carrier shape, the RRC
     spectrum on it times the trapezoid weights, and their sum (the
@@ -430,7 +441,8 @@ class LineSystem:
 
     ``LinkSpec`` and ``ModemModel`` are frozen, so the span sums and the
     filter cascade are computed once here, and the time-independent terms
-    of each carrier once on its first probe, rather than on every probe.
+    of each carrier once on its first probe on any line of the same budget,
+    rather than on every probe.
     """
 
     def __init__(self, link: LinkSpec, modem: ModemModel | None = None):
@@ -451,9 +463,14 @@ class LineSystem:
                 float(np.mean(self._raw_profile_db(
                     np.arange(lo, lo + width + 0.125, 0.25))))
                 for lo in (lower + index * width for index in range(count)))
-        # (config, policy, carrier centre) -> the time-independent terms of
-        # that carrier's probes; see _memoize_carrier.
-        self._carriers: dict[tuple, tuple] = {}
+        # Everything _memoize_carrier reads except the seed, which only the
+        # noise draw takes, and it at probe time.
+        self._carriers = _carrier_memo((
+            link.media_channel, self._osnr_at_0dbm, self._nli_eta_per_mw2,
+            self.effective_filters, link.isi_factor, link.tilt_db_per_mc,
+            link.ripple, link.equalizer_window_ghz,
+            link.diurnal_amplitude_db != 0.0, link.noise_sigma_q_db != 0.0,
+            self.modem.snr_modem_db))
 
     @property
     def name(self) -> str:
@@ -540,9 +557,9 @@ class LineSystem:
 
     def _noise_key(self, config: PltConfig, offset_ghz: float,
                    power_dbm: float) -> tuple[int, ...]:
-        """The noise key of a realized carrier, without its time word."""
+        """The noise key of a realized carrier, without its seed and time
+        words."""
         return (
-            self.link.seed,
             zlib.crc32(config.config_id.encode()),
             to_grid_units(offset_ghz) + 2 ** 20,
             int(round((power_dbm + 200.0) * 100.0)),
@@ -552,7 +569,7 @@ class LineSystem:
                         sim_time_h: float) -> float:
         """Noise on the Q readout of a noisy line's carrier at one time."""
         return self.link.noise_sigma_q_db * _standard_normal(
-            noise_key + (int(round(sim_time_h * 3600.0)),))
+            (self.link.seed, *noise_key, int(round(sim_time_h * 3600.0))))
 
     def _memoize_carrier(self, config: PltConfig, policy: PowerPolicy,
                          carrier_center_thz: float | None) -> tuple:

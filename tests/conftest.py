@@ -7,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from osaas_probe import linesystem
 from osaas_probe.catalog import default_catalog, regional_catalog
 from osaas_probe.linesystem import LineSystem
 from osaas_probe.modem import ModemModel, characterize
@@ -20,6 +21,20 @@ SCENARIO_NAMES = sorted(path.stem for path in SCENARIOS.glob("*.json"))
 def shipped_scenario(name):
     """The scenario ``scenarios/<name>.json``, as the CLI loads it."""
     return load_scenario(SCENARIOS / f"{name}.json")
+
+
+def empty_linesystem_caches():
+    """Empty every memo of the linesystem module, as a new process has them."""
+    for value in vars(linesystem).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def cold_line(link, modem=None):
+    """A line that computes every carrier anew: the carrier memo that lines
+    of one budget share is emptied first. Lines built before keep theirs."""
+    linesystem._carrier_memo.cache_clear()
+    return LineSystem(link, modem)
 
 
 def shipped_data(name):

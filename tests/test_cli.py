@@ -509,16 +509,19 @@ def test_bad_element_or_limit_is_invalid_scenario(tmp_path, curves_dir, capsys,
      "error: --duration-h/--interval-h: monitor duration 48 h at interval "
      "1e-300 h asks for more than 100000 samples"),
     ("regime", "LH-5738", ["--rs-ref", "1e300"],
-     "error: --rs-ref must be finite and in (0, 400] GBd, got 1e+300"),
+     "error: --rs-ref must be finite and in [31.5, 400] GBd, got 1e+300"),
     ("regime", "LH-5738", ["--rs-ref", "400.5"],
-     "error: --rs-ref must be finite and in (0, 400] GBd, got 400.5"),
+     "error: --rs-ref must be finite and in [31.5, 400] GBd, got 400.5"),
+    ("regime", "LH-5738", ["--rs-ref", "10"],
+     "error: --rs-ref must be finite and in [31.5, 400] GBd, got 10.0"),
 ], ids=["duration-h-1e12", "interval-h-1e-300", "rs-ref-1e300",
-        "rs-ref-400.5"])
+        "rs-ref-400.5", "rs-ref-10"])
 def test_unbounded_flag_is_config_error(tmp_path, curves_dir, command, name,
                                         flags, message):
     """A monitor span of more than 100 000 samples used to run without end,
-    and a reference rate no carrier fits was reported as a power change;
-    each is one line and exit 3, in a fresh interpreter."""
+    a reference rate no carrier fits was reported as a power change, and
+    one below every catalog rate tested nothing and ended in exit 2; each
+    is one line and exit 3, in a fresh interpreter."""
     out = tmp_path / "out"
     code, stderr = run_process(
         [command, "--scenario", SCENARIOS / f"{name}.json", "--curves",
@@ -539,6 +542,8 @@ def test_unbounded_flag_is_config_error(tmp_path, curves_dir, command, name,
     ("probe", "B-485", ["--theta-db", "nan"]),
     ("probe", "B-485", ["--theta-db=-inf"]),
     ("throughput", "B-621", ["--theta-db", "nan"]),
+    ("sweep", "C-284-sweep", ["--configs", ","]),
+    ("sweep", "C-284-sweep", ["--configs", "DP-QPSK-31.5,DP-QPSK-31.5"]),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_bad_flag_is_config_error(tmp_path, curves_dir, capsys, command, name,
                                   flags):

@@ -27,6 +27,8 @@ from osaas_probe.probing import run_frequency_sweep
 from osaas_probe.scenario import load_scenario
 from osaas_probe.spectrum import admissible_offsets_ghz, rrc_psd, to_grid_units
 
+from conftest import cold_line
+
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 GRID_POINTS = 1601
 
@@ -193,7 +195,7 @@ def test_cold_sweep_builds_each_carrier_shape_once(curves):
     """C-284-sweep over the regional catalog: 66 integrals, one grid and
     spectrum per configuration."""
     sc = load_scenario(SCENARIOS / "C-284-sweep.json")
-    line = LineSystem(sc.link, ModemModel(26.0))
+    line = cold_line(sc.link, ModemModel(26.0))
     _penalty_cached.cache_clear()
     _penalty_grid.cache_clear()
     run_frequency_sweep(line, regional_catalog(), curves, sc.sweep_step_ghz,

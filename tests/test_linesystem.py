@@ -39,7 +39,7 @@ from osaas_probe.units import (
     q_db_from_ber,
 )
 
-from conftest import shipped_scenario
+from conftest import cold_line, shipped_scenario
 
 MC = MediaChannel(193.2, 100.0, 9.0, -20.0)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -320,7 +320,7 @@ def test_cold_sweep_integrates_each_placement_once(curves):
     """One penalty integral per distinct (symbol rate, roll-off, offset):
     the ISI-amplified penalty and the received power share it."""
     sc = load_scenario(SCENARIOS / "C-284-sweep.json")
-    line = LineSystem(sc.link, ModemModel(26.0))
+    line = cold_line(sc.link, ModemModel(26.0))
     _penalty_cached.cache_clear()
     profile = run_frequency_sweep(line, regional_catalog(), curves,
                                   sc.sweep_step_ghz, sc.policy)
@@ -366,7 +366,7 @@ def test_probe_looks_the_penalty_up_once(catalog_regional, monkeypatch):
 
     monkeypatch.setattr(linesystem, "filtering_penalty_db", counting)
     sc = shipped_scenario("B-621")
-    line = LineSystem(sc.link, ModemModel(26.0))
+    line = cold_line(sc.link, ModemModel(26.0))
     cfg = catalog_regional[0]
     reading = line.probe(cfg, sc.policy)
     assert [args[3] for args in calls] == [1.0]
@@ -389,15 +389,15 @@ def test_repeated_probe_is_a_memo_hit(catalog_regional, monkeypatch):
     monkeypatch.setattr(linesystem, "filtering_penalty_db", counting)
     sc = shipped_scenario("B-621")
     assert sc.link.noise_sigma_q_db > 0
-    line = LineSystem(sc.link, ModemModel(26.0))
+    line = cold_line(sc.link, ModemModel(26.0))
     cfg = catalog_regional[0]
     center = sc.link.media_channel.center_thz + 0.00625
     first = line.probe(cfg, sc.policy, center)
     assert len(line._carriers) == 1 and len(calls) == 1
     assert line.probe(cfg, sc.policy, center) == first
     assert len(line._carriers) == 1 and len(calls) == 1
-    assert LineSystem(sc.link, ModemModel(26.0)).probe(cfg, sc.policy,
-                                                       center) == first
+    assert cold_line(sc.link, ModemModel(26.0)).probe(cfg, sc.policy,
+                                                      center) == first
 
 
 def test_memo_keys_on_the_config_not_its_id(catalog_regional):
@@ -405,7 +405,7 @@ def test_memo_keys_on_the_config_not_its_id(catalog_regional):
     configs that share an id are distinct carriers; so are a config and
     policy that hash as another, equal in all but the enum field."""
     sc = shipped_scenario("B-621")
-    line = LineSystem(sc.link, ModemModel(26.0))
+    line = cold_line(sc.link, ModemModel(26.0))
     cfg = catalog_regional[0]
     assert cfg.format is ModulationFormat.DP_QPSK
     base = line.probe(cfg, sc.policy)
@@ -420,7 +420,7 @@ def test_memo_keys_on_the_config_not_its_id(catalog_regional):
               (other_format, sc.policy), (cfg, total_power)]
     readings = [line.probe(*args) for args in probes]
     assert len(line._carriers) == 5
-    assert readings == [LineSystem(sc.link, ModemModel(26.0)).probe(*args)
+    assert readings == [cold_line(sc.link, ModemModel(26.0)).probe(*args)
                         for args in probes]
     assert readings[0].rx_power_dbm != base.rx_power_dbm
     assert base.post_fec_ok and not readings[1].post_fec_ok
@@ -457,10 +457,10 @@ def test_diurnal_line_reuses_static_terms(catalog, monkeypatch, sigma):
     link = replace(sc.link, noise_sigma_q_db=sigma)
     cfg = {c.config_id: c for c in catalog}[sc.monitor_config_id]
     hours = [float(h) for h in range(49)]
-    fresh = [LineSystem(link, ModemModel(26.0)).probe(cfg, sc.policy, None, h)
+    fresh = [cold_line(link, ModemModel(26.0)).probe(cfg, sc.policy, None, h)
              for h in hours]
     monkeypatch.setattr(linesystem, "filtering_penalty_db", counting)
-    line = LineSystem(link, ModemModel(26.0))
+    line = cold_line(link, ModemModel(26.0))
     assert [line.probe(cfg, sc.policy, None, h) for h in hours] == fresh
     assert len(line._carriers) == 1 and len(calls) == 1
     assert len({r.pre_fec_ber for r in fresh}) > 10
