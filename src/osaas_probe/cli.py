@@ -31,6 +31,7 @@ from .errors import (
 from .linesystem import LineSystem
 from .modem import (
     DEFAULT_FIT_DEGREE,
+    FIT_DEGREE_RANGE,
     GRID_STEP_DB,
     GRID_STEP_RANGE_DB,
     ModemModel,
@@ -135,7 +136,7 @@ def cmd_characterize(args) -> int:
         modem = ModemModel(args.modem_snr_db)
     except ValueError as exc:
         raise CliError(f"--modem-snr-db: {exc}")
-    check_range("--degree", args.degree, 1, error=CliError)
+    check_range("--degree", args.degree, *FIT_DEGREE_RANGE, error=CliError)
     check_range("--grid-step-db", args.grid_step_db, *GRID_STEP_RANGE_DB,
                 unit="dB", error=CliError)
     out = Path(args.out)
@@ -248,9 +249,14 @@ def cmd_throughput(args) -> int:
     if not args.scenario:
         raise CliError("--scenario is required (repeatable) for throughput")
     check_range("--theta-db", args.theta_db, error=CliError)
+    contexts = [_context(args, path) for path in args.scenario]
+    names = [scenario.link.name for scenario, *_ in contexts]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        # each probe of a repeat is another transceiver reconfiguration
+        raise CliError(f"--scenario repeats route {', '.join(repeated)}")
     entries = []
-    for path in args.scenario:
-        scenario, catalog, curves, line = _context(args, path)
+    for scenario, catalog, curves, line in contexts:
         name = scenario.link.name
         by_id = {c.config_id: c for c in catalog}
         rates = []

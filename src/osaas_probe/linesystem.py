@@ -61,8 +61,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 
-import numpy as np
-
 from .errors import check_range
 from .modem import ModemModel, ber_from_snr
 from .spectrum import (
@@ -266,6 +264,8 @@ class FilterCascade(tuple):
         Rows with an order above 1 come first, so Dekker's correction runs
         on one leading slice; an order-1 row is the plain square.
         """
+        import numpy as np
+
         counts = Counter(self)
         rows = sorted(counts, key=lambda filt: filt.order == 1)
         corrected = tuple(filt.order for filt in rows if filt.order > 1)
@@ -298,6 +298,8 @@ def filter_transfer(filters: tuple[FilterElement, ...], f: np.ndarray) -> np.nda
     puts it back. Only the squaring chain runs per row, as orders differ.
     The rows are summed in cascade order.
     """
+    import numpy as np
+
     if not isinstance(filters, FilterCascade):
         filters = FilterCascade(filters)
     centers, halves, counts, weights, orders, sum_rows = filters._columns
@@ -360,6 +362,8 @@ def _key_words(key: tuple[int, ...]) -> list[int]:
 def _standard_normal(key: tuple[int, ...]) -> float:
     """``default_rng(SeedSequence(key)).standard_normal()``, seeded from
     the key's words as one array."""
+    import numpy as np
+
     words = np.array(_key_words(key), dtype=np.uint32)
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(words))).standard_normal()
@@ -379,6 +383,8 @@ def _penalty_grid(rs: float, roll_off: float) -> tuple[np.ndarray, np.ndarray, f
     spectrum on it times the trapezoid weights, and their sum (the
     spectrum's integral). Read-only: every placement of the shape shares
     them."""
+    import numpy as np
+
     edge = (1.0 + roll_off) * rs / 2.0
     f = np.linspace(-edge, edge, _PENALTY_GRID_POINTS)
     weights = np.full_like(f, f[1] - f[0])
@@ -398,7 +404,7 @@ def _penalty_cached(filters: tuple[FilterElement, ...], rs: float,
         return 0.0
     f, weighted_shape, reference = _penalty_grid(rs, roll_off)
     transfer = filter_transfer(filters, f + offset_units * 0.25)
-    passed = float(np.dot(weighted_shape, transfer))
+    passed = float(weighted_shape.dot(transfer))
     if passed <= 0.0:
         return math.inf
     return -10.0 * math.log10(passed / reference)
@@ -451,12 +457,17 @@ class LineSystem:
         self.effective_filters = _effective_filters(link)
         self._osnr_at_0dbm = cascade_osnr_at_0dbm(link.spans)
         self._nli_eta_per_mw2 = nli_eta_per_mw2(link.spans)
-        self._ripple = (tuple(np.array(axis) for axis in zip(*sorted(link.ripple)))
-                        if link.ripple else None)
+        self._ripple = None
+        if link.ripple:
+            import numpy as np
+
+            self._ripple = tuple(np.array(axis) for axis in zip(*sorted(link.ripple)))
         # Mean raw profile of each equalizer window, lowest window first.
         width = link.equalizer_window_ghz
         self._window_means: tuple[float, ...] = ()
         if width is not None:
+            import numpy as np
+
             lower = link.media_channel.lower_edge_ghz
             count = int(round(link.media_channel.width_ghz / width))
             self._window_means = tuple(
@@ -487,6 +498,8 @@ class LineSystem:
         tilt = (self.link.tilt_db_per_mc * f_offset_ghz
                 / self.link.media_channel.width_ghz)
         if self._ripple is not None:
+            import numpy as np
+
             tilt = tilt + np.interp(f_offset_ghz, *self._ripple)
         return tilt
 

@@ -6,6 +6,11 @@ monitoring over time with the slot-narrowing upgrade it reveals.
 Everything here drives a line exclusively through its black-box probe surface
 (:meth:`LineSystem.probe` or anything with the same signature) plus published
 channel metadata. Ground-truth oracles of the simulator are off limits.
+
+The analytics are closed-form float arithmetic in a fixed order (the
+vertex of a parabola through three points, a least-squares line and a mean
+over ``math.fsum`` sums), so their results do not depend on the platform's
+BLAS, and this module does not import numpy.
 """
 
 from __future__ import annotations
@@ -13,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-
-import numpy as np
 
 from .errors import (
     CarrierRejectedError,
@@ -229,7 +232,7 @@ def estimate_link_gsnr(campaign: ProbeCampaign, cap_gbd: float) -> float:
                 if campaign.configs[r.config_id].symbol_rate_gbd <= cap_gbd + 1e-9]
     if not included:
         raise NoSignalError("no working result at or below the symbol rate cap")
-    return float(np.mean(included))
+    return math.fsum(included) / len(included)
 
 
 def estimate_spread_db(campaign: ProbeCampaign, cap_gbd: float) -> float:
@@ -358,16 +361,40 @@ def _working_points(profile: GsnrProfile, config_id: str) -> list[tuple[float, f
             if value is not None]
 
 
+def _parabola_vertex(points) -> float | None:
+    """Abscissa of the vertex of the parabola through three points of
+    distinct abscissae, or None when its leading coefficient is below 1e-12
+    in magnitude. In Newton form, y0 + s01 (x - x0) + a (x - x0)(x - x1),
+    the slope vanishes at (x0 + x1) / 2 - s01 / (2 a)."""
+    (x0, y0), (x1, y1), (x2, y2) = points
+    s01 = (y1 - y0) / (x1 - x0)
+    a = ((y2 - y1) / (x2 - x1) - s01) / (x2 - x0)
+    if abs(a) < 1e-12:
+        return None
+    return (x0 + x1) / 2.0 - s01 / (2.0 * a)
+
+
+def _line_fit(xs, ys) -> tuple[float, float]:
+    """Slope and intercept of the least-squares line through (xs, ys), in
+    closed form over math.fsum sums of the centred values."""
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    dxs = [x - x_mean for x in xs]
+    slope = (math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys))
+             / math.fsum(dx * dx for dx in dxs))
+    return slope, y_mean - slope * x_mean
+
+
 def detect_misalignment(profile: GsnrProfile) -> tuple[float, bool]:
     """Estimate the cascade center offset from the narrowest configuration.
 
-    Fits a parabola through the three best GSNR points of the configuration
-    with the smallest occupied bandwidth and reports the vertex offset from
-    the nominal channel center, rounded to 0.1 GHz. Returns (offset_ghz,
-    indeterminate). The profile must fall off at both ends of the channel:
-    unless its first and last sweep points are each an outage or at least
-    MISALIGNMENT_EDGE_DROP_DB below its peak, no filter edge was seen and
-    the result is indeterminate.
+    Takes the parabola through the three best GSNR points of the
+    configuration with the smallest occupied bandwidth and reports its
+    vertex offset from the nominal channel center, rounded to 0.1 GHz.
+    Returns (offset_ghz, indeterminate). The profile must fall off at both
+    ends of the channel: unless its first and last sweep points are each an
+    outage or at least MISALIGNMENT_EDGE_DROP_DB below its peak, no filter
+    edge was seen and the result is indeterminate.
     """
     usable = [cid for cid in profile.points
               if len(_working_points(profile, cid)) >= 3]
@@ -383,13 +410,10 @@ def detect_misalignment(profile: GsnrProfile) -> tuple[float, bool]:
         return 0.0, True
     top = sorted(points, key=lambda p: p[1], reverse=True)[:3]
     top.sort()
-    xs = np.array([(freq - profile.media_channel.center_thz) * 1000.0
-                   for freq, _ in top])
-    ys = np.array([v for _, v in top])
-    a, b, _ = np.polyfit(xs, ys, 2)
-    if abs(a) < 1e-12:
+    center = profile.media_channel.center_thz
+    vertex = _parabola_vertex([((freq - center) * 1000.0, v) for freq, v in top])
+    if vertex is None:
         return 0.0, True
-    vertex = -b / (2.0 * a)
     if abs(vertex) > profile.media_channel.width_ghz / 2.0:
         # Monotone or tilt-dominated profile; the vertex extrapolates outside
         # the slot and carries no alignment information.
@@ -409,13 +433,12 @@ def profile_tilt_ripple(profile: GsnrProfile, config_id: str) -> tuple[float, fl
     if len(points) < 4:
         raise InsufficientDataError(
             f"{config_id}: {len(points)} working points, need at least 4")
-    xs = np.array([(freq - profile.media_channel.center_thz) * 1000.0
-                   for freq, _ in points])
-    ys = np.array([v for _, v in points])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    residuals = ys - (slope * xs + intercept)
-    tilt = abs(slope) * profile.media_channel.width_ghz
-    return float(tilt), float(np.max(np.abs(residuals)))
+    center = profile.media_channel.center_thz
+    xs = [(freq - center) * 1000.0 for freq, _ in points]
+    ys = [v for _, v in points]
+    slope, intercept = _line_fit(xs, ys)
+    ripple = max(abs(y - (slope * x + intercept)) for x, y in zip(xs, ys))
+    return abs(slope) * profile.media_channel.width_ghz, ripple
 
 
 def sweep_diagnostics(profile: GsnrProfile) -> tuple[

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-import numpy as np
-
 from .errors import CarrierRejectedError, LimitViolationError, SpectrumError, check_range
 
 C_BAND_MIN_THZ = 191.0
@@ -222,6 +220,8 @@ def rrc_psd(rs: float, roll_off: float, f: np.ndarray) -> np.ndarray:
     root-raised-cosine pulse shaping) of a carrier at ``rs`` GBd, normalized
     to unit total power. Zero outside the occupied band.
     """
+    import numpy as np
+
     flat = (1.0 - roll_off) * rs / 2.0
     edge = (1.0 + roll_off) * rs / 2.0
     af = np.abs(f)

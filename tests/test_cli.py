@@ -91,9 +91,15 @@ def test_characterize_grid_step_must_be_positive(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--degree", "-1"], ["--modem-snr-db", "-3"],
-                                   ["--grid-step-db", "1e-300"]])
-def test_characterize_bad_flags_are_config_errors(tmp_path, flags):
-    assert run(["characterize", "--out", tmp_path] + flags) == 3
+                                   ["--grid-step-db", "1e-300"], ["--degree", "13"]])
+def test_characterize_bad_flags_are_config_errors(tmp_path, capsys, flags):
+    """Each is exit 3 with one line. A degree above 12 used to fit (at 20
+    with numpy RankWarnings on stderr); the exact fit's cost grows fast
+    with the degree."""
+    assert run(["characterize", "--out", tmp_path / "curves"] + flags) == 3
+    stderr = capsys.readouterr().err.splitlines()
+    assert len(stderr) == 1 and stderr[0].startswith(f"error: {flags[0]}")
+    assert not (tmp_path / "curves").exists()
 
 
 BROKEN_CURVES = {"malformed": lambda data: {"bad": 1},
@@ -544,6 +550,8 @@ def test_unbounded_flag_is_config_error(tmp_path, curves_dir, command, name,
     ("throughput", "B-621", ["--theta-db", "nan"]),
     ("sweep", "C-284-sweep", ["--configs", ","]),
     ("sweep", "C-284-sweep", ["--configs", "DP-QPSK-31.5,DP-QPSK-31.5"]),
+    pytest.param("throughput", "B-621", ["--scenario", SCENARIOS / "B-621.json"],
+                 id="throughput-B-621---scenario B-621"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_bad_flag_is_config_error(tmp_path, curves_dir, capsys, command, name,
                                   flags):

@@ -1,8 +1,10 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import erfc
 
 from osaas_probe.catalog import regional_catalog
@@ -17,6 +19,8 @@ from osaas_probe.modem import (
     fit_characterization,
     generate_char_points,
     gsnr_from_q,
+    _gate_values,
+    _least_squares,
     load_curve,
     save_curve,
 )
@@ -237,17 +241,75 @@ BAD_CURVE_EDITS = {
 }
 
 
+def _numpy_gate_values(coefficients, lo, hi):
+    sample = np.arange(lo, hi + MONOTONICITY_STEP_DB / 2, MONOTONICITY_STEP_DB)
+    return np.polynomial.polynomial.polyval(sample, coefficients)
+
+
 def test_monotonicity_gate_matches_numpy_polynomial(catalog, curves, modem):
-    """The gate evaluates its curve with numpy.polyval, which runs the same
-    Horner recurrence as numpy.polynomial's polyval: equal to the last bit
-    over every default and regional curve."""
+    """The gate's plain-Python sample points and values are np.arange's
+    points under numpy.polynomial's polyval: equal to the last bit over
+    every default and regional curve."""
     regional = [characterize(modem, cfg) for cfg in regional_catalog()]
     for curve in list(curves.values()) + regional:
-        lo, hi = curve.valid_range
-        sample = np.arange(lo, hi + MONOTONICITY_STEP_DB / 2, MONOTONICITY_STEP_DB)
-        reference = np.polynomial.polynomial.polyval(sample, curve.coefficients)
-        assert np.array_equal(np.polyval(curve.coefficients[::-1], sample),
-                              reference)
+        values = np.array(_gate_values(curve.coefficients, *curve.valid_range))
+        reference = _numpy_gate_values(curve.coefficients, *curve.valid_range)
+        assert values.tobytes() == reference.tobytes()
+    assert len(curves) + len(regional) == 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-50.0, 50.0), span=st.floats(1e-3, 30.0),
+       coefficients=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=13))
+@example(lo=-0.00999, span=0.5, coefficients=[1.0, 2.0])
+@example(lo=5e-324, span=0.02, coefficients=[0.0, 1.0, -0.5, 0.25, 1e-3])
+def test_gate_values_match_numpy_on_any_range_and_degree(lo, span, coefficients):
+    """Ranges of either sign, down to lo within a step of zero, where the
+    step's rounding differs most between lo + step and lo + 1 * d, and
+    every degree the gate may meet; a zero's sign aside, the values are
+    numpy's."""
+    hi = lo + span
+    assert (_gate_values(coefficients, lo, hi)
+            == _numpy_gate_values(coefficients, lo, hi).tolist())
+
+
+def _normal_equation_fit(gs, qs, degree):
+    """The least-squares coefficients, ascending: the normal equations
+    solved by Gauss-Jordan elimination in Fractions, each solution rounded
+    once by float()."""
+    size = degree + 1
+    g = [Fraction(v) for v in gs]
+    q = [Fraction(v) for v in qs]
+    rows = [[sum(x ** (j + k) for x in g) for k in range(size)]
+            + [sum(x ** j * y for x, y in zip(g, q))] for j in range(size)]
+    for k in range(size):
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for i in range(size):
+            if i != k:
+                rows[i] = [a - rows[i][k] * b for a, b in zip(rows[i], rows[k])]
+    return tuple(float(row[-1]) for row in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(1, 4), data=st.data())
+def test_fit_is_the_exact_least_squares_solution_rounded_once(degree, data):
+    ticks = data.draw(st.lists(st.integers(-40_000, 40_000), min_size=degree + 2,
+                               max_size=16, unique=True))
+    gs = [t / 1000.0 for t in sorted(ticks)]
+    qs = sorted(data.draw(st.lists(st.floats(-60.0, 60.0), min_size=len(gs),
+                                   max_size=len(gs), unique=True)))
+    assert _least_squares(gs, qs, degree) == _normal_equation_fit(gs, qs, degree)
+
+
+def test_fit_matches_numpy_polyfit(curves, modem):
+    """On the 20 default and regional curves the exact fit is within 1e-9
+    of LAPACK's least squares."""
+    regional = [characterize(modem, cfg) for cfg in regional_catalog()]
+    for curve in list(curves.values()) + regional:
+        gs, qs = zip(*curve.points)
+        reference = np.polynomial.polynomial.polyfit(gs, qs, 3)
+        for c, r in zip(curve.coefficients, reference, strict=True):
+            assert abs(c - r) <= 1e-9 * max(1.0, abs(r)), curve.config_id
     assert len(curves) + len(regional) == 20
 
 

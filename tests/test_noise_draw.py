@@ -319,19 +319,26 @@ def test_workflow_order_never_matters(curves, name, seeds, order):
         assert run_workflow(workflow, alone, sc, catalog, curves) == report
 
 
-def loaded_after(tmp_path, command, module):
-    """Whether a fresh interpreter has ``module`` loaded after running the
-    CLI ``command`` on freshly characterized curves."""
-    curves = tmp_path / "curves"
-    assert main(["characterize", "--out", str(curves)]) == 0
-    argv = command + ["--curves", str(curves), "--out", str(tmp_path)]
-    code = ("import sys\n"
-            "from osaas_probe.cli import main\n"
-            f"assert main({argv!r}) == 0\n"
-            f"print({module!r} in sys.modules)\n")
+def loaded_after(tmp_path, command, module, code=0):
+    """Whether a fresh interpreter has ``module`` loaded after the CLI
+    ``command`` ended in exit ``code``: a command with --scenario runs on
+    freshly characterized curves, and None only imports the CLI."""
+    argv = list(command or ())
+    if "--scenario" in argv:
+        curves = tmp_path / "curves"
+        assert main(["characterize", "--out", str(curves)]) == 0
+        argv += ["--curves", str(curves), "--out", str(tmp_path / "out")]
+    script = "import sys\nfrom osaas_probe.cli import main\n"
+    if command is not None:
+        script += ("try:\n"
+                   f"    code = main({argv!r})\n"
+                   "except SystemExit as exit:\n"
+                   "    code = exit.code\n"
+                   f"assert code == {code!r}, code\n")
+    script += f"print({module!r} in sys.modules)\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120,
                           check=True)
     return proc.stdout.splitlines()[-1] == "True"
@@ -347,8 +354,37 @@ def test_noiseless_monitor_does_not_import_numpy_random(tmp_path):
 
 
 def test_probe_does_not_import_numpy_polynomial(tmp_path):
-    """Loading curves checks their monotonicity with numpy.polyval, so only
-    characterize, which fits, loads numpy.polynomial."""
+    """The curve fit and its gates are plain Python, so no command loads
+    numpy.polynomial; probe, which loads numpy for its penalty integrals,
+    must not pull it in either."""
     scenario = REPO_ROOT / "scenarios" / "B-485.json"
     assert not loaded_after(tmp_path, ["probe", "--scenario", str(scenario)],
                             "numpy.polynomial")
+
+
+def _scenario(name):
+    return str(REPO_ROOT / "scenarios" / f"{name}.json")
+
+
+@pytest.mark.parametrize("command, code", [
+    (None, 0),
+    (["--help"], 0),
+    (["characterize", "--out", "curves"], 0),
+    (["monitor", "--scenario", _scenario("LH-3751-monitor-summer")], 0),
+    (["characterize", "--degree", "13"], 3),
+    (["throughput", "--scenario", _scenario("B-621"),
+      "--scenario", _scenario("B-621")], 3),
+    (["probe", "--scenario", "missing.json"], 4),
+], ids=["import", "help", "characterize", "monitor-LH-3751", "bad-degree",
+        "repeated-route", "missing-scenario"])
+def test_start_does_not_import_numpy(tmp_path, command, code):
+    """Importing the CLI, --help, input errors, characterize and a monitor
+    of a noiseless line without filters or ripple never build an array, so
+    they never load numpy."""
+    assert not loaded_after(tmp_path, command, "numpy", code)
+
+
+def test_probe_loads_numpy(tmp_path):
+    """B-485's filters need the penalty integral, which loads numpy."""
+    assert loaded_after(tmp_path, ["probe", "--scenario", _scenario("B-485")],
+                        "numpy")

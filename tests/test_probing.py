@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from osaas_probe.catalog import default_catalog, regional_catalog, resolve_catalog
 from osaas_probe.errors import InsufficientDataError, NoSignalError
@@ -20,6 +21,8 @@ from osaas_probe.probing import (
     ProbeStatus,
     Regime,
     VerificationFlag,
+    _line_fit,
+    _parabola_vertex,
     check_monitor_span,
     compute_margins,
     compute_penalties,
@@ -441,6 +444,36 @@ def test_profile_tilt_ripple_constructed_line():
     with pytest.raises(InsufficientDataError):
         profile_tilt_ripple(
             synthetic_profile({cfg.config_id: pts[:3]}, [cfg], width), cfg.config_id)
+
+
+def sweep_offsets(min_size, max_size):
+    """Distinct carrier offsets on the 0.25 GHz grid, ascending, in GHz."""
+    return st.lists(st.integers(-800, 800), min_size=min_size,
+                    max_size=max_size, unique=True).map(
+        lambda ticks: [t * 0.25 for t in sorted(ticks)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=sweep_offsets(3, 3),
+       ys=st.lists(st.floats(0.0, 30.0), min_size=3, max_size=3))
+def test_parabola_vertex_matches_numpy_polyfit(xs, ys):
+    a, b, _ = np.polyfit(xs, ys, 2)
+    assume(abs(a) > 1e-6)
+    assert math.isclose(_parabola_vertex(list(zip(xs, ys))), -b / (2.0 * a),
+                        rel_tol=1e-9, abs_tol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_line_fit_matches_numpy_polyfit(data):
+    xs = data.draw(sweep_offsets(4, 65))
+    ys = data.draw(st.lists(st.floats(0.0, 30.0), min_size=len(xs),
+                            max_size=len(xs)))
+    slope, intercept = _line_fit(xs, ys)
+    reference_slope, reference_intercept = np.polyfit(xs, ys, 1)
+    assert math.isclose(slope, reference_slope, rel_tol=1e-9, abs_tol=1e-12)
+    assert math.isclose(intercept, reference_intercept, rel_tol=1e-9,
+                        abs_tol=1e-9)
 
 
 def test_regime_eta_zero_all_linear(lh_line_and_curves):
