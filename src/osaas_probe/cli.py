@@ -36,9 +36,9 @@ from .modem import (
     GRID_STEP_RANGE_DB,
     ModemModel,
     characterize,
+    curve_to_dict,
     default_gsnr_grid,
     load_curve,
-    save_curve,
 )
 from .probing import (
     DEFAULT_CAP_THETA_DB,
@@ -49,6 +49,7 @@ from .probing import (
     run_monitor,
     run_probe_workflow,
     sweep_diagnostics,
+    what_if_line_rates,
 )
 from .reports import (
     WHAT_IF_CAVEAT,
@@ -92,23 +93,27 @@ def _resolve_seed(args, scenario: Scenario) -> int:
     return check_range("--seed or OSAAS_PROBE_SEED", seed, 0, error=CliError)
 
 
-def _load_curves(curves_dir: Path, catalog) -> dict:
-    curves = {}
+def _load_curves(curves_dir: Path, catalog, loaded: dict) -> dict:
+    """The curve of each catalog configuration. ``loaded`` holds the curves
+    this command has read so far, so each file is read and gated once."""
     for config in catalog:
+        if config.config_id in loaded:
+            continue
         path = curves_dir / f"{config.config_id}.json"
         if not path.exists():
             raise CliError(
                 f"no characterization curve for {config.config_id} in "
                 f"{curves_dir}; run 'osaas-probe characterize' first")
         try:
-            curves[config.config_id] = load_curve(path)
+            loaded[config.config_id] = load_curve(path)
         except FitRejectedError as exc:
             raise CliError(f"bad characterization curve {path}: {exc}")
-    return curves
+    return {config.config_id: loaded[config.config_id] for config in catalog}
 
 
-def _context(args, path=None):
-    """Seeded scenario, catalog, curves and line for ``path`` or --scenario."""
+def _context(args, path=None, loaded=None):
+    """Seeded scenario, catalog, curves and line for ``path`` or --scenario;
+    ``loaded`` is as in :func:`_load_curves`."""
     path = path or args.scenario
     if not path:
         raise CliError("--scenario is required for this command")
@@ -118,7 +123,8 @@ def _context(args, path=None):
         catalog = resolve_catalog(args.catalog or scenario.catalog)
     except ScenarioError as exc:
         raise CliError(str(exc))
-    curves = _load_curves(Path(args.curves), catalog)
+    curves = _load_curves(Path(args.curves), catalog,
+                          {} if loaded is None else loaded)
     modems = {curve.snr_modem_db for curve in curves.values()}
     if len(modems) > 1:
         raise CliError("characterization curves mix different modem models")
@@ -148,9 +154,7 @@ def cmd_characterize(args) -> int:
             print(f"characterization failed for {config.config_id}: {exc}",
                   file=sys.stderr)
             return EXIT_CONFIG
-        path = out / f"{config.config_id}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_curve(curve, path)
+        write_report(out / f"{config.config_id}.json", curve_to_dict(curve))
     print(f"wrote {len(catalog)} characterization curves to {out}")
     return EXIT_OK
 
@@ -249,7 +253,8 @@ def cmd_throughput(args) -> int:
     if not args.scenario:
         raise CliError("--scenario is required (repeatable) for throughput")
     check_range("--theta-db", args.theta_db, error=CliError)
-    contexts = [_context(args, path) for path in args.scenario]
+    loaded = {}
+    contexts = [_context(args, path, loaded) for path in args.scenario]
     names = [scenario.link.name for scenario, *_ in contexts]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
@@ -258,14 +263,9 @@ def cmd_throughput(args) -> int:
     entries = []
     for scenario, catalog, curves, line in contexts:
         name = scenario.link.name
-        by_id = {c.config_id: c for c in catalog}
-        rates = []
         try:
-            for probed in (line, line.without_filters()):
-                report = run_probe_workflow(probed, catalog, curves,
-                                            scenario.policy, args.theta_db)
-                rates.append(by_id[report.best_config].line_rate_gbps
-                             if report.best_config else 0.0)
+            rates = what_if_line_rates(line, catalog, curves, scenario.policy,
+                                       args.theta_db)
         except NoSignalError as exc:
             entries.append(throughput_no_signal_entry(name, str(exc)))
             print(f"{name}: no signal: {exc}", file=sys.stderr)

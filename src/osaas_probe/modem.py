@@ -428,13 +428,6 @@ def curve_from_dict(data: dict) -> CharacterizationCurve:
     )
 
 
-def save_curve(curve: CharacterizationCurve, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(curve_to_dict(curve), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
 def load_curve(path: str | Path) -> CharacterizationCurve:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))

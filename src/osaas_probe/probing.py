@@ -1,7 +1,7 @@
 """Probing algorithms: extended symbol-rate-variable probing, penalties and
 symbol-rate cap, link GSNR estimation, margins and configuration selection,
-frequency sweeps with profile analytics, operation-regime detection, and
-monitoring over time with the slot-narrowing upgrade it reveals.
+the throughput what-if, frequency sweeps with profile analytics, regime
+detection, and monitoring over time with the slot-narrowing upgrade it reveals.
 
 Everything here drives a line exclusively through its black-box probe surface
 (:meth:`LineSystem.probe` or anything with the same signature) plus published
@@ -324,6 +324,20 @@ def run_probe_workflow(line, catalog: tuple[PltConfig, ...],
         estimate_spread_db=estimate_spread_db(campaign, cap),
         campaign=campaign,
     )
+
+
+def what_if_line_rates(line, catalog: tuple[PltConfig, ...],
+                       curves: dict[str, CharacterizationCurve],
+                       policy: PowerPolicy,
+                       theta_db: float = DEFAULT_CAP_THETA_DB) -> tuple[float, float]:
+    """(achievable, potential): the line rate of the best configuration on
+    ``line`` and on its filter-free copy, 0.0 where no margin is positive.
+    NoSignalError propagates. A simulator-assisted what-if."""
+    def best_rate(probed) -> float:
+        report = run_probe_workflow(probed, catalog, curves, policy, theta_db)
+        best = report.best_config
+        return report.campaign.configs[best].line_rate_gbps if best else 0.0
+    return best_rate(line), best_rate(line.without_filters())
 
 
 def run_frequency_sweep(line, configs: tuple[PltConfig, ...],

@@ -27,8 +27,10 @@ from osaas_probe.probing import (
     profile_tilt_ripple,
     run_extended_probe,
     run_frequency_sweep,
+    run_monitor,
     run_probe_workflow,
     verify_margin_accuracy,
+    what_if_line_rates,
 )
 from osaas_probe.spectrum import (
     C_BAND_WIDTH_GHZ,
@@ -298,14 +300,9 @@ def test_criterion_11_operation_regime(catalog, curves):
 def test_criterion_12_throughput_gain(curves):
     gains = {}
     for name in ("B-485", "B-621", "B-822", "B-1182", "B-1302"):
-        scenario = shipped_scenario(name)
-        catalog = resolve_catalog(scenario.catalog)
-        by_id = {c.config_id: c for c in catalog}
-        line = line_for(name)
-        rep = run_probe_workflow(line, catalog, curves, POLICY)
-        achievable = by_id[rep.best_config].line_rate_gbps if rep.best_config else 0.0
-        rep2 = run_probe_workflow(line.without_filters(), catalog, curves, POLICY)
-        potential = by_id[rep2.best_config].line_rate_gbps if rep2.best_config else 0.0
+        catalog = resolve_catalog(shipped_scenario(name).catalog)
+        achievable, potential = what_if_line_rates(line_for(name), catalog,
+                                                   curves, POLICY)
         assert potential >= achievable
         gains[name] = 100.0 * (potential - achievable) / achievable
         # 40-channel extrapolation is exact arithmetic
@@ -322,9 +319,8 @@ def test_criterion_13_monitoring(catalog, curves):
         line = line_for(name)
         config = next(c for c in catalog
                       if c.config_id == scenario.monitor_config_id)
-        series = [probe_once(line, config, curves[config.config_id],
-                             scenario.policy, None, float(h)).gsnr_est_db
-                  for h in range(49)]
+        series = [v for _, v in run_monitor(line, config, curves[config.config_id],
+                                            scenario.policy, 48.0, 1.0)]
         swing = max(series) - min(series)
         assert abs(swing - amplitude) <= 0.1, name
     # the capacity arithmetic of a slot-narrowing upgrade is exact

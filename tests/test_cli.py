@@ -250,6 +250,24 @@ def test_throughput_command(tmp_path, curves_dir):
     assert "what-if" in report["note"]
 
 
+
+def test_throughput_reads_each_curve_file_once(tmp_path, curves_dir,
+                                               monkeypatch):
+    """B-621 and B-1302 share the 9 curves of the regional catalog: each
+    file is read and gated once per command, not once per route."""
+    from osaas_probe import modem
+    checks = [0]
+    check_fit = modem._check_fit
+
+    def counting(*args):
+        checks[0] += 1
+        return check_fit(*args)
+    monkeypatch.setattr(modem, "_check_fit", counting)
+    assert run(["throughput", "--scenario", SCENARIOS / "B-621.json",
+                "--scenario", SCENARIOS / "B-1302.json",
+                "--curves", curves_dir, "--out", tmp_path]) == 0
+    assert checks[0] == 9
+
 def test_monitor_command(tmp_path, curves_dir):
     out = tmp_path / "out"
     assert run(["monitor", "--scenario",

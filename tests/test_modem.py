@@ -22,8 +22,8 @@ from osaas_probe.modem import (
     _gate_values,
     _least_squares,
     load_curve,
-    save_curve,
 )
+from osaas_probe.reports import write_report
 from osaas_probe.spectrum import ModulationFormat, PltConfig
 from osaas_probe.units import q_db_from_ber
 
@@ -204,7 +204,7 @@ def test_curve_slope_bounded_for_stable_inversion(curves):
 def test_curve_persistence(tmp_path, curves):
     curve = curves["DP-16QAM-52"]
     path = tmp_path / "curve.json"
-    save_curve(curve, path)
+    write_report(path, curve_to_dict(curve))
     loaded = load_curve(path)
     assert loaded.config_id == curve.config_id
     assert loaded.valid_range == pytest.approx(curve.valid_range)

@@ -37,6 +37,7 @@ from osaas_probe.probing import (
     run_probe_workflow,
     select_best_config,
     verify_margin_accuracy,
+    what_if_line_rates,
 )
 from osaas_probe.spectrum import (
     MediaChannel,
@@ -298,6 +299,47 @@ def test_verify_margin_accuracy_flags(lh_line_and_curves):
     assert bound == pytest.approx(0.32)
     assert flag is VerificationFlag.FALSE_PREDICTIONS
 
+
+
+def test_what_if_equals_achievable_without_filters(lh_line_and_curves):
+    """LH-1016 has no filters and no DCG spans: its what-if copy is itself."""
+    line, catalog, curves = lh_line_and_curves
+    achievable, potential = what_if_line_rates(line, catalog, curves, POLICY)
+    assert achievable > 0.0
+    assert achievable == potential
+
+
+def test_what_if_line_rates_of_b1302(curves, make_line):
+    sc = shipped_scenario("B-1302")
+    rates = what_if_line_rates(make_line("B-1302", seed=123),
+                               resolve_catalog(sc.catalog), curves, sc.policy)
+    assert rates == (200.0, 300.0)
+
+
+def test_what_if_without_working_probe_raises(curves, modem):
+    link = shipped_scenario("B-621").link
+    dead = replace(link, spans=tuple(replace(s, loss_db=30.0)
+                                     for s in link.spans))
+    with pytest.raises(NoSignalError):
+        what_if_line_rates(LineSystem(dead, modem), regional_catalog(), curves,
+                           POLICY)
+
+
+def test_quick_start_what_if_issues_42_probes(curves, make_line, monkeypatch):
+    """Both quick-start throughput routes: each probe workflow on the line and
+    on its filter-free copy, 42 probes in all."""
+    count = [0]
+    probe = LineSystem.probe
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        return probe(self, *args, **kwargs)
+    monkeypatch.setattr(LineSystem, "probe", counting)
+    for name in ("B-621", "B-1302"):
+        sc = shipped_scenario(name)
+        what_if_line_rates(make_line(name), resolve_catalog(sc.catalog), curves,
+                           sc.policy)
+    assert count[0] == 42
 
 def test_sweep_profile_shape_and_symmetry(lh_line_and_curves):
     noisy, catalog, curves = lh_line_and_curves
