@@ -7,8 +7,8 @@ walks the carrier across the slot, ``regime`` compares power policies,
 estimate over simulated time.
 
 Every command is deterministic for a fixed scenario file and seed. Exit
-codes: 0 success, 2 no usable signal, 3 configuration error, 4 invalid
-scenario file.
+codes: 0 success, 2 no usable signal, 3 configuration error (an
+unwritable output included), 4 invalid scenario file.
 """
 
 from __future__ import annotations
@@ -114,10 +114,7 @@ def _load_curves(curves_dir: Path, catalog, loaded: dict) -> dict:
 def _context(args, path=None, loaded=None):
     """Seeded scenario, catalog, curves and line for ``path`` or --scenario;
     ``loaded`` is as in :func:`_load_curves`."""
-    path = path or args.scenario
-    if not path:
-        raise CliError("--scenario is required for this command")
-    scenario = load_scenario(path)
+    scenario = load_scenario(path or args.scenario)
     scenario = scenario.with_seed(_resolve_seed(args, scenario))
     try:
         catalog = resolve_catalog(args.catalog or scenario.catalog)
@@ -179,7 +176,6 @@ def cmd_sweep(args) -> int:
     scenario, catalog, curves, line = _context(args)
     if args.step_ghz is not None:
         scenario = replace(scenario, sweep_step_ghz=args.step_ghz)
-        scenario.validate()
     configs = catalog
     if args.configs is not None:
         wanted = [c.strip() for c in args.configs.split(",") if c.strip()]
@@ -250,8 +246,6 @@ def cmd_regime(args) -> int:
 
 
 def cmd_throughput(args) -> int:
-    if not args.scenario:
-        raise CliError("--scenario is required (repeatable) for throughput")
     check_range("--theta-db", args.theta_db, error=CliError)
     loaded = {}
     contexts = [_context(args, path, loaded) for path in args.scenario]
@@ -328,7 +322,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, action="store"):
-        p.add_argument("--scenario", action=action, help="scenario JSON file")
+        p.add_argument("--scenario", action=action, required=True,
+                       help="scenario JSON file")
         p.add_argument("--catalog", help="catalog name or JSON file "
                                          "(default: scenario's catalog)")
         p.add_argument("--curves", default="curves",
@@ -343,7 +338,6 @@ def build_parser() -> _Parser:
                    help="transceiver implementation noise SNR (default 26)")
     p.add_argument("--degree", type=int, default=DEFAULT_FIT_DEGREE)
     p.add_argument("--grid-step-db", type=float, default=GRID_STEP_DB)
-    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     p.add_argument("--out", default="curves",
                    help="curve output directory (default: curves)")
     p.set_defaults(func=cmd_characterize)
@@ -396,6 +390,10 @@ def main(argv: list[str] | None = None) -> int:
     except NoSignalError as exc:
         print(f"no signal: {exc}", file=sys.stderr)
         return EXIT_NO_SIGNAL
+    except OSError as exc:
+        # every read converts its own OSError, so this one is a write's
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -71,6 +71,7 @@ from .spectrum import (
     PowerPolicy,
     carrier_power_dbm,
     check_carrier_fits,
+    from_grid_units,
     rrc_psd,
     to_grid_units,
 )
@@ -397,13 +398,12 @@ def _penalty_grid(rs: float, roll_off: float) -> tuple[np.ndarray, np.ndarray, f
 @lru_cache(maxsize=4096)
 def _penalty_cached(filters: tuple[FilterElement, ...], rs: float,
                     roll_off: float, offset_units: int) -> float:
-    """In-band power loss of the cascade on one placement, dB, before the
-    ISI factor; one integral per placement serves every kappa. A cascade
+    """In-band power loss of the cascade on one placement, dB. A cascade
     that passes no power at all blocks the carrier: infinite loss."""
     if not filters:
         return 0.0
     f, weighted_shape, reference = _penalty_grid(rs, roll_off)
-    transfer = filter_transfer(filters, f + offset_units * 0.25)
+    transfer = filter_transfer(filters, f + from_grid_units(offset_units))
     passed = float(weighted_shape.dot(transfer))
     if passed <= 0.0:
         return math.inf
@@ -411,17 +411,13 @@ def _penalty_cached(filters: tuple[FilterElement, ...], rs: float,
 
 
 def filtering_penalty_db(filters: tuple[FilterElement, ...], config: PltConfig,
-                         carrier_center_offset_ghz: float = 0.0,
-                         kappa: float = DEFAULT_ISI_FACTOR) -> float:
-    """GSNR penalty of the filter cascade on one carrier placement.
-
-    The in-band power fraction surviving the cascade is amplified by the ISI
-    factor kappa, covering both the clipped power and the residual symbol
-    distortion the receiver cannot equalize away.
-    """
+                         carrier_center_offset_ghz: float = 0.0) -> float:
+    """In-band power loss, dB, of the filter cascade on one carrier
+    placement. The line amplifies it by its ISI factor, which covers the
+    residual symbol distortion the receiver cannot equalize away."""
     offset_units = to_grid_units(carrier_center_offset_ghz)
-    return kappa * _penalty_cached(filters, config.symbol_rate_gbd,
-                                   config.roll_off, offset_units)
+    return _penalty_cached(filters, config.symbol_rate_gbd, config.roll_off,
+                           offset_units)
 
 
 def _effective_filters(link: LinkSpec) -> FilterCascade:
@@ -472,7 +468,7 @@ class LineSystem:
             count = int(round(link.media_channel.width_ghz / width))
             self._window_means = tuple(
                 float(np.mean(self._raw_profile_db(
-                    np.arange(lo, lo + width + 0.125, 0.25))))
+                    np.arange(lo, lo + width + GRID_UNIT_GHZ / 2, GRID_UNIT_GHZ))))
                 for lo in (lower + index * width for index in range(count)))
         # Everything _memoize_carrier reads except the seed, which only the
         # noise draw takes, and it at probe time.
@@ -529,7 +525,7 @@ class LineSystem:
             offset = 0.0
         else:
             offset = (carrier_center_thz - mc.center_thz) * 1000.0
-            offset = to_grid_units(offset) * 0.25
+            offset = from_grid_units(to_grid_units(offset))
         check_carrier_fits(mc, config, offset)
         return offset
 
@@ -549,7 +545,7 @@ class LineSystem:
                    if nli_mw > 0 else math.inf)
         optical = harmonic_db_sum(snr_ase, snr_nli)
         in_band = filtering_penalty_db(self.effective_filters, config,
-                                       offset_ghz, 1.0)
+                                       offset_ghz)
         optical -= link.isi_factor * in_band
         optical += self.gsnr_offset_db(offset_ghz)
         return optical, power_dbm, in_band

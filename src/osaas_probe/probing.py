@@ -73,7 +73,7 @@ class ProbeResult:
     status: ProbeStatus
     sim_time_h: float = 0.0
     q_db: float | None = None
-    gsnr_est_db: float | None = None
+    gsnr_est_db: float | None = None  # set only when status is WORKING
     note: str = ""
 
 
@@ -176,7 +176,7 @@ def run_extended_probe(line, catalog: tuple[PltConfig, ...],
                        policy: PowerPolicy) -> ProbeCampaign:
     """Probe every catalog configuration once at the channel center."""
     campaign = ProbeCampaign(
-        link_name=getattr(line, "name", ""),
+        link_name=line.name,
         media_channel=line.media_channel,
         configs={cfg.config_id: cfg for cfg in catalog},
     )
@@ -267,7 +267,6 @@ def select_best_config(margins_db: dict[str, float],
 
 
 def verify_margin_accuracy(line, catalog: tuple[PltConfig, ...],
-                           curves: dict[str, CharacterizationCurve],
                            margins_db: dict[str, float],
                            policy: PowerPolicy) -> tuple[float, VerificationFlag]:
     """Check near-zero-margin predictions against actual signal condition.
@@ -312,7 +311,7 @@ def run_probe_workflow(line, catalog: tuple[PltConfig, ...],
     est = estimate_link_gsnr(campaign, cap)
     margins = compute_margins(est, catalog, cap)
     best = select_best_config(margins, catalog)
-    bound, flag = verify_margin_accuracy(line, catalog, curves, margins, policy)
+    bound, flag = verify_margin_accuracy(line, catalog, margins, policy)
     return MarginReport(
         gsnr_est_link_db=est,
         symbol_rate_cap_gbd=cap,
@@ -364,8 +363,7 @@ def run_frequency_sweep(line, configs: tuple[PltConfig, ...],
             center = mc.center_thz + offset / 1000.0
             result = probe_once(line, config, curves[config.config_id],
                                 policy, center)
-            value = result.gsnr_est_db if result.status is ProbeStatus.WORKING else None
-            series.append((center, value))
+            series.append((center, result.gsnr_est_db))
         profile.points[config.config_id] = series
     return profile
 
@@ -564,8 +562,7 @@ def run_monitor(line, config: PltConfig, curve: CharacterizationCurve,
     i = 0
     while (t := i * interval_h) <= duration_h + 1e-9:
         result = probe_once(line, config, curve, policy, None, t)
-        series.append((t, result.gsnr_est_db
-                       if result.status is ProbeStatus.WORKING else None))
+        series.append((t, result.gsnr_est_db))
         i += 1
     return series
 

@@ -34,7 +34,7 @@ class Scenario:
     sweep_step_ghz: float = 6.25
     monitor_config_id: str = "DP-QPSK-69.4"
 
-    def validate(self) -> None:
+    def __post_init__(self):
         unit = "dBm/GHz" if self.policy.kind is PolicyKind.CONSTANT_PSD else "dBm"
         check_range("policy value", self.policy.value, *POLICY_VALUE_RANGE, unit=unit)
         step, width = self.sweep_step_ghz, self.link.media_channel.width_ghz
@@ -118,7 +118,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             **_present(data, _LINK_OPTIONAL),
         )
         policy_data = data["policy"]
-        scenario = Scenario(
+        return Scenario(
             link=link,
             policy=PowerPolicy(PolicyKind(policy_data["kind"]),
                                float(policy_data["value"])),
@@ -128,8 +128,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"malformed scenario: {exc}") from exc
-    scenario.validate()
-    return scenario
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -53,6 +53,21 @@ def catalog_records(catalog):
             for cfg in catalog]
 
 
+class ProbeSurface:
+    """Only the probe surface of ``line`` and its published channel
+    metadata, keeping the arguments of every probe in ``probes``."""
+
+    def __init__(self, line):
+        self._probe = line.probe
+        self.media_channel = line.media_channel
+        self.name = line.name
+        self.probes = []
+
+    def probe(self, config, policy, carrier_center_thz=None, sim_time_h=0.0):
+        self.probes.append((config, policy, carrier_center_thz, sim_time_h))
+        return self._probe(config, policy, carrier_center_thz, sim_time_h)
+
+
 def make_non_monotone(curve_data: dict) -> dict:
     """Give a persisted curve -(g - mid)^2, which peaks mid-range, as its
     polynomial; the stored points stay monotone."""

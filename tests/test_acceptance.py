@@ -39,7 +39,7 @@ from osaas_probe.spectrum import (
 )
 from osaas_probe.units import dbm_to_mw, osnr_to_snr_db
 
-from conftest import REPO_ROOT, shipped_scenario
+from conftest import REPO_ROOT, ProbeSurface, shipped_scenario
 
 POLICY = PowerPolicy.constant_psd(-26.0)
 SCENARIOS = REPO_ROOT / "scenarios"
@@ -149,7 +149,7 @@ def test_criterion_04_narrow_band_accuracy(curves):
         campaign = run_extended_probe(line, catalog, curves, POLICY)
         est = float(np.mean([r.gsnr_est_db for r in campaign.working()]))
         margins = {c.config_id: est - c.required_gsnr_db for c in catalog}
-        bound, _ = verify_margin_accuracy(line, catalog, curves, margins, POLICY)
+        bound, _ = verify_margin_accuracy(line, catalog, margins, POLICY)
         uncapped_min = min(uncapped_min, bound)
     assert uncapped_min > 1.0
     report_pass(4, f"cap-filtered verification bounds {capped_worst} all "
@@ -370,17 +370,8 @@ def test_criterion_14_determinism_and_black_box(tmp_path, catalog, curves):
     source = inspect.getsource(probing)
     assert "ground_truth" not in source
 
-    class Proxy:
-        def __init__(self, inner):
-            self._probe = inner.probe
-            self.media_channel = inner.media_channel
-            self.name = inner.name
-
-        def probe(self, *args, **kwargs):
-            return self._probe(*args, **kwargs)
-
     line = line_for("LH-1016")
-    report = run_probe_workflow(Proxy(line), catalog, curves, POLICY)
+    report = run_probe_workflow(ProbeSurface(line), catalog, curves, POLICY)
     assert report.best_config is not None
     report_pass(14, "every CLI command bit-identical under a fixed seed; "
                     "probing engine runs against the bare probe surface")

@@ -160,7 +160,15 @@ def test_probe_no_signal_exit_2(tmp_path, curves_dir):
 
 
 def test_missing_scenario_flag_is_config_error(curves_dir):
-    assert run(["probe", "--curves", curves_dir]) == 3
+    for command in ("probe", "throughput"):
+        assert run([command, "--curves", curves_dir]) == 3, command
+
+
+def test_characterize_takes_no_seed(tmp_path, capsys):
+    """Characterization draws no noise, so it has no seed to set."""
+    assert run(["characterize", "--out", tmp_path / "curves", "--seed", 1]) == 3
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert not (tmp_path / "curves").exists()
 
 
 def test_probe_deterministic_bytes(tmp_path, curves_dir):
@@ -580,6 +588,29 @@ def test_bad_flag_is_config_error(tmp_path, curves_dir, capsys, command, name,
     assert len(stderr) == 1
     assert stderr[0].startswith(f"error: {flags[0].split('=')[0]}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["characterize"],
+    ["probe", "--scenario", SCENARIOS / "B-485.json"],
+    ["sweep", "--scenario", SCENARIOS / "LH-1792.json", "--configs", "DP-QPSK-69.4"],
+    ["regime", "--scenario", SCENARIOS / "LH-5738.json"],
+    ["throughput", "--scenario", SCENARIOS / "B-621.json"],
+    ["monitor", "--scenario", SCENARIOS / "LH-3751-monitor-summer.json",
+     "--duration-h", "2"],
+], ids=lambda args: args[0])
+def test_unwritable_out_is_config_error(tmp_path, curves_dir, args):
+    """An --out that names an existing file is exit 3 with one line, in a
+    fresh interpreter; it used to end in a FileExistsError traceback."""
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    if args[0] != "characterize":
+        args = args + ["--curves", curves_dir]
+    code, stderr = run_process(args + ["--out", taken], tmp_path)
+    assert code == 3 and "Traceback" not in stderr
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write output: ")
+    assert taken.read_text() == "kept\n"
 
 
 def _number_paths(node, path=()):

@@ -357,7 +357,7 @@ def test_isi_factor_must_be_finite_and_non_negative(isi_factor):
 
 
 def test_probe_looks_the_penalty_up_once(catalog_regional, monkeypatch):
-    """One kappa-free lookup per probe serves the SNR and the rx power."""
+    """One lookup per probe serves the SNR and the rx power."""
     calls = []
 
     def counting(*args):
@@ -369,8 +369,8 @@ def test_probe_looks_the_penalty_up_once(catalog_regional, monkeypatch):
     line = cold_line(sc.link, ModemModel(26.0))
     cfg = catalog_regional[0]
     reading = line.probe(cfg, sc.policy)
-    assert [args[3] for args in calls] == [1.0]
-    loss = filtering_penalty_db(line.effective_filters, cfg, 0.0, 1.0)
+    assert len(calls) == 1
+    loss = filtering_penalty_db(line.effective_filters, cfg, 0.0)
     power = carrier_power_dbm(sc.policy, cfg, sc.link.media_channel)
     assert loss > 0.0
     assert reading.rx_power_dbm == power - loss
@@ -534,8 +534,8 @@ def test_blocked_carrier_reads_failed(catalog_regional, misalignment):
         assert 0.0 < reading.pre_fec_ber <= 0.5
         if blocked:
             assert reading.pre_fec_ber == 0.5
-            assert filtering_penalty_db(line.effective_filters, cfg, 0.0,
-                                        1.0) == math.inf
+            assert filtering_penalty_db(line.effective_filters, cfg,
+                                        0.0) == math.inf
     assert {cfg.format for cfg in catalog_regional} == set(ModulationFormat)
     if blocked:
         assert linesystem._standard_normal.cache_info().misses == 0

@@ -47,7 +47,7 @@ from osaas_probe.spectrum import (
     PowerPolicy,
 )
 
-from conftest import SCENARIO_NAMES, shipped_scenario
+from conftest import SCENARIO_NAMES, ProbeSurface, shipped_scenario
 
 POLICY = PowerPolicy.constant_psd(-26.0)
 MC = MediaChannel(193.2, 100.0, 9.0, -20.0)
@@ -213,18 +213,6 @@ def test_select_best_invariant_under_nonpositive_additions():
     assert select_best_config(margins, catalog) == best
 
 
-class BlackBoxProxy:
-    """Exposes only the probe surface and published channel metadata."""
-
-    def __init__(self, line):
-        self._line = line
-        self.media_channel = line.media_channel
-        self.name = line.name
-
-    def probe(self, config, policy, carrier_center_thz=None, sim_time_h=0.0):
-        return self._line.probe(config, policy, carrier_center_thz, sim_time_h)
-
-
 @pytest.fixture(scope="module")
 def lh_line_and_curves():
     modem = ModemModel(26.0)
@@ -236,7 +224,7 @@ def lh_line_and_curves():
 
 def test_engine_runs_against_black_box_proxy(lh_line_and_curves):
     line, catalog, curves = lh_line_and_curves
-    proxy = BlackBoxProxy(line)
+    proxy = ProbeSurface(line)
     report = run_probe_workflow(proxy, catalog, curves, POLICY)
     assert report.best_config is not None
     assert report.symbol_rate_cap_gbd == 69.4
@@ -283,19 +271,19 @@ def test_verify_margin_accuracy_flags(lh_line_and_curves):
     line, catalog, curves = lh_line_and_curves
     # all margins far from zero: nothing to verify
     margins = {c.config_id: 5.0 for c in catalog}
-    bound, flag = verify_margin_accuracy(line, catalog, curves, margins, POLICY)
+    bound, flag = verify_margin_accuracy(line, catalog, margins, POLICY)
     assert bound == 0.0 and flag is VerificationFlag.UNVERIFIED
     # correct near-zero predictions: no false predictions
     report = run_probe_workflow(line, catalog, curves, POLICY)
     near = {cid: m for cid, m in report.margins_db.items() if abs(m) <= 1.5}
     assert near  # the route is tuned to exercise verification
-    bound, flag = verify_margin_accuracy(line, catalog, curves,
-                                         report.margins_db, POLICY)
+    bound, flag = verify_margin_accuracy(line, catalog, report.margins_db,
+                                         POLICY)
     assert bound == 0.0 and flag is VerificationFlag.NO_FALSE_PREDICTIONS
     # force a wrong prediction: positive margin on an impossible config
     wrong = {"DP-16QAM-58": 0.32}
     dead = LineSystem(shipped_scenario("B-621").link, line.modem)
-    bound, flag = verify_margin_accuracy(dead, catalog, curves, wrong, POLICY)
+    bound, flag = verify_margin_accuracy(dead, catalog, wrong, POLICY)
     assert bound == pytest.approx(0.32)
     assert flag is VerificationFlag.FALSE_PREDICTIONS
 
@@ -596,18 +584,6 @@ def test_monitor_sample_bound_is_inclusive():
     check_monitor_span(48.0, math.inf)  # one sample, at t = 0
 
 
-class CountingProxy(BlackBoxProxy):
-    """The probe surface, recording the policy of every probe."""
-
-    def __init__(self, line):
-        super().__init__(line)
-        self.policies = []
-
-    def probe(self, config, policy, carrier_center_thz=None, sim_time_h=0.0):
-        self.policies.append(policy.kind)
-        return super().probe(config, policy, carrier_center_thz, sim_time_h)
-
-
 def test_regime_probes_the_reference_rate_once(curves):
     """LH-5738's catalog has two 69.4 GBd configurations, which get the same
     carrier under both policies: 11 constant-PSD probes and 9
@@ -616,13 +592,14 @@ def test_regime_probes_the_reference_rate_once(curves):
     catalog = resolve_catalog(sc.catalog)
     rs_ref = max(c.symbol_rate_gbd for c in catalog)
     line = LineSystem(sc.link, ModemModel(26.0))
-    proxy = CountingProxy(line)
+    proxy = ProbeSurface(line)
     report = detect_operation_regime(proxy, catalog, curves, sc.policy.value,
                                      rs_ref)
     reference_rate = [c for c in catalog if c.symbol_rate_gbd == rs_ref]
     assert len(catalog) == 11 and len(reference_rate) == 2
-    assert len(proxy.policies) == 20
-    assert proxy.policies.count(PolicyKind.CONSTANT_PSD) == 11
+    kinds = [policy.kind for _, policy, *_ in proxy.probes]
+    assert len(kinds) == 20
+    assert kinds.count(PolicyKind.CONSTANT_PSD) == 11
     entry = report.entries["DP-QPSK-69.4"]
     assert entry.delta_db == 0.0
     assert entry.classification is Regime.NEAR_OPTIMUM

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -7,7 +8,7 @@ from osaas_probe.errors import ScenarioError
 from osaas_probe.linesystem import LinkSpec
 from osaas_probe.scenario import Scenario, load_scenario, scenario_from_dict
 
-from conftest import SCENARIOS, shipped_data
+from conftest import SCENARIOS, shipped_data, shipped_scenario
 
 SCENARIO_FILES = sorted(SCENARIOS.glob("*.json"))
 
@@ -60,6 +61,15 @@ def test_sweep_step_must_divide_channel():
         data["sweep_step_ghz"] = step
         with pytest.raises(ScenarioError):
             scenario_from_dict(data)
+
+
+def test_replaced_sweep_step_is_checked():
+    """A Scenario checks itself when made, so no replace() can skip it:
+    7 GHz does not divide B-485's 100 GHz channel, 5 GHz does."""
+    scenario = shipped_scenario("B-485")
+    assert replace(scenario, sweep_step_ghz=5.0).sweep_step_ghz == 5.0
+    with pytest.raises(ScenarioError, match="sweep step"):
+        replace(scenario, sweep_step_ghz=7.0)
 
 
 @pytest.mark.parametrize("kind", ["constant_psd", "constant_total_power"])
