@@ -14,7 +14,6 @@ unwritable output included), 4 invalid scenario file.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -74,7 +73,6 @@ EXIT_SCENARIO = 4
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise CliError(message)
 
 
@@ -83,14 +81,9 @@ class CliError(Exception):
 
 
 def _resolve_seed(args, scenario: Scenario) -> int:
-    env = os.environ.get("OSAAS_PROBE_SEED")
-    if args.seed is None and env is None:
+    if args.seed is None:
         return scenario.link.seed
-    try:
-        seed = args.seed if args.seed is not None else int(env)
-    except ValueError:
-        raise CliError(f"OSAAS_PROBE_SEED={env!r} is not an integer")
-    return check_range("--seed or OSAAS_PROBE_SEED", seed, 0, error=CliError)
+    return check_range("--seed", args.seed, 0, error=CliError)
 
 
 def _load_curves(curves_dir: Path, catalog, loaded: dict) -> dict:
@@ -329,7 +322,7 @@ def build_parser() -> _Parser:
         p.add_argument("--curves", default="curves",
                        help="directory of characterization curve files")
         p.add_argument("--seed", type=int,
-                       help="override the scenario seed (or OSAAS_PROBE_SEED)")
+                       help="override the scenario seed")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
 
     p = sub.add_parser("characterize", help="build characterization curves")

@@ -1,17 +1,19 @@
 """Scenario files: a link description plus probing defaults.
 
 A scenario bundles the link under test with the catalog it should be probed
-with, the default power policy and the sweep step. Files are JSON with a
-schema version. Schema 3 states a span by its loss, noise figure, NLI
-coefficient and dispersion compensation. Schema-2 files, which also give a
-span length and an amplifier gain equal to the loss, are still read; those
-two keys are not.
+with, the default power policy and the sweep step. Files are JSON of schema
+version 3, whose keys are the field names of the dataclasses they describe:
+a file's top level holds those of ``LinkSpec`` and ``Scenario`` (less
+``link``), and its nested objects those of ``MediaChannel``, ``SpanSpec``,
+``FilterElement`` and ``PowerPolicy``. A key is optional exactly when its
+field has a default, and a key that names no field is rejected.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import cache
 from pathlib import Path
 
 from .errors import ScenarioError, check_range
@@ -57,73 +59,59 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
-# Optional keys and how each file value converts; an absent key takes the
-# LinkSpec or Scenario default.
-_LINK_OPTIONAL = {
-    "equalizer_window_ghz": lambda width: None if width is None else float(width),
-    "tilt_db_per_mc": float,
-    "ripple": lambda points: tuple((float(f), float(db)) for f, db in points),
-    "filter_misalignment_ghz": float,
-    "diurnal_amplitude_db": float,
-    "diurnal_period_h": float,
-    "isi_factor": float,
-    "seed": lambda seed: _integer("seed", seed),
-    "noise_sigma_q_db": float,
-}
-_SCENARIO_OPTIONAL = {
+# How a file value converts to each field that is not a float, by field name.
+_CONVERTERS = {
+    "name": str,
     "catalog": str,
-    "sweep_step_ghz": float,
     "monitor_config_id": str,
+    "dispersion_comp": DispersionComp,
+    "kind": PolicyKind,
+    "order": lambda order: _integer("filter order", order),
+    "seed": lambda seed: _integer("seed", seed),
+    "equalizer_window_ghz": lambda width: None if width is None else float(width),
+    "ripple": lambda points: tuple((float(f), float(db)) for f, db in points),
+    "media_channel": lambda channel: _build(MediaChannel, channel),
+    "spans": lambda spans: tuple(_build(SpanSpec, span) for span in spans),
+    "filters": lambda elements: tuple(_build(FilterElement, f) for f in elements),
+    "policy": lambda policy: _build(PowerPolicy, policy),
 }
 
 
-def _present(data: dict, converters: dict) -> dict:
-    return {key: convert(data[key]) for key, convert in converters.items()
-            if key in data}
+@cache
+def _required(cls) -> dict[str, bool]:
+    """Each field name of ``cls``, and whether a file must give it."""
+    return {f.name: f.default is MISSING for f in fields(cls)}
+
+
+def _build(cls, data: dict, **given):
+    """A ``cls`` from a file object whose keys are its field names, less
+    those in ``given``."""
+    if not isinstance(data, dict):
+        raise TypeError(f"expected an object, got {type(data).__name__}")
+    required = _required(cls)
+    for key in data:
+        if key not in required or key in given:
+            raise ScenarioError(f"unknown key {key!r}")
+    for name in required:
+        if required[name] and name not in data and name not in given:
+            raise ScenarioError(f"missing key {name!r}")
+    return cls(**given, **{key: _CONVERTERS.get(key, float)(value)
+                           for key, value in data.items()})
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Scenario of a schema-2 or schema-3 dict."""
+    """Scenario of a schema-3 dict, which holds the LinkSpec's fields and
+    the Scenario's other fields side by side."""
     try:
         version = data["schema_version"]
-        if version not in (2, SCHEMA_VERSION):
+        if version != SCHEMA_VERSION:
             raise ScenarioError(f"unsupported schema_version {version!r}")
-        mc = data["media_channel"]
-        media_channel = MediaChannel(
-            center_thz=float(mc["center_thz"]),
-            width_ghz=float(mc["width_ghz"]),
-            max_total_power_dbm=float(mc["max_total_power_dbm"]),
-            max_psd_dbm_per_ghz=float(mc["max_psd_dbm_per_ghz"]),
-        )
-        link = LinkSpec(
-            name=data["name"],
-            media_channel=media_channel,
-            spans=tuple(
-                SpanSpec(
-                    loss_db=float(s["loss_db"]),
-                    amp_noise_figure_db=float(s["amp_noise_figure_db"]),
-                    nli_coeff_per_mw2=float(s["nli_coeff_per_mw2"]),
-                    dispersion_comp=DispersionComp(s["dispersion_comp"]),
-                )
-                for s in data["spans"]
-            ),
-            filters=tuple(
-                FilterElement(
-                    center_offset_ghz=float(f["center_offset_ghz"]),
-                    bandwidth_3db_ghz=float(f["bandwidth_3db_ghz"]),
-                    order=_integer("filter order", f["order"]),
-                )
-                for f in data["filters"]
-            ),
-            **_present(data, _LINK_OPTIONAL),
-        )
-        policy_data = data["policy"]
-        return Scenario(
-            link=link,
-            policy=PowerPolicy(PolicyKind(policy_data["kind"]),
-                               float(policy_data["value"])),
-            **_present(data, _SCENARIO_OPTIONAL),
-        )
+        link_keys = _required(LinkSpec)
+        link = _build(LinkSpec, {key: value for key, value in data.items()
+                                 if key in link_keys})
+        return _build(Scenario, {key: value for key, value in data.items()
+                                 if key not in link_keys
+                                 and key != "schema_version"}, link=link)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ScenarioError):
             raise

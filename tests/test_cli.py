@@ -8,6 +8,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from osaas_probe.catalog import resolve_catalog
 from osaas_probe.cli import main
+from osaas_probe.errors import ScenarioError
+from osaas_probe.linesystem import FilterElement, LinkSpec, SpanSpec
+from osaas_probe.scenario import Scenario, scenario_from_dict
+from osaas_probe.spectrum import MediaChannel, PowerPolicy
 
 from conftest import (
     REPO_ROOT,
@@ -159,15 +164,22 @@ def test_probe_no_signal_exit_2(tmp_path, curves_dir):
                 "--out", tmp_path]) == 2
 
 
-def test_missing_scenario_flag_is_config_error(curves_dir):
-    for command in ("probe", "throughput"):
-        assert run([command, "--curves", curves_dir]) == 3, command
+def test_missing_scenario_flag_is_config_error(curves_dir, capsys):
+    """A flag argparse rejects is one stderr line, without the usage block."""
+    for args, message in [
+            (["probe"], "the following arguments are required: --scenario"),
+            (["throughput"], "the following arguments are required: --scenario"),
+            (["probe", "--scenario", SCENARIOS / "B-485.json", "--seed", "abc"],
+             "argument --seed: invalid int value: 'abc'")]:
+        assert run(args + ["--curves", curves_dir]) == 3, args
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_characterize_takes_no_seed(tmp_path, capsys):
     """Characterization draws no noise, so it has no seed to set."""
     assert run(["characterize", "--out", tmp_path / "curves", "--seed", 1]) == 3
-    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unrecognized arguments: --seed 1"]
     assert not (tmp_path / "curves").exists()
 
 
@@ -181,20 +193,14 @@ def test_probe_deterministic_bytes(tmp_path, curves_dir):
 
 
 def test_seed_env_fallback(tmp_path, curves_dir, monkeypatch):
+    """--seed is the one way to override the scenario seed: the
+    OSAAS_PROBE_SEED variable earlier versions read is ignored."""
     out1, out2 = tmp_path / "a", tmp_path / "b"
     monkeypatch.setenv("OSAAS_PROBE_SEED", "99")
     assert run(["probe", "--scenario", SCENARIOS / "B-485.json",
                 "--curves", curves_dir, "--out", out1]) == 0
     report = json.loads((out1 / "B-485-report.json").read_text())
-    assert report["seed"] == 99
-    monkeypatch.setenv("OSAAS_PROBE_SEED", "not-a-number")
-    assert run(["probe", "--scenario", SCENARIOS / "B-485.json",
-                "--curves", curves_dir, "--out", out2]) == 3
-    # a negative seed is a flag error, from the environment or the flag
-    monkeypatch.setenv("OSAAS_PROBE_SEED", "-1")
-    assert run(["probe", "--scenario", SCENARIOS / "B-485.json",
-                "--curves", curves_dir, "--out", out2]) == 3
-    monkeypatch.delenv("OSAAS_PROBE_SEED")
+    assert report["seed"] == 11
     assert run(["probe", "--scenario", SCENARIOS / "B-485.json",
                 "--curves", curves_dir, "--seed", -1, "--out", out2]) == 3
     assert not out2.exists()
@@ -504,6 +510,15 @@ def _spans(key, value):
     (lambda s: s["media_channel"].update(width_ghz=1e6),
      "malformed scenario: media channel width must be finite and in (0, 4800] "
      "GHz, got 1000000.0"),
+    (lambda s: s.update(tilt_db_per_MC=s.pop("tilt_db_per_mc")),
+     "unknown key 'tilt_db_per_MC'"),
+    (_spans("length_km", 80.0), "unknown key 'length_km'"),
+    (_filters("offset_ghz", 0.0), "unknown key 'offset_ghz'"),
+    (lambda s: s["media_channel"].update(grid_ghz=6.25),
+     "unknown key 'grid_ghz'"),
+    (lambda s: s["policy"].update(unit="dBm/GHz"), "unknown key 'unit'"),
+    (lambda s: s["spans"].__setitem__(0, "loss_db"),
+     "malformed scenario: expected an object, got str"),
 ], ids=["centre-nan", "centre-inf", "order-3.7", "order-inf",
         "noise-figure-nan", "noise-figure-1e6", "noise-figure-1e308",
         "noise-figure--1e308", "seed-inf", "seed-3.7", "total-power-nan",
@@ -511,7 +526,9 @@ def _spans(key, value):
         "noise-sigma-1e308", "nli-1e308", "sweep-step-1e308",
         "sweep-step-1e-300", "loss-1e400-int", "order-4800", "bandwidth-1e-300",
         "centre-1e308", "misalignment--1e308", "tilt-1e308",
-        "diurnal-period-5e-324", "width-1e6"])
+        "diurnal-period-5e-324", "width-1e6", "unknown-top-level-key",
+        "unknown-span-key", "unknown-filter-key", "unknown-media-channel-key",
+        "unknown-policy-key", "span-not-object"])
 def test_bad_element_or_limit_is_invalid_scenario(tmp_path, curves_dir, capsys,
                                                   edit, message):
     """Each once loaded: a NaN centre read "no signal", a NaN noise figure or
@@ -519,8 +536,9 @@ def test_bad_element_or_limit_is_invalid_scenario(tmp_path, curves_dir, capsys,
     order or seed, a huge noise figure, span loss, noise sigma, NLI
     coefficient or sweep step, or an integer no float holds, ended in a
     traceback. A tiny sweep step asked for memory without end; filter
-    values far out and a huge tilt printed numpy overflow warnings, and a
-    period of 5e-324 h ended a monitor run in a traceback."""
+    values far out and a huge tilt printed numpy overflow warnings, a
+    period of 5e-324 h ended a monitor run in a traceback, and a key that
+    names no field, such as a misspelt optional one, was dropped."""
     scenario = json.loads((SCENARIOS / "B-485.json").read_text())
     edit(scenario)
     path = tmp_path / "bad.json"
@@ -663,3 +681,37 @@ def test_numeric_mutation_ends_in_its_exit_code(curves_dir, data):
             for written in out.glob("*") if out.exists() else ():
                 text = written.read_text()
                 assert "NaN" not in text and "Infinity" not in text
+
+
+def _key_paths(node, path=()):
+    """The path to every key of every object in a parsed JSON document."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield path + (key,)
+            yield from _key_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _key_paths(child, path + (index,))
+
+
+# Every key a scenario file may hold, at any depth.
+SCENARIO_KEYS = {"schema_version"} | {
+    f.name for cls in (Scenario, LinkSpec, MediaChannel, SpanSpec,
+                       FilterElement, PowerPolicy) for f in fields(cls)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_renamed_key_is_invalid_scenario(data):
+    """One key of a shipped scenario, at any depth, renamed to a name no
+    field has: the reader rejects it, where it once dropped a misspelt
+    optional key and took the default."""
+    scenario = shipped_data(data.draw(st.sampled_from(SCENARIO_NAMES)))
+    *parents, key = data.draw(st.sampled_from(list(_key_paths(scenario))))
+    document = scenario
+    for parent in parents:
+        document = document[parent]
+    new_key = data.draw(st.text().filter(lambda k: k not in SCENARIO_KEYS))
+    document[new_key] = document.pop(key)
+    with pytest.raises(ScenarioError):
+        scenario_from_dict(scenario)
