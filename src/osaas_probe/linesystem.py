@@ -17,9 +17,15 @@ Physics is deliberately reduced to what a probing campaign can observe:
   exp(-ln2 * x^2n), so the cascade is a single exponential of the
   count-weighted sum over its distinct elements. They are evaluated
   together, as the rows of one array, bit-identically to evaluating them
-  one at a time. The resulting in-band loss is amplified by an ISI factor
-  to account for shape distortion on top of pure power clipping. A cascade
-  that passes no power blocks the carrier, and its probes read a failed FEC.
+  one at a time. The in-band loss is the trapezoid integral of spectrum
+  times transfer on the lattice j * 2^-6 GHz, which is exact in binary and
+  1/16 of the 0.25 GHz grid, so every carrier placement is a whole lattice
+  shift. Each cascade's transfer is computed once per block of 2048 lattice
+  points, and every placement of every carrier shape reads the blocks
+  under it (see _penalty_grid for the accuracy). The loss is amplified by
+  an ISI factor to account for shape distortion on top of pure power
+  clipping. A cascade that passes no power blocks the carrier, and its
+  probes read a failed FEC.
 * Tilt and ripple are injected frequency profiles. The line re-levels them
   over one equalizer window: the whole media channel, which keeps the
   intra-channel tilt, or each network media channel of a narrower width.
@@ -97,7 +103,14 @@ DISPERSION_COMP_NLI_FACTOR = 1.5
 # penalty of wide carriers in tight cascades.
 DEFAULT_ISI_FACTOR = 7.0
 
-_PENALTY_GRID_POINTS = 1601
+# The penalty integral's lattice: 2**-6 GHz is exact in binary and 1/16 of
+# the 0.25 GHz grid, so every carrier placement is a whole lattice shift.
+_LATTICE_STEP_GHZ = 2.0 ** -6
+_LATTICE_PER_GRID_UNIT = int(GRID_UNIT_GHZ / _LATTICE_STEP_GHZ)
+# Lattice points per cached block of a cascade's transfer: 16 KiB each, and
+# 256 of them (4 MiB) cover the media channels of the shipped routes many
+# times over.
+_TRANSFER_BLOCK_POINTS = 2048
 _LN2 = math.log(2.0)
 # 2**27 + 1 splits a double into two halves whose products are exact.
 _VELTKAMP_SPLIT = 134217729.0
@@ -379,32 +392,66 @@ def _carrier_memo(budget: tuple) -> dict[tuple, tuple]:
 
 
 @lru_cache(maxsize=64)
-def _penalty_grid(rs: float, roll_off: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Integration grid over the occupied band of one carrier shape, the RRC
-    spectrum on it times the trapezoid weights, and their sum (the
-    spectrum's integral). Read-only: every placement of the shape shares
-    them."""
+def _penalty_grid(rs: float, roll_off: float) -> tuple[int, np.ndarray, float]:
+    """One carrier shape on the penalty lattice: the half width J in lattice
+    steps, the RRC spectrum times the step at lattice points -J..J, and its
+    sum (the spectrum's integral). J = floor(edge / step) + 1 puts both ends
+    outside the occupied band, where the spectrum is zero, so the sum is the
+    trapezoid rule. Read-only: every placement of the shape shares them.
+
+    The step is fixed, so the error grows as a carrier narrows and its
+    roll-off falls. Against a trapezoid of at least 40,001 points, on the
+    shipped cascades at placements that lose at most 10 dB in band, the
+    integral is within 1e-7 dB from 20 GBd and roll-off 0.1 up. Below
+    roll-off 0.1 the error grows as roll-off^-2, to 4.8e-6 dB at 22 GBd and
+    roll-off 0.01, where the 1601-point grid this lattice replaced was off
+    2.1e-6 dB.
+    Below about 10 GBd the lattice is coarser than that grid: 8.8e-7 dB at
+    10 GBd and 3.0e-5 dB at 1 GBd, both at roll-off 0.01. On every shipped
+    placement the two agree within 1e-9 dB.
+    """
     import numpy as np
 
     edge = (1.0 + roll_off) * rs / 2.0
-    f = np.linspace(-edge, edge, _PENALTY_GRID_POINTS)
-    weights = np.full_like(f, f[1] - f[0])
-    weights[[0, -1]] /= 2.0
-    weighted_shape = weights * rrc_psd(rs, roll_off, f)
-    f.flags.writeable = weighted_shape.flags.writeable = False
-    return f, weighted_shape, float(weighted_shape.sum())
+    half = math.floor(edge / _LATTICE_STEP_GHZ) + 1
+    weighted_shape = rrc_psd(rs, roll_off,
+                             np.arange(-half, half + 1) * _LATTICE_STEP_GHZ)
+    weighted_shape *= _LATTICE_STEP_GHZ
+    weighted_shape.flags.writeable = False
+    return half, weighted_shape, float(weighted_shape.sum())
+
+
+@lru_cache(maxsize=256)
+def _transfer_block(filters: tuple[FilterElement, ...], block: int) -> np.ndarray:
+    """The cascade transfer at lattice points ``block * B`` to
+    ``(block + 1) * B - 1``, B = _TRANSFER_BLOCK_POINTS. Read-only: every
+    placement of every carrier shape on this cascade shares it."""
+    import numpy as np
+
+    start = block * _TRANSFER_BLOCK_POINTS
+    transfer = filter_transfer(filters, np.arange(
+        start, start + _TRANSFER_BLOCK_POINTS) * _LATTICE_STEP_GHZ)
+    transfer.flags.writeable = False
+    return transfer
 
 
 @lru_cache(maxsize=4096)
 def _penalty_cached(filters: tuple[FilterElement, ...], rs: float,
                     roll_off: float, offset_units: int) -> float:
-    """In-band power loss of the cascade on one placement, dB. A cascade
-    that passes no power at all blocks the carrier: infinite loss."""
+    """In-band power loss of the cascade on one placement, dB: the weighted
+    shape against the transfer blocks under it. A cascade that passes no
+    power at all blocks the carrier: infinite loss."""
     if not filters:
         return 0.0
-    f, weighted_shape, reference = _penalty_grid(rs, roll_off)
-    transfer = filter_transfer(filters, f + from_grid_units(offset_units))
-    passed = float(weighted_shape.dot(transfer))
+    import numpy as np
+
+    half, weighted_shape, reference = _penalty_grid(rs, roll_off)
+    low = offset_units * _LATTICE_PER_GRID_UNIT - half
+    first, start = divmod(low, _TRANSFER_BLOCK_POINTS)
+    last = (low + 2 * half) // _TRANSFER_BLOCK_POINTS
+    transfer = np.concatenate([_transfer_block(filters, block)
+                               for block in range(first, last + 1)])
+    passed = float(weighted_shape.dot(transfer[start:start + 2 * half + 1]))
     if passed <= 0.0:
         return math.inf
     return -10.0 * math.log10(passed / reference)

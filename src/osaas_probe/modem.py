@@ -405,7 +405,8 @@ def curve_from_dict(data: dict) -> CharacterizationCurve:
         modem = data.get("snr_modem_db")
         snr_modem_db = ModemModel(math.inf if modem is None
                                   else float(modem)).snr_modem_db
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer literal beyond float range
         raise FitRejectedError(f"malformed curve: {exc!r}") from exc
     if not 2 <= len(coefficients) < len(points):
         raise FitRejectedError(

@@ -683,6 +683,36 @@ def test_numeric_mutation_ends_in_its_exit_code(curves_dir, data):
                 assert "NaN" not in text and "Infinity" not in text
 
 
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_curve_number_mutation_ends_in_its_exit_code(curves_dir, data):
+    """One number of a written curve file (a point, a coefficient, the
+    valid range, the modem SNR, the schema version) changed to any value:
+    probe ends in exit 0 or 3 with one stderr line on failure and raises
+    nothing. An integer literal beyond float range used to end in an
+    OverflowError traceback."""
+    name = data.draw(st.sampled_from(
+        sorted(path.name for path in curves_dir.glob("*.json"))))
+    curve = json.loads((curves_dir / name).read_text())
+    *parents, key = data.draw(st.sampled_from(list(_number_paths(curve))))
+    node = curve
+    for parent in parents:
+        node = node[parent]
+    node[key] = data.draw(st.one_of(st.sampled_from(EDGE_NUMBERS),
+                                    st.floats(), st.integers()))
+    with tempfile.TemporaryDirectory() as work:
+        curves = Path(work) / "curves"
+        shutil.copytree(curves_dir, curves)
+        (curves / name).write_text(json.dumps(curve))
+        stderr = io.StringIO()
+        with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+            code = run(["probe", "--scenario", SCENARIOS / "B-485.json",
+                        "--curves", curves, "--out", Path(work) / "out"])
+    assert code in (0, 3)
+    assert len(stderr.getvalue().splitlines()) == (code != 0)
+
+
 def _key_paths(node, path=()):
     """The path to every key of every object in a parsed JSON document."""
     if isinstance(node, dict):
