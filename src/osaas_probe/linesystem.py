@@ -20,7 +20,7 @@ Physics is deliberately reduced to what a probing campaign can observe:
   one at a time. The in-band loss is the trapezoid integral of spectrum
   times transfer on the lattice j * 2^-6 GHz, which is exact in binary and
   1/16 of the 0.25 GHz grid, so every carrier placement is a whole lattice
-  shift. Each cascade's transfer is computed once per block of 2048 lattice
+  shift. Each cascade's transfer is computed once per block of 1024 lattice
   points, and every placement of every carrier shape reads the blocks
   under it (see _penalty_grid for the accuracy). The loss is amplified by
   an ISI factor to account for shape distortion on top of pure power
@@ -107,10 +107,13 @@ DEFAULT_ISI_FACTOR = 7.0
 # the 0.25 GHz grid, so every carrier placement is a whole lattice shift.
 _LATTICE_STEP_GHZ = 2.0 ** -6
 _LATTICE_PER_GRID_UNIT = int(GRID_UNIT_GHZ / _LATTICE_STEP_GHZ)
-# Lattice points per cached block of a cascade's transfer: 16 KiB each, and
-# 256 of them (4 MiB) cover the media channels of the shipped routes many
-# times over.
-_TRANSFER_BLOCK_POINTS = 2048
+# Lattice points per cached block of a cascade's transfer: 8 KiB each, and
+# 512 of them (4 MiB) cover the media channels of the shipped routes many
+# times over. filter_transfer's (k, B) work arrays for a cascade of three
+# distinct elements then stay under 128 KiB, below which the C allocator
+# keeps freed memory for the next block instead of returning it to the
+# system and faulting it back in on every cold op.
+_TRANSFER_BLOCK_POINTS = 1024
 _LN2 = math.log(2.0)
 # 2**27 + 1 splits a double into two halves whose products are exact.
 _VELTKAMP_SPLIT = 134217729.0
@@ -421,7 +424,7 @@ def _penalty_grid(rs: float, roll_off: float) -> tuple[int, np.ndarray, float]:
     return half, weighted_shape, float(weighted_shape.sum())
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=512)
 def _transfer_block(filters: tuple[FilterElement, ...], block: int) -> np.ndarray:
     """The cascade transfer at lattice points ``block * B`` to
     ``(block + 1) * B - 1``, B = _TRANSFER_BLOCK_POINTS. Read-only: every
@@ -429,8 +432,10 @@ def _transfer_block(filters: tuple[FilterElement, ...], block: int) -> np.ndarra
     import numpy as np
 
     start = block * _TRANSFER_BLOCK_POINTS
+    # filter_transfer returns one row of its (k, B) work array; the copy
+    # keeps only the B points alive in the cache.
     transfer = filter_transfer(filters, np.arange(
-        start, start + _TRANSFER_BLOCK_POINTS) * _LATTICE_STEP_GHZ)
+        start, start + _TRANSFER_BLOCK_POINTS) * _LATTICE_STEP_GHZ).copy()
     transfer.flags.writeable = False
     return transfer
 

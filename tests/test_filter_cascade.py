@@ -276,7 +276,7 @@ def test_lattice_matches_fine_reference(placed, rs, roll_off, rng):
 def test_cold_sweep_builds_each_carrier_shape_once(curves):
     """C-284-sweep over the regional catalog: 66 integrals, one lattice
     spectrum per configuration, and the one cascade's transfer once on
-    each of the 4 blocks (lattice points -4096..4095) that cover its
+    each of the 8 blocks (lattice points -4096..4095) that cover its
     125 GHz channel."""
     sc = load_scenario(SCENARIOS / "C-284-sweep.json")
     line = cold_line(sc.link, ModemModel(26.0))
@@ -288,7 +288,7 @@ def test_cold_sweep_builds_each_carrier_shape_once(curves):
     shapes = {(c.symbol_rate_gbd, c.roll_off) for c in regional_catalog()}
     assert _penalty_cached.cache_info().misses == 66
     assert _penalty_grid.cache_info().misses == len(shapes)
-    assert _transfer_block.cache_info().misses == 4
+    assert _transfer_block.cache_info().misses == 8
 
 
 def test_penalty_grid_is_read_only():
@@ -302,3 +302,5 @@ def test_penalty_grid_is_read_only():
         with pytest.raises(ValueError):
             array[0] = 1.0
     assert reference == pytest.approx(1.0, rel=1e-6)
+    # A block owns its points, not filter_transfer's (k, B) work array.
+    assert _transfer_block(cascade, 0).base is None
