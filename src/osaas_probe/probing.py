@@ -75,6 +75,7 @@ class ProbeResult:
     q_db: float | None = None
     gsnr_est_db: float | None = None  # set only when status is WORKING
     note: str = ""
+    post_fec_ok: bool = False  # False too for a rejected carrier
 
 
 @dataclass
@@ -168,7 +169,8 @@ def probe_once(line, config: PltConfig, curve: CharacterizationCurve,
                            ProbeStatus.UNUSABLE, sim_time_h, note=str(exc))
     status, q, gsnr, note = _classify_reading(reading, curve)
     return ProbeResult(config.config_id, center, policy, status, sim_time_h,
-                       q_db=q, gsnr_est_db=gsnr, note=note)
+                       q_db=q, gsnr_est_db=gsnr, note=note,
+                       post_fec_ok=reading.post_fec_ok)
 
 
 def run_extended_probe(line, catalog: tuple[PltConfig, ...],
@@ -226,10 +228,14 @@ def detect_symbol_rate_cap(campaign: ProbeCampaign,
     return campaign.configs[best_cid].symbol_rate_gbd
 
 
+def _within_cap(config: PltConfig, cap_gbd: float) -> bool:
+    return config.symbol_rate_gbd <= cap_gbd + 1e-9
+
+
 def estimate_link_gsnr(campaign: ProbeCampaign, cap_gbd: float) -> float:
     """Mean estimated GSNR over working configurations within the cap."""
     included = [r.gsnr_est_db for r in campaign.working()
-                if campaign.configs[r.config_id].symbol_rate_gbd <= cap_gbd + 1e-9]
+                if _within_cap(campaign.configs[r.config_id], cap_gbd)]
     if not included:
         raise NoSignalError("no working result at or below the symbol rate cap")
     return math.fsum(included) / len(included)
@@ -238,7 +244,7 @@ def estimate_link_gsnr(campaign: ProbeCampaign, cap_gbd: float) -> float:
 def estimate_spread_db(campaign: ProbeCampaign, cap_gbd: float) -> float:
     """Max minus min of the working GSNR estimates within the cap."""
     values = [r.gsnr_est_db for r in campaign.working()
-              if campaign.configs[r.config_id].symbol_rate_gbd <= cap_gbd + 1e-9]
+              if _within_cap(campaign.configs[r.config_id], cap_gbd)]
     if not values:
         raise NoSignalError("no working results")
     return max(values) - min(values)
@@ -247,11 +253,8 @@ def estimate_spread_db(campaign: ProbeCampaign, cap_gbd: float) -> float:
 def compute_margins(gsnr_est_link_db: float, catalog: tuple[PltConfig, ...],
                     cap_gbd: float) -> dict[str, float]:
     """Implementation margin per configuration within the symbol rate cap."""
-    return {
-        cfg.config_id: gsnr_est_link_db - cfg.required_gsnr_db
-        for cfg in catalog
-        if cfg.symbol_rate_gbd <= cap_gbd + 1e-9
-    }
+    return {cfg.config_id: gsnr_est_link_db - cfg.required_gsnr_db
+            for cfg in catalog if _within_cap(cfg, cap_gbd)}
 
 
 def select_best_config(margins_db: dict[str, float],
@@ -266,31 +269,26 @@ def select_best_config(margins_db: dict[str, float],
     return max(candidates)[3]
 
 
-def verify_margin_accuracy(line, catalog: tuple[PltConfig, ...],
-                           margins_db: dict[str, float],
-                           policy: PowerPolicy) -> tuple[float, VerificationFlag]:
-    """Check near-zero-margin predictions against actual signal condition.
+def verify_margin_accuracy(campaign: ProbeCampaign, margins_db: dict[str, float]
+                           ) -> tuple[float, VerificationFlag]:
+    """Check near-zero-margin predictions against the campaign's readings.
 
     Every configuration whose predicted margin is within the near-zero band
-    is probed; a prediction is false when its sign disagrees with the
-    observed working status. Returns the largest false prediction magnitude,
-    or zero with the appropriate flag.
+    is checked against the post-FEC status the campaign read for it, where a
+    rejected carrier does not work. A prediction is false when its sign
+    disagrees with that status; a margin of exactly zero is neither. Issues
+    no probe. Returns the largest false prediction magnitude, or zero with
+    the appropriate flag.
     """
-    by_id = {cfg.config_id: cfg for cfg in catalog}
+    works = {r.config_id: r.post_fec_ok for r in campaign.results}
     verified = False
     worst = 0.0
     for cid, margin in margins_db.items():
         if abs(margin) > NEAR_ZERO_MARGIN_DB:
             continue
         verified = True
-        config = by_id[cid]
-        try:
-            reading = line.probe(config, policy)
-            works = reading.post_fec_ok
-        except (CarrierRejectedError, LimitViolationError):
-            works = False
-        false_positive = margin > 0 and not works
-        false_negative = margin < 0 and works
+        false_positive = margin > 0 and not works[cid]
+        false_negative = margin < 0 and works[cid]
         if false_positive or false_negative:
             worst = max(worst, abs(margin))
     if not verified:
@@ -311,7 +309,7 @@ def run_probe_workflow(line, catalog: tuple[PltConfig, ...],
     est = estimate_link_gsnr(campaign, cap)
     margins = compute_margins(est, catalog, cap)
     best = select_best_config(margins, catalog)
-    bound, flag = verify_margin_accuracy(line, catalog, margins, policy)
+    bound, flag = verify_margin_accuracy(campaign, margins)
     return MarginReport(
         gsnr_est_link_db=est,
         symbol_rate_cap_gbd=cap,
@@ -486,8 +484,7 @@ def detect_operation_regime(line, catalog: tuple[PltConfig, ...],
     once.
     """
     power_ref = psd_ref_dbm_per_ghz + 10.0 * math.log10(rs_ref_gbd)
-    tested = tuple(cfg for cfg in catalog
-                   if cfg.symbol_rate_gbd <= rs_ref_gbd + 1e-9)
+    tested = tuple(cfg for cfg in catalog if _within_cap(cfg, rs_ref_gbd))
     psd_policy = PowerPolicy(PolicyKind.CONSTANT_PSD, psd_ref_dbm_per_ghz)
     power_policy = PowerPolicy(PolicyKind.CONSTANT_TOTAL_POWER, power_ref)
     psd_campaign = run_extended_probe(line, tested, curves, psd_policy)

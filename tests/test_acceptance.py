@@ -149,7 +149,7 @@ def test_criterion_04_narrow_band_accuracy(curves):
         campaign = run_extended_probe(line, catalog, curves, POLICY)
         est = float(np.mean([r.gsnr_est_db for r in campaign.working()]))
         margins = {c.config_id: est - c.required_gsnr_db for c in catalog}
-        bound, _ = verify_margin_accuracy(line, catalog, margins, POLICY)
+        bound, _ = verify_margin_accuracy(campaign, margins)
         uncapped_min = min(uncapped_min, bound)
     assert uncapped_min > 1.0
     report_pass(4, f"cap-filtered verification bounds {capped_worst} all "

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from osaas_probe.catalog import default_catalog, regional_catalog, resolve_catalog
-from osaas_probe.errors import InsufficientDataError, NoSignalError
+from osaas_probe.errors import (
+    CarrierRejectedError,
+    InsufficientDataError,
+    LimitViolationError,
+    NoSignalError,
+)
 from osaas_probe.linesystem import (
+    BerReading,
     LineSystem,
     LinkSpec,
     SpanSpec,
@@ -30,6 +36,7 @@ from osaas_probe.probing import (
     detect_operation_regime,
     detect_symbol_rate_cap,
     estimate_link_gsnr,
+    probe_once,
     profile_tilt_ripple,
     run_extended_probe,
     run_frequency_sweep,
@@ -46,6 +53,7 @@ from osaas_probe.spectrum import (
     PolicyKind,
     PowerPolicy,
 )
+from osaas_probe.reports import probe_result_to_dict
 
 from conftest import SCENARIO_NAMES, ProbeSurface, shipped_scenario
 
@@ -241,6 +249,8 @@ def test_probing_module_has_no_ground_truth_access():
     assert "ground_truth" not in source
     assert "effective_filters" not in source
     assert ".link" not in source
+    # probe_once is the one probe path
+    assert source.count(".probe(") == 1
 
 
 def test_empty_catalog_gives_empty_campaign(lh_line_and_curves):
@@ -269,23 +279,143 @@ def test_campaign_permutation_invariance(lh_line_and_curves):
 
 def test_verify_margin_accuracy_flags(lh_line_and_curves):
     line, catalog, curves = lh_line_and_curves
+    report = run_probe_workflow(line, catalog, curves, POLICY)
     # all margins far from zero: nothing to verify
     margins = {c.config_id: 5.0 for c in catalog}
-    bound, flag = verify_margin_accuracy(line, catalog, margins, POLICY)
+    bound, flag = verify_margin_accuracy(report.campaign, margins)
     assert bound == 0.0 and flag is VerificationFlag.UNVERIFIED
     # correct near-zero predictions: no false predictions
-    report = run_probe_workflow(line, catalog, curves, POLICY)
     near = {cid: m for cid, m in report.margins_db.items() if abs(m) <= 1.5}
     assert near  # the route is tuned to exercise verification
-    bound, flag = verify_margin_accuracy(line, catalog, report.margins_db,
-                                         POLICY)
+    bound, flag = verify_margin_accuracy(report.campaign, report.margins_db)
     assert bound == 0.0 and flag is VerificationFlag.NO_FALSE_PREDICTIONS
     # force a wrong prediction: positive margin on an impossible config
     wrong = {"DP-16QAM-58": 0.32}
     dead = LineSystem(shipped_scenario("B-621").link, line.modem)
-    bound, flag = verify_margin_accuracy(dead, catalog, wrong, POLICY)
+    campaign = run_extended_probe(dead, catalog, curves, POLICY)
+    bound, flag = verify_margin_accuracy(campaign, wrong)
     assert bound == pytest.approx(0.32)
     assert flag is VerificationFlag.FALSE_PREDICTIONS
+
+
+def test_verification_reads_the_post_fec_status():
+    """An error-free or off-curve reading has no estimate but works; a
+    rejected carrier does not. A margin of exactly zero is never false."""
+    works = PltConfig(ModulationFormat.DP_QPSK, 31.5, 37.5, 6.2509)
+    rejected = PltConfig(ModulationFormat.DP_16QAM, 31.5, 37.5, 12.0)
+    campaign = ProbeCampaign("synthetic", MC, {c.config_id: c
+                                               for c in (works, rejected)})
+    campaign.add(ProbeResult(works.config_id, MC.center_thz, POLICY,
+                             ProbeStatus.UNUSABLE, post_fec_ok=True))
+    campaign.add(ProbeResult(rejected.config_id, MC.center_thz, POLICY,
+                             ProbeStatus.UNUSABLE))
+    assert verify_margin_accuracy(campaign, {works.config_id: -0.4,
+                                             rejected.config_id: 0.3}) == (
+        0.4, VerificationFlag.FALSE_PREDICTIONS)
+    assert verify_margin_accuracy(campaign, {works.config_id: 0.4,
+                                             rejected.config_id: -0.3}) == (
+        0.0, VerificationFlag.NO_FALSE_PREDICTIONS)
+    assert verify_margin_accuracy(campaign, {works.config_id: 0.0,
+                                             rejected.config_id: 0.0}) == (
+        0.0, VerificationFlag.NO_FALSE_PREDICTIONS)
+
+
+class _StubLine:
+    """A probe surface that answers every probe with ``outcome``, or raises
+    it when it is an exception."""
+
+    media_channel = MC
+    name = "stub"
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+
+    def probe(self, config, policy, carrier_center_thz=None, sim_time_h=0.0):
+        if isinstance(self.outcome, Exception):
+            raise self.outcome
+        return self.outcome
+
+
+@pytest.mark.parametrize("outcome, status, post_fec_ok", [
+    (BerReading(1e-3, True, 0.0), ProbeStatus.WORKING, True),
+    (BerReading(0.0, True, 0.0), ProbeStatus.UNUSABLE, True),  # error-free
+    (BerReading(1e-30, True, 0.0), ProbeStatus.UNUSABLE, True),  # off the curve
+    (BerReading(0.1, False, 0.0), ProbeStatus.OUTAGE, False),
+    (CarrierRejectedError("rejected"), ProbeStatus.UNUSABLE, False),
+    (LimitViolationError("over the limit"), ProbeStatus.UNUSABLE, False),
+])
+def test_probe_once_keeps_the_post_fec_status(catalog, curves, outcome, status,
+                                              post_fec_ok):
+    config = catalog[0]
+    result = probe_once(_StubLine(outcome), config, curves[config.config_id],
+                        POLICY)
+    assert result.status is status
+    assert result.post_fec_ok is post_fec_ok
+    assert "post_fec_ok" not in probe_result_to_dict(result)
+
+
+def test_workflow_probes_each_carrier_once(curves):
+    """B-485's workflow probes each of its 9 configurations once; the
+    verification reads the campaign."""
+    sc = shipped_scenario("B-485")
+    proxy = ProbeSurface(LineSystem(sc.link, ModemModel(26.0)))
+    report = run_probe_workflow(proxy, resolve_catalog(sc.catalog), curves,
+                                sc.policy)
+    assert report.accuracy_flag is not VerificationFlag.UNVERIFIED
+    assert len(proxy.probes) == 9
+    assert len(set(proxy.probes)) == 9
+
+
+# Routes whose margins never fall within the near-zero band, on any seed.
+UNVERIFIED_ROUTES = {"A-144", "A-241", "A-241-sweep", "A-4", "B-621", "B-70",
+                     "C-284-sweep", "b2b"}
+
+
+def _reverify(line, catalog, margins_db, policy):
+    """Reference verification that probes each near-zero configuration
+    again on ``line``, a rejected carrier counting as not working."""
+    by_id = {cfg.config_id: cfg for cfg in catalog}
+    verified = False
+    worst = 0.0
+    for cid, margin in margins_db.items():
+        if abs(margin) > 1.5:
+            continue
+        verified = True
+        try:
+            works = line.probe(by_id[cid], policy).post_fec_ok
+        except (CarrierRejectedError, LimitViolationError):
+            works = False
+        if (margin > 0 and not works) or (margin < 0 and works):
+            worst = max(worst, abs(margin))
+    if not verified:
+        return 0.0, VerificationFlag.UNVERIFIED
+    if worst > 0.0:
+        return worst, VerificationFlag.FALSE_PREDICTIONS
+    return 0.0, VerificationFlag.NO_FALSE_PREDICTIONS
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_verification_on_every_shipped_route(curves, modem, name):
+    """Seeds 1-100: the campaign-read verification equals a fresh re-probe,
+    stays within criterion 4's 0.35 dB wherever it verifies, and verifies on
+    every seed except on the routes pinned as unverified."""
+    sc = shipped_scenario(name)
+    catalog = resolve_catalog(sc.catalog)
+    flags = set()
+    for seed in range(1, 101):
+        link = replace(sc.link, seed=seed)
+        report = run_probe_workflow(LineSystem(link, modem), catalog, curves,
+                                    sc.policy)
+        got = (report.accuracy_bound_db, report.accuracy_flag)
+        assert got == _reverify(LineSystem(link, modem), catalog,
+                                report.margins_db, sc.policy), seed
+        if report.accuracy_flag is not VerificationFlag.UNVERIFIED:
+            assert report.accuracy_bound_db <= 0.35, seed
+        flags.add(report.accuracy_flag)
+    if name in UNVERIFIED_ROUTES:
+        assert flags == {VerificationFlag.UNVERIFIED}
+    else:
+        assert VerificationFlag.UNVERIFIED not in flags
 
 
 
@@ -313,9 +443,9 @@ def test_what_if_without_working_probe_raises(curves, modem):
                            POLICY)
 
 
-def test_quick_start_what_if_issues_42_probes(curves, make_line, monkeypatch):
+def test_quick_start_what_if_issues_36_probes(curves, make_line, monkeypatch):
     """Both quick-start throughput routes: each probe workflow on the line and
-    on its filter-free copy, 42 probes in all."""
+    on its filter-free copy, 36 probes in all."""
     count = [0]
     probe = LineSystem.probe
 
@@ -327,7 +457,7 @@ def test_quick_start_what_if_issues_42_probes(curves, make_line, monkeypatch):
         sc = shipped_scenario(name)
         what_if_line_rates(make_line(name), resolve_catalog(sc.catalog), curves,
                            sc.policy)
-    assert count[0] == 42
+    assert count[0] == 36
 
 def test_sweep_profile_shape_and_symmetry(lh_line_and_curves):
     noisy, catalog, curves = lh_line_and_curves
