@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -219,13 +219,11 @@ class LinkSpec:
                         GRID_UNIT_GHZ, self.media_channel.width_ghz, unit="GHz")
 
 
-@dataclass(frozen=True)
-class BerReading:
+class BerReading(namedtuple("BerReading",
+                             "pre_fec_ber post_fec_ok rx_power_dbm")):
     """What the black-box probe hands back for one carrier configuration."""
 
-    pre_fec_ber: float
-    post_fec_ok: bool
-    rx_power_dbm: float
+    __slots__ = ()
 
 
 def cascade_osnr_at_0dbm(spans: tuple[SpanSpec, ...]) -> float:

@@ -24,7 +24,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import itemgetter, le, mul
 from pathlib import Path
 
@@ -79,6 +79,7 @@ class ModemModel:
                         low_open=True, unit="dB", error=ValueError)
 
 
+@cache
 def _rect_qam_params(fmt: ModulationFormat) -> tuple[float, float]:
     """Prefactor and distance coefficient of the rectangular-QAM BER law."""
     li, lj = fmt.constellation_grid
@@ -242,6 +243,11 @@ class CharacterizationCurve:
     def q_range(self) -> tuple[float, float]:
         return self.q_at(self.valid_range[0]), self.q_at(self.valid_range[1])
 
+    @cached_property
+    def point_qs(self) -> tuple[float, ...]:
+        """Q of each point, ascending: what the inversion seed bisects."""
+        return tuple(q for _, q in self.points)
+
 
 def default_gsnr_grid(config: PltConfig,
                       step_db: float = GRID_STEP_DB) -> list[float]:
@@ -327,7 +333,7 @@ def _inversion_seed(curve: CharacterizationCurve, q_db: float) -> float:
     """Linear interpolation of the characterization points at q_db, clamped
     to the validity range; within the fit residual of the root."""
     points = curve.points
-    i = min(max(bisect_left(points, q_db, key=itemgetter(1)), 1), len(points) - 1)
+    i = min(max(bisect_left(curve.point_qs, q_db), 1), len(points) - 1)
     (g0, q0), (g1, q1) = points[i - 1], points[i]
     lo, hi = curve.valid_range
     return min(max(g0 + (q_db - q0) * (g1 - g0) / (q1 - q0), lo), hi)

@@ -16,7 +16,8 @@ BLAS, and this module does not import numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
@@ -63,19 +64,17 @@ class VerificationFlag(Enum):
     UNVERIFIED = "unverified"
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    """Outcome of one probe measurement."""
+class ProbeResult(namedtuple(
+        "ProbeResult", "config_id carrier_center_thz policy status sim_time_h"
+        " q_db gsnr_est_db note post_fec_ok",
+        defaults=(0.0, None, None, "", False))):
+    """Outcome of one probe measurement.
 
-    config_id: str
-    carrier_center_thz: float
-    policy: PowerPolicy
-    status: ProbeStatus
-    sim_time_h: float = 0.0
-    q_db: float | None = None
-    gsnr_est_db: float | None = None  # set only when status is WORKING
-    note: str = ""
-    post_fec_ok: bool = False  # False too for a rejected carrier
+    ``gsnr_est_db`` is set only when the status is WORKING; ``post_fec_ok``
+    is False too for a rejected carrier.
+    """
+
+    __slots__ = ()
 
 
 @dataclass
@@ -494,7 +493,7 @@ def detect_operation_regime(line, catalog: tuple[PltConfig, ...],
         cid = config.config_id
         if (carrier_power_dbm(psd_policy, config)
                 == carrier_power_dbm(power_policy, config)):
-            power_by_id[cid] = replace(psd_by_id[cid], policy=power_policy)
+            power_by_id[cid] = psd_by_id[cid]._replace(policy=power_policy)
         else:
             power_by_id[cid] = probe_once(line, config, curves[cid],
                                           power_policy)
@@ -557,7 +556,8 @@ def run_monitor(line, config: PltConfig, curve: CharacterizationCurve,
     check_monitor_span(duration_h, interval_h)
     series = []
     i = 0
-    while (t := i * interval_h) <= duration_h + 1e-9:
+    # sample 0 is at t = 0 even when the interval is infinite (0 * inf is NaN)
+    while (t := i * interval_h if i else 0.0) <= duration_h + 1e-9:
         result = probe_once(line, config, curve, policy, None, t)
         series.append((t, result.gsnr_est_db))
         i += 1

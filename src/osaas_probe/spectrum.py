@@ -129,9 +129,13 @@ class PltConfig:
                     low_open=True, high_open=True, error=SpectrumError)
 
     def __hash__(self) -> int:
-        """Hash of the numeric fields. A line looks every probe up by its
-        config, and the enum's Python-level hash would cost as much as the
-        rest of that lookup; equal configs still hash equal."""
+        """Hash of the numeric fields, computed once. A line looks every
+        probe up by its config, and the enum's Python-level hash would cost
+        as much as the rest of that lookup; equal configs still hash equal."""
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.symbol_rate_gbd, self.line_rate_gbps,
                      self.required_gsnr_db, self.roll_off,
                      self.fec_threshold_ber))

@@ -297,6 +297,22 @@ def test_monitor_command(tmp_path, curves_dir):
     assert len(csv_text.splitlines()) == 50
 
 
+def test_monitor_at_an_infinite_interval_takes_one_sample(tmp_path, curves_dir):
+    """--interval-h inf is one sample, at t = 0; it used to probe nothing
+    and exit 2 as a configuration that never worked."""
+    out = tmp_path / "out"
+    assert run(["monitor", "--scenario",
+                SCENARIOS / "LH-3751-monitor-summer.json",
+                "--curves", curves_dir, "--out", out,
+                "--interval-h", "inf"]) == 0
+    rows = (out / "LH-3751-monitor-summer-monitor.csv").read_text().splitlines()
+    assert rows[0] == "sim_time_h,gsnr_est_db"
+    assert len(rows) == 2 and rows[1].startswith("0.000,")
+    summary = json.loads(
+        (out / "LH-3751-monitor-summer-monitor-summary.json").read_text())
+    assert summary["samples"] == 1
+
+
 def test_monitor_bad_interval(tmp_path, curves_dir):
     assert run(["monitor", "--scenario",
                 SCENARIOS / "LH-3751-monitor-summer.json",

@@ -1,6 +1,8 @@
 import json
 import math
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -19,8 +21,13 @@ from osaas_probe.modem import (
     fit_characterization,
     generate_char_points,
     gsnr_from_q,
+    _INVERSION_MAX_ITER,
+    _INVERSION_STEP_DB,
     _gate_values,
+    _horner,
+    _inversion_seed,
     _least_squares,
+    _rect_qam_params,
     load_curve,
 )
 from osaas_probe.reports import write_report
@@ -162,6 +169,76 @@ def test_gsnr_from_q_round_trip_is_exact(curves):
         for g in np.linspace(lo, hi, 200):
             g = float(g)
             assert abs(gsnr_from_q(curve, curve.q_at(g)) - g) <= 1e-9
+
+
+def _keyed_seed(curve, q_db):
+    """The inversion seed bisecting the points by their Q with a key, as
+    before each curve held its points' Q values as a tuple."""
+    points = curve.points
+    i = min(max(bisect_left(points, q_db, key=itemgetter(1)), 1), len(points) - 1)
+    (g0, q0), (g1, q1) = points[i - 1], points[i]
+    lo, hi = curve.valid_range
+    return min(max(g0 + (q_db - q0) * (g1 - g0) / (q1 - q0), lo), hi)
+
+
+def _keyed_gsnr_from_q(curve, q_db):
+    """gsnr_from_q's clamps and Newton loop from the keyed seed."""
+    lo, hi = curve.valid_range
+    q_lo, q_hi = curve.q_range
+    if q_db <= q_lo:
+        return lo
+    if q_db >= q_hi:
+        return hi
+    g = _keyed_seed(curve, q_db)
+    for _ in range(_INVERSION_MAX_ITER):
+        value, slope = _horner(curve.coefficients, g)
+        if value < q_db:
+            lo = g
+        elif value > q_db:
+            hi = g
+        else:
+            return g
+        new = g - ((value - q_db) / slope if slope > 0 else math.inf)
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        if abs(new - g) <= _INVERSION_STEP_DB:
+            return new
+        g = new
+    return g
+
+
+def _assert_inversion_unchanged(curve, q_db):
+    assert _inversion_seed(curve, q_db).hex() == _keyed_seed(curve, q_db).hex()
+    assert (gsnr_from_q(curve, q_db).hex()
+            == _keyed_gsnr_from_q(curve, q_db).hex())
+
+
+def test_inversion_seed_bisects_the_cached_point_qs(curves):
+    """Both ends of every default curve's image and each point's own Q
+    invert bit for bit as with the keyed bisection."""
+    for curve in curves.values():
+        assert curve.point_qs == tuple(q for _, q in curve.points)
+        assert curve.point_qs is curve.point_qs
+        for q in (*curve.q_range, *curve.point_qs):
+            if curve.q_range[0] <= q <= curve.q_range[1]:
+                _assert_inversion_unchanged(curve, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_inversion_matches_the_keyed_seed(curves, data):
+    curve = curves[data.draw(st.sampled_from(sorted(curves)), label="curve")]
+    _assert_inversion_unchanged(curve, data.draw(st.floats(*curve.q_range),
+                                                 label="q_db"))
+
+
+@pytest.mark.parametrize("fmt", list(ModulationFormat))
+def test_rect_qam_params_are_the_formula_computed_once(fmt):
+    li, lj = fmt.constellation_grid
+    assert _rect_qam_params(fmt) == (
+        ((li - 1) / li + (lj - 1) / lj) / math.log2(li * lj),
+        math.sqrt(3.0 / (li * li + lj * lj - 2.0)))
+    assert _rect_qam_params(fmt) is _rect_qam_params(fmt)
 
 
 def test_gsnr_from_q_rejects_readings_outside_image(curves):

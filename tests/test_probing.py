@@ -351,7 +351,37 @@ def test_probe_once_keeps_the_post_fec_status(catalog, curves, outcome, status,
                         POLICY)
     assert result.status is status
     assert result.post_fec_ok is post_fec_ok
-    assert "post_fec_ok" not in probe_result_to_dict(result)
+    # the report holds every field but post_fec_ok, in field order
+    assert list(probe_result_to_dict(result)) == [
+        "config_id", "carrier_center_thz", "policy", "status", "sim_time_h",
+        "q_db", "gsnr_est_db", "note"]
+
+
+def test_probe_records_are_immutable_named_tuples():
+    """A probe's BerReading and probe_once's ProbeResult keep their fields
+    and defaults, refuse assignment and hash by value."""
+    reading = BerReading(1e-3, True, -3.5)
+    assert BerReading._fields == ("pre_fec_ber", "post_fec_ok", "rx_power_dbm")
+    assert reading == BerReading(pre_fec_ber=1e-3, post_fec_ok=True,
+                                 rx_power_dbm=-3.5)
+    config = default_catalog()[0]
+    result = ProbeResult(config.config_id, MC.center_thz, POLICY,
+                         ProbeStatus.OUTAGE)
+    assert ProbeResult._fields == (
+        "config_id", "carrier_center_thz", "policy", "status", "sim_time_h",
+        "q_db", "gsnr_est_db", "note", "post_fec_ok")
+    assert result.sim_time_h == 0.0
+    assert result.q_db is None and result.gsnr_est_db is None
+    assert result.note == ""
+    assert result.post_fec_ok is False
+    for record, name in ((reading, "pre_fec_ber"), (result, "status"),
+                         (result, "post_fec_ok")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1  # no __dict__
+        assert hash(record) == hash(type(record)(*record))
+    assert len({reading, BerReading(1e-3, True, -3.5)}) == 1
 
 
 def test_workflow_probes_each_carrier_once(curves):
@@ -709,9 +739,37 @@ def test_monitor_sample_count_is_bounded(catalog, curves, duration_h,
                     duration_h, interval_h)
 
 
-def test_monitor_sample_bound_is_inclusive():
+def test_monitor_sample_bound_is_inclusive(catalog, curves):
+    """The span check and the series agree: a span of exactly
+    MAX_MONITOR_SAMPLES samples runs them all, and an infinite interval is
+    one sample, at t = 0."""
+    config = catalog[0]
+    line = _StubLine(BerReading(1e-3, True, 0.0))
     check_monitor_span(MAX_MONITOR_SAMPLES - 1.0, 1.0)  # exactly the bound
-    check_monitor_span(48.0, math.inf)  # one sample, at t = 0
+    series = run_monitor(line, config, curves[config.config_id], POLICY,
+                         MAX_MONITOR_SAMPLES - 1.0, 1.0)
+    assert len(series) == MAX_MONITOR_SAMPLES
+    assert series[-1][0] == MAX_MONITOR_SAMPLES - 1.0
+    check_monitor_span(48.0, math.inf)
+    assert [t for t, _ in run_monitor(line, config, curves[config.config_id],
+                                      POLICY, 48.0, math.inf)] == [0.0]
+
+
+@pytest.mark.parametrize("duration_h", [0.0, 1e-9, 1.0, 48.0, 1e6])
+def test_monitor_at_an_infinite_interval_samples_t0_once(lh_line_and_curves,
+                                                         duration_h):
+    """0 * inf is NaN, so a series at an infinite interval used to be
+    empty; it is the one sample at t = 0, the same reading as a finite
+    interval's first."""
+    line, catalog, curves = lh_line_and_curves
+    config = catalog[0]
+    curve = curves[config.config_id]
+    proxy = ProbeSurface(line)
+    series = run_monitor(proxy, config, curve, POLICY, duration_h, math.inf)
+    assert series == run_monitor(line, config, curve, POLICY, 0.0, 1.0)
+    assert len(series) == 1 and series[0][0] == 0.0
+    assert series[0][1] is not None
+    assert proxy.probes == [(config, POLICY, None, 0.0)]
 
 
 def test_regime_probes_the_reference_rate_once(curves):
@@ -740,3 +798,11 @@ def test_regime_probes_the_reference_rate_once(curves):
         sc.policy.value + 10.0 * math.log10(rs_ref))
     for config in reference_rate:
         assert line.probe(config, sc.policy) == line.probe(config, power)
+        # the reused entry is the constant-PSD result with only its policy
+        # replaced, and equals a constant-power probe
+        curve = curves[config.config_id]
+        at_psd = probe_once(line, config, curve, sc.policy)
+        reused = at_psd._replace(policy=power)
+        assert reused.policy is power and at_psd.policy is sc.policy
+        assert reused[:2] == at_psd[:2] and reused[3:] == at_psd[3:]
+        assert reused == probe_once(line, config, curve, power)

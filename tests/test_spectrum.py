@@ -26,6 +26,17 @@ def test_bits_per_symbol():
     assert ModulationFormat.DP_16QAM.bits_per_symbol_dualpol == 8
 
 
+def test_plt_config_hash_is_computed_once_from_its_numbers():
+    """Equal configs built apart hash equal, a config's hash does not change
+    across calls, and it is the hash of the numeric fields."""
+    cfg = PltConfig(ModulationFormat.DP_P16QAM, 46.3, 200.0, 9.5, 0.1, 1e-2)
+    twin = PltConfig(ModulationFormat.DP_P16QAM, 46.3, 200.0, 9.5, 0.1, 1e-2)
+    assert cfg == twin and cfg is not twin
+    assert hash(cfg) == hash(twin) == hash(cfg)
+    assert hash(cfg) == hash((46.3, 200.0, 9.5, 0.1, 1e-2))
+    assert len({cfg, twin, qpsk()}) == 2
+
+
 def test_media_channel_validation():
     with pytest.raises(SpectrumError):
         MediaChannel(190.0, 100.0, 9.0, -20.0)  # outside C-band
