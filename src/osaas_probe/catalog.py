@@ -4,7 +4,8 @@ The default catalog carries eleven configurations over the symbol rates
 31.5, 34.5, 46.3, 52.0, 55.5, 58.0 and 69.4 GBd. Required GSNR per
 configuration is derived by inverting the analytic BER law of its format at
 the FEC threshold, so that a margin of exactly zero coincides with the FEC
-limit of the simulated transceiver.
+limit of the simulated transceiver. A catalog file's records are read by
+``errors.build_record``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import ScenarioError
+from .errors import ScenarioError, build_record
 from .modem import required_snr_db
 from .spectrum import DEFAULT_FEC_THRESHOLD_BER, ModulationFormat, PltConfig
 
@@ -77,15 +78,9 @@ def load_catalog(path: str | Path) -> tuple[PltConfig, ...]:
     configs = {}  # config id -> config; a workflow probes each id once
     for rec in records:
         try:
-            config = PltConfig(
-                format=ModulationFormat.from_label(rec["format"]),
-                symbol_rate_gbd=float(rec["symbol_rate_gbd"]),
-                roll_off=float(rec["roll_off"]),
-                line_rate_gbps=float(rec["line_rate_gbps"]),
-                required_gsnr_db=float(rec["required_gsnr_db"]),
-                fec_threshold_ber=float(rec["fec_threshold_ber"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            config = build_record(PltConfig, rec,
+                                  {"format": ModulationFormat.from_label})
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"bad catalog record {rec!r}: {exc}") from exc
         if configs.setdefault(config.config_id, config) is not config:
             raise ScenarioError(f"catalog {path} repeats {config.config_id}")

@@ -98,9 +98,12 @@ def _load_curves(curves_dir: Path, catalog, loaded: dict) -> dict:
                 f"no characterization curve for {config.config_id} in "
                 f"{curves_dir}; run 'osaas-probe characterize' first")
         try:
-            loaded[config.config_id] = load_curve(path)
+            curve = loaded[config.config_id] = load_curve(path)
         except FitRejectedError as exc:
             raise CliError(f"bad characterization curve {path}: {exc}")
+        if curve.config_id != config.config_id:
+            raise CliError(f"characterization curve {path} holds "
+                           f"{curve.config_id!r}, not {config.config_id!r}")
     return {config.config_id: loaded[config.config_id] for config in catalog}
 
 
@@ -211,6 +214,8 @@ def cmd_regime(args) -> int:
         check_range("--psd-ref", args.psd_ref, *POLICY_VALUE_RANGE, unit="dBm/GHz",
                     error=CliError)
     scenario, catalog, curves, line = _context(args)
+    if not catalog:
+        raise NoSignalError("the catalog holds no configuration")
     if args.rs_ref is not None:
         # below every catalog rate no configuration is tested, and a carrier
         # at a rate above the media-channel width never fits

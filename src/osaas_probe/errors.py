@@ -1,7 +1,9 @@
-"""Exception types raised across the toolkit, and the range check every
-loader and flag parser rejects a number with."""
+"""Exception types raised across the toolkit, the range check every loader
+and flag parser rejects a number with, and build_record, the one reader of
+a scenario part, catalog record or curve file from a JSON object."""
 
 import math
+from dataclasses import MISSING
 
 
 class SpectrumError(ValueError):
@@ -52,3 +54,21 @@ def check_range(name: str, value, low=-math.inf, high=math.inf, *,
         right = ")" if high_open or high == math.inf else "]"
         interval = f" and in {left}{low:g}, {high:g}{right} {unit}".rstrip()
     raise error(f"{name} must be finite{interval}, got {value}")
+
+
+def build_record(cls, data, converters, /, **given):
+    """A dataclass ``cls`` from a JSON object whose keys are its field
+    names, less those in ``given``. A key is optional exactly when its
+    field has a default, and a key that names no field is rejected. Each
+    value converts by ``converters`` under its key, by float otherwise."""
+    if not isinstance(data, dict):
+        raise TypeError(f"expected an object, got {type(data).__name__}")
+    record_fields = cls.__dataclass_fields__  # fields() builds a tuple per call
+    for key in data:
+        if key not in record_fields or key in given:
+            raise ScenarioError(f"unknown key {key!r}")
+    for name, field in record_fields.items():
+        if field.default is MISSING and name not in data and name not in given:
+            raise ScenarioError(f"missing key {name!r}")
+    return cls(**given, **{key: converters.get(key, float)(value)
+                           for key, value in data.items()})

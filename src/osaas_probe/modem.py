@@ -15,7 +15,8 @@ loading a curve imports numpy. The least-squares fit solves its normal
 equations exactly in integers and rounds each coefficient once, so a curve
 file has the same bytes on every platform, whatever BLAS numpy would use.
 The gates evaluate the polynomial at numpy's ``arange`` sample points with
-numpy's Horner recurrence, bit for bit.
+numpy's Horner recurrence, bit for bit. They run where a curve is built,
+from a fit or from a file, in ``CharacterizationCurve.__post_init__``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from functools import cache, cached_property
 from operator import itemgetter, le, mul
 from pathlib import Path
 
-from .errors import CurveRangeError, FitRejectedError, InsufficientDataError, check_range
+from .errors import (CurveRangeError, FitRejectedError, InsufficientDataError,
+                     build_record, check_range)
 from .spectrum import ModulationFormat, PltConfig
 from .units import erfcinv, harmonic_db_sum, q_db_from_ber
 
@@ -223,13 +225,29 @@ def _least_squares(gs, qs, degree: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class CharacterizationCurve:
-    """Fitted Q-vs-GSNR mapping for one configuration."""
+    """Fitted Q-vs-GSNR mapping for one configuration, gated when built:
+    the one gate path of a fit and of a curve file."""
 
     config_id: str
     points: tuple[tuple[float, float], ...]
     coefficients: tuple[float, ...]  # ascending powers
     valid_range: tuple[float, float]
-    snr_modem_db: float = math.inf
+    snr_modem_db: float  # math.inf for an ideal unit
+
+    def __post_init__(self):
+        if not 2 <= len(self.coefficients) < len(self.points):
+            raise FitRejectedError(f"{len(self.coefficients)} coefficients do "
+                                   f"not fit {len(self.points)} points")
+        gs, qs = [g for g, _ in self.points], self.point_qs
+        if (any(b <= a for a, b in zip(gs, gs[1:]))
+                or any(b <= a for a, b in zip(qs, qs[1:]))):
+            raise FitRejectedError("curve points are not strictly monotone")
+        lo, hi = self.valid_range
+        slack = _PERSISTED_POINT_ROUNDING
+        if not gs[0] - slack <= lo < hi <= gs[-1] + slack:
+            raise FitRejectedError(
+                f"valid range [{lo}, {hi}] not inside the points [{gs[0]}, {gs[-1]}]")
+        _check_fit(self.coefficients, gs, qs, lo, hi)
 
     def q_at(self, gsnr_db: float) -> float:
         lo, hi = self.valid_range
@@ -296,9 +314,9 @@ def fit_characterization(
     """Least-squares polynomial fit of characterization points, exact and
     rounded once (see _least_squares).
 
-    Rejects fits that are non-monotone over the validity range (sampled at
-    0.01 dB) or whose RMS residual exceeds the quality gate; callers should
-    raise the degree or prune points on rejection.
+    The curve rejects a fit that is non-monotone over the validity range
+    (sampled at 0.01 dB) or whose RMS residual exceeds the quality gate;
+    callers should raise the degree or prune points on rejection.
     """
     if len(points) < degree + 2:
         raise InsufficientDataError(
@@ -309,14 +327,11 @@ def fit_characterization(
     if (any(b <= a for a, b in zip(gs, gs[1:]))
             or any(b <= a for a, b in zip(qs, qs[1:]))):
         raise InsufficientDataError("characterization points must be strictly monotone")
-    coeffs = _least_squares(gs, qs, degree)
-    lo, hi = gs[0], gs[-1]
-    _check_fit(coeffs, gs, qs, lo, hi)
     return CharacterizationCurve(
         config_id=config_id,
         points=tuple(zip(gs, qs)),
-        coefficients=coeffs,
-        valid_range=(lo, hi),
+        coefficients=_least_squares(gs, qs, degree),
+        valid_range=(gs[0], gs[-1]),
         snr_modem_db=snr_modem_db,
     )
 
@@ -343,7 +358,7 @@ def gsnr_from_q(curve: CharacterizationCurve, q_db: float) -> float:
     """Invert a characterization curve: measured Q back to estimated GSNR.
 
     The fitted polynomial rises strictly over its validity range (checked
-    when fitting and when loading), so the unique root is found by Newton's
+    when the curve is built), so the unique root is found by Newton's
     method from an interpolated seed. The root stays bracketed; a step that
     would leave the bracket is replaced by bisection. Q readings outside the
     curve image mean the measurement cannot be converted and the probing
@@ -393,8 +408,25 @@ def _finite(value) -> float:
     return check_range("curve value", float(value), error=ValueError)
 
 
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("config_id must be a string")
+    return value
+
+
+# How a curve file value converts to each field of CharacterizationCurve.
+_CURVE_CONVERTERS = {
+    "config_id": _string,
+    "points": lambda points: tuple((_finite(g), _finite(q)) for g, q in points),
+    "coefficients": lambda coefficients: tuple(map(_finite, coefficients)),
+    "valid_range": lambda bounds: tuple(map(_finite, bounds)),
+    "snr_modem_db": lambda snr: (math.inf if snr is None
+                                 else ModemModel(float(snr)).snr_modem_db),
+}
+
+
 def curve_from_dict(data: dict) -> CharacterizationCurve:
-    """Rebuild a persisted curve, re-running the checks a fit must pass.
+    """Rebuild a persisted curve by errors.build_record; it is gated as a fit is.
 
     Any malformed or inconsistent content raises :class:`FitRejectedError`.
     """
@@ -402,37 +434,13 @@ def curve_from_dict(data: dict) -> CharacterizationCurve:
         raise FitRejectedError(
             f"not a curve file of schema_version {CURVE_SCHEMA_VERSION}")
     try:
-        config_id = data["config_id"]
-        if not isinstance(config_id, str):
-            raise TypeError("config_id must be a string")
-        points = [(_finite(g), _finite(q)) for g, q in data["points"]]
-        coefficients = tuple(_finite(c) for c in data["coefficients"])
-        lo, hi = (_finite(v) for v in data["valid_range"])
-        modem = data.get("snr_modem_db")
-        snr_modem_db = ModemModel(math.inf if modem is None
-                                  else float(modem)).snr_modem_db
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        record = {key: value for key, value in data.items() if key != "schema_version"}
+        return build_record(CharacterizationCurve, record, _CURVE_CONVERTERS)
+    except FitRejectedError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
         # OverflowError: an integer literal beyond float range
-        raise FitRejectedError(f"malformed curve: {exc!r}") from exc
-    if not 2 <= len(coefficients) < len(points):
-        raise FitRejectedError(
-            f"{len(coefficients)} coefficients do not fit {len(points)} points")
-    gs = [p[0] for p in points]
-    qs = [p[1] for p in points]
-    if any(b <= a for a, b in zip(gs, gs[1:])) or any(b <= a for a, b in zip(qs, qs[1:])):
-        raise FitRejectedError("persisted curve points are not strictly monotone")
-    slack = _PERSISTED_POINT_ROUNDING
-    if not gs[0] - slack <= lo < hi <= gs[-1] + slack:
-        raise FitRejectedError(
-            f"valid range [{lo}, {hi}] not inside the points [{gs[0]}, {gs[-1]}]")
-    _check_fit(coefficients, gs, qs, lo, hi)
-    return CharacterizationCurve(
-        config_id=config_id,
-        points=tuple(points),
-        coefficients=coefficients,
-        valid_range=(lo, hi),
-        snr_modem_db=snr_modem_db,
-    )
+        raise FitRejectedError(f"malformed curve: {exc}") from exc
 
 
 def load_curve(path: str | Path) -> CharacterizationCurve:

@@ -6,17 +6,17 @@ version 3, whose keys are the field names of the dataclasses they describe:
 a file's top level holds those of ``LinkSpec`` and ``Scenario`` (less
 ``link``), and its nested objects those of ``MediaChannel``, ``SpanSpec``,
 ``FilterElement`` and ``PowerPolicy``. A key is optional exactly when its
-field has a default, and a key that names no field is rejected.
+field has a default, and a key that names no field is rejected: the rule
+of ``errors.build_record``, which reads catalog records and curve files too.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields, replace
-from functools import cache
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .errors import ScenarioError, check_range
+from .errors import ScenarioError, build_record, check_range
 from .spectrum import GRID_UNIT_GHZ, MediaChannel, PolicyKind, PowerPolicy
 from .linesystem import DispersionComp, FilterElement, LinkSpec, SpanSpec
 
@@ -70,33 +70,11 @@ _CONVERTERS = {
     "seed": lambda seed: _integer("seed", seed),
     "equalizer_window_ghz": lambda width: None if width is None else float(width),
     "ripple": lambda points: tuple((float(f), float(db)) for f, db in points),
-    "media_channel": lambda channel: _build(MediaChannel, channel),
-    "spans": lambda spans: tuple(_build(SpanSpec, span) for span in spans),
-    "filters": lambda elements: tuple(_build(FilterElement, f) for f in elements),
-    "policy": lambda policy: _build(PowerPolicy, policy),
+    "media_channel": lambda mc: build_record(MediaChannel, mc, _CONVERTERS),
+    "spans": lambda spans: tuple(build_record(SpanSpec, s, _CONVERTERS) for s in spans),
+    "filters": lambda fs: tuple(build_record(FilterElement, f, _CONVERTERS) for f in fs),
+    "policy": lambda policy: build_record(PowerPolicy, policy, _CONVERTERS),
 }
-
-
-@cache
-def _required(cls) -> dict[str, bool]:
-    """Each field name of ``cls``, and whether a file must give it."""
-    return {f.name: f.default is MISSING for f in fields(cls)}
-
-
-def _build(cls, data: dict, **given):
-    """A ``cls`` from a file object whose keys are its field names, less
-    those in ``given``."""
-    if not isinstance(data, dict):
-        raise TypeError(f"expected an object, got {type(data).__name__}")
-    required = _required(cls)
-    for key in data:
-        if key not in required or key in given:
-            raise ScenarioError(f"unknown key {key!r}")
-    for name in required:
-        if required[name] and name not in data and name not in given:
-            raise ScenarioError(f"missing key {name!r}")
-    return cls(**given, **{key: _CONVERTERS.get(key, float)(value)
-                           for key, value in data.items()})
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -106,12 +84,13 @@ def scenario_from_dict(data: dict) -> Scenario:
         version = data["schema_version"]
         if version != SCHEMA_VERSION:
             raise ScenarioError(f"unsupported schema_version {version!r}")
-        link_keys = _required(LinkSpec)
-        link = _build(LinkSpec, {key: value for key, value in data.items()
-                                 if key in link_keys})
-        return _build(Scenario, {key: value for key, value in data.items()
-                                 if key not in link_keys
-                                 and key != "schema_version"}, link=link)
+        link_keys = {f.name for f in fields(LinkSpec)}
+        link = build_record(LinkSpec, {key: value for key, value in data.items()
+                                       if key in link_keys}, _CONVERTERS)
+        return build_record(Scenario, {key: value for key, value in data.items()
+                                       if key not in link_keys
+                                       and key != "schema_version"},
+                            _CONVERTERS, link=link)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, ScenarioError):
             raise

@@ -69,6 +69,22 @@ def test_catalog_file_round_trip(tmp_path, catalog):
         assert a.required_gsnr_db == pytest.approx(b.required_gsnr_db, abs=1e-4)
 
 
+def test_catalog_record_keys_are_field_names(tmp_path):
+    """A record's keys are PltConfig's field names: roll_off and
+    fec_threshold_ber are optional with the PltConfig defaults, and a key
+    that names no field is rejected, where it was once ignored."""
+    record = {"format": "DP-QPSK", "symbol_rate_gbd": 31.5,
+              "line_rate_gbps": 100.0, "required_gsnr_db": 6.2509}
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps([record]))
+    (config,) = load_catalog(path)
+    assert config.roll_off == 0.19
+    assert config.fec_threshold_ber == 2e-2
+    path.write_text(json.dumps([dict(record, rolloff=0.2)]))
+    with pytest.raises(ScenarioError, match="unknown key 'rolloff'"):
+        load_catalog(path)
+
+
 def test_resolve_catalog(tmp_path, catalog):
     assert resolve_catalog("default") == default_catalog()
     assert resolve_catalog("regional") == regional_catalog()

@@ -14,12 +14,13 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from osaas_probe.catalog import resolve_catalog
+from osaas_probe.catalog import load_catalog, resolve_catalog
 from osaas_probe.cli import main
-from osaas_probe.errors import ScenarioError
+from osaas_probe.errors import FitRejectedError, ScenarioError
 from osaas_probe.linesystem import FilterElement, LinkSpec, SpanSpec
+from osaas_probe.modem import CharacterizationCurve, curve_from_dict
 from osaas_probe.scenario import Scenario, scenario_from_dict
-from osaas_probe.spectrum import MediaChannel, PowerPolicy
+from osaas_probe.spectrum import MediaChannel, PltConfig, PowerPolicy
 
 from conftest import (
     REPO_ROOT,
@@ -80,6 +81,27 @@ def test_characterize_empty_catalog(tmp_path):
     assert list(out.glob("*.json")) == []
 
 
+def _counting_check_fit(monkeypatch):
+    """Count the calls of modem._check_fit, the fit gates, in a list."""
+    from osaas_probe import modem
+    checks = [0]
+    check_fit = modem._check_fit
+
+    def counting(*args):
+        checks[0] += 1
+        return check_fit(*args)
+    monkeypatch.setattr(modem, "_check_fit", counting)
+    return checks
+
+
+def test_characterize_gates_each_curve_once(tmp_path, monkeypatch):
+    """The fit and the curve it builds share one gate path, run once per
+    configuration."""
+    checks = _counting_check_fit(monkeypatch)
+    assert run(["characterize", "--out", tmp_path / "curves"]) == 0
+    assert checks[0] == 11
+
+
 def test_characterize_insufficient_grid_fails(tmp_path):
     out = tmp_path / "curves"
     code = run(["characterize", "--out", out, "--grid-step-db", "7.5"])
@@ -125,6 +147,20 @@ def test_broken_curve_file_is_config_error(tmp_path, curves_dir, kind):
     assert "Traceback" not in stderr
     assert len(stderr.strip().splitlines()) == 1
     assert "DP-QPSK-31.5.json" in stderr
+
+
+def test_curve_file_of_another_config_is_config_error(tmp_path, curves_dir,
+                                                      capsys):
+    """A curve file copied over another configuration's was once used:
+    probe B-485 exited 0 with the link estimate off by 0.4 dB."""
+    curves = tmp_path / "curves"
+    shutil.copytree(curves_dir, curves)
+    shutil.copy(curves / "DP-P-16QAM-34.5.json", curves / "DP-16QAM-34.5.json")
+    assert run(["probe", "--scenario", SCENARIOS / "B-485.json",
+                "--curves", curves, "--out", tmp_path / "out"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: characterization curve {curves / 'DP-16QAM-34.5.json'} holds "
+        "'DP-P-16QAM-34.5', not 'DP-16QAM-34.5'"]
 
 
 def test_probe_command_and_exit_codes(tmp_path, curves_dir):
@@ -248,6 +284,18 @@ def test_regime_command(tmp_path, curves_dir):
     assert report["entries"]["DP-QPSK-69.4"]["classification"] == "near_optimum"
 
 
+@pytest.mark.parametrize("flags", [[], ["--rs-ref", "30"]])
+def test_regime_empty_catalog_is_no_signal(tmp_path, curves_dir, capsys, flags):
+    """An empty catalog ended in a max() or min() traceback, exit 1."""
+    catalog_path = tmp_path / "empty.json"
+    catalog_path.write_text("[]")
+    assert run(["regime", "--scenario", SCENARIOS / "LH-5738.json",
+                "--catalog", catalog_path, "--curves", curves_dir,
+                "--out", tmp_path] + flags) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "no signal: the catalog holds no configuration"]
+
+
 def test_throughput_command(tmp_path, curves_dir):
     out = tmp_path / "out"
     assert run(["throughput",
@@ -269,14 +317,7 @@ def test_throughput_reads_each_curve_file_once(tmp_path, curves_dir,
                                                monkeypatch):
     """B-621 and B-1302 share the 9 curves of the regional catalog: each
     file is read and gated once per command, not once per route."""
-    from osaas_probe import modem
-    checks = [0]
-    check_fit = modem._check_fit
-
-    def counting(*args):
-        checks[0] += 1
-        return check_fit(*args)
-    monkeypatch.setattr(modem, "_check_fit", counting)
+    checks = _counting_check_fit(monkeypatch)
     assert run(["throughput", "--scenario", SCENARIOS / "B-621.json",
                 "--scenario", SCENARIOS / "B-1302.json",
                 "--curves", curves_dir, "--out", tmp_path]) == 0
@@ -740,10 +781,22 @@ def _key_paths(node, path=()):
             yield from _key_paths(child, path + (index,))
 
 
+def _rename_a_key(data, document, keys):
+    """Rename one key of ``document``, at any depth, to a name not in
+    ``keys``."""
+    *parents, key = data.draw(st.sampled_from(list(_key_paths(document))))
+    for parent in parents:
+        document = document[parent]
+    new_key = data.draw(st.text().filter(lambda k: k not in keys))
+    document[new_key] = document.pop(key)
+
+
 # Every key a scenario file may hold, at any depth.
 SCENARIO_KEYS = {"schema_version"} | {
     f.name for cls in (Scenario, LinkSpec, MediaChannel, SpanSpec,
                        FilterElement, PowerPolicy) for f in fields(cls)}
+CURVE_KEYS = {"schema_version"} | {f.name for f in fields(CharacterizationCurve)}
+CATALOG_KEYS = {f.name for f in fields(PltConfig)}
 
 
 @settings(max_examples=200, deadline=None)
@@ -753,11 +806,43 @@ def test_renamed_key_is_invalid_scenario(data):
     field has: the reader rejects it, where it once dropped a misspelt
     optional key and took the default."""
     scenario = shipped_data(data.draw(st.sampled_from(SCENARIO_NAMES)))
-    *parents, key = data.draw(st.sampled_from(list(_key_paths(scenario))))
-    document = scenario
-    for parent in parents:
-        document = document[parent]
-    new_key = data.draw(st.text().filter(lambda k: k not in SCENARIO_KEYS))
-    document[new_key] = document.pop(key)
+    _rename_a_key(data, scenario, SCENARIO_KEYS)
     with pytest.raises(ScenarioError):
         scenario_from_dict(scenario)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), renamed=st.sampled_from(["curve", "catalog"]))
+def test_renamed_curve_or_catalog_key_is_config_error(curves_dir, data, renamed):
+    """One key of a written curve file or of a catalog record renamed to a
+    name no field has: the reader rejects it, and probe ends in exit 3 with
+    one stderr line. Both readers once ignored an unknown key, so a
+    misspelt snr_modem_db read as an ideal modem."""
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        curves = work / "curves"
+        shutil.copytree(curves_dir, curves)
+        records = catalog_records(resolve_catalog("default"))
+        catalog = work / "catalog.json"
+        if renamed == "curve":
+            path = curves / data.draw(st.sampled_from(
+                sorted(path.name for path in curves.glob("*.json"))))
+            curve = json.loads(path.read_text())
+            _rename_a_key(data, curve, CURVE_KEYS)
+            path.write_text(json.dumps(curve))
+            with pytest.raises(FitRejectedError):
+                curve_from_dict(curve)
+            catalog.write_text(json.dumps(records))
+        else:
+            _rename_a_key(data, records, CATALOG_KEYS)
+            catalog.write_text(json.dumps(records))
+            with pytest.raises(ScenarioError):
+                load_catalog(catalog)
+        stderr = io.StringIO()
+        with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+            code = run(["probe", "--scenario", SCENARIOS / "B-485.json",
+                        "--catalog", catalog, "--curves", curves,
+                        "--out", work / "out"])
+    assert code == 3
+    assert len(stderr.getvalue().splitlines()) == 1

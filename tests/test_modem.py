@@ -313,6 +313,8 @@ BAD_CURVE_EDITS = {
     "range beyond points": lambda d: d.update(
         valid_range=[d["valid_range"][0] - 0.1, d["valid_range"][1]]),
     "negative modem SNR": lambda d: d.update(snr_modem_db=-3.0),
+    "no snr_modem_db": lambda d: d.pop("snr_modem_db"),
+    "unknown key": lambda d: d.update(snr_modem_dB=d.pop("snr_modem_db")),
     "non-monotone polynomial": make_non_monotone,
     "residual above the fit gate": make_huge_residual,
 }
