@@ -1,6 +1,7 @@
 """Exception types raised across the toolkit, the range check every loader
-and flag parser rejects a number with, and build_record, the one reader of
-a scenario part, catalog record or curve file from a JSON object."""
+and flag parser rejects a number with, build_record, the one reader of a
+scenario part, catalog record or curve file from a JSON object, and the
+converters of its number, integer and text values."""
 
 import math
 from dataclasses import MISSING
@@ -56,11 +57,34 @@ def check_range(name: str, value, low=-math.inf, high=math.inf, *,
     raise error(f"{name} must be finite{interval}, got {value}")
 
 
+def number(value, name: str) -> float:
+    """A JSON number as a float. float() alone would take true, false and
+    numeric text too: a bool is an int to Python, but no number to JSON."""
+    if value.__class__ is not float and value.__class__ is not int:
+        raise ScenarioError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def integer(value, name: str) -> int:
+    """A JSON number without a fractional part, as an int of any size;
+    int() alone would cut 3.7 to 3 and overflow on an infinite value."""
+    if value.__class__ is not int and not number(value, name).is_integer():
+        raise ScenarioError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
+def text(value, name: str) -> str:
+    """A JSON string; str() would make text of any value."""
+    if value.__class__ is not str:
+        raise ScenarioError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def build_record(cls, data, converters, /, **given):
     """A dataclass ``cls`` from a JSON object whose keys are its field
     names, less those in ``given``. A key is optional exactly when its
     field has a default, and a key that names no field is rejected. Each
-    value converts by ``converters`` under its key, by float otherwise."""
+    value converts by ``converters`` under its key, as a number otherwise."""
     if not isinstance(data, dict):
         raise TypeError(f"expected an object, got {type(data).__name__}")
     record_fields = cls.__dataclass_fields__  # fields() builds a tuple per call
@@ -70,5 +94,6 @@ def build_record(cls, data, converters, /, **given):
     for name, field in record_fields.items():
         if field.default is MISSING and name not in data and name not in given:
             raise ScenarioError(f"missing key {name!r}")
-    return cls(**given, **{key: converters.get(key, float)(value)
+    return cls(**given, **{key: converters[key](value) if key in converters
+                           else number(value, key)
                            for key, value in data.items()})

@@ -15,17 +15,16 @@ Physics is deliberately reduced to what a probing campaign can observe:
 * Bandwidth narrowing is a cascade of super-Gaussian power transfers applied
   to the root-raised-cosine carrier spectrum. Each element passes
   exp(-ln2 * x^2n), so the cascade is a single exponential of the
-  count-weighted sum over its distinct elements. They are evaluated
-  together, as the rows of one array, bit-identically to evaluating them
-  one at a time. The in-band loss is the trapezoid integral of spectrum
-  times transfer on the lattice j * 2^-6 GHz, which is exact in binary and
-  1/16 of the 0.25 GHz grid, so every carrier placement is a whole lattice
-  shift. Each cascade's transfer is computed once per block of 1024 lattice
-  points, and every placement of every carrier shape reads the blocks
-  under it (see _penalty_grid for the accuracy). The loss is amplified by
-  an ISI factor to account for shape distortion on top of pure power
-  clipping. A cascade that passes no power blocks the carrier, and its
-  probes read a failed FEC.
+  count-weighted sum over its distinct elements, taken one element at a
+  time in cascade order. The in-band loss is the trapezoid integral of
+  spectrum times transfer on the lattice j * 2^-6 GHz, which is exact in
+  binary and 1/16 of the 0.25 GHz grid, so every carrier placement is a
+  whole lattice shift. Each cascade's transfer is computed once per block
+  of 1024 lattice points, and every placement of every carrier shape reads
+  the blocks under it (see _penalty_grid for the accuracy). The loss is
+  amplified by an ISI factor to account for shape distortion on top of
+  pure power clipping. A cascade that passes no power blocks the carrier,
+  and its probes read a failed FEC.
 * Tilt and ripple are injected frequency profiles. The line re-levels them
   over one equalizer window: the whole media channel, which keeps the
   intra-channel tilt, or each network media channel of a narrower width.
@@ -65,7 +64,7 @@ import zlib
 from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import check_range
 from .modem import ModemModel, ber_from_snr
@@ -109,10 +108,12 @@ _LATTICE_STEP_GHZ = 2.0 ** -6
 _LATTICE_PER_GRID_UNIT = int(GRID_UNIT_GHZ / _LATTICE_STEP_GHZ)
 # Lattice points per cached block of a cascade's transfer: 8 KiB each, and
 # 512 of them (4 MiB) cover the media channels of the shipped routes many
-# times over. filter_transfer's (k, B) work arrays for a cascade of three
-# distinct elements then stay under 128 KiB, below which the C allocator
-# keeps freed memory for the next block instead of returning it to the
-# system and faulting it back in on every cold op.
+# times over. filter_transfer's work arrays are then 8 KiB each too, far
+# under the C allocator's mmap threshold, so it keeps their freed memory for
+# the next block instead of returning it to the system and faulting it in
+# again: the median cold sweep op takes no minor page fault. Larger blocks
+# would compute as many points per cold sweep op (32768 with blocks of 1024,
+# 2048 or 4096 points), so they buy nothing.
 _TRANSFER_BLOCK_POINTS = 1024
 _LN2 = math.log(2.0)
 # 2**27 + 1 splits a double into two halves whose products are exact.
@@ -253,14 +254,10 @@ def nli_eta_per_mw2(spans: tuple[SpanSpec, ...]) -> float:
 
 
 class FilterCascade(tuple):
-    """Tuple of filter elements that hashes its elements once, and builds
-    the column arrays of its distinct elements on its first integral.
-
-    The penalty cache is keyed on the cascade, and a line hands the same
-    cascade to it on every probe; a plain tuple would re-hash each frozen
-    element on every lookup. Building a line or probing a warm placement
-    never builds the columns.
-    """
+    """Tuple of filter elements that hashes its elements once. The penalty
+    cache and the transfer blocks are keyed on the cascade, and a line hands
+    the same cascade to them on every probe; a plain tuple would re-hash
+    each frozen element on every lookup."""
 
     def __new__(cls, elements=()):
         cascade = super().__new__(cls, elements)
@@ -270,92 +267,41 @@ class FilterCascade(tuple):
     def __hash__(self):
         return self._hash
 
-    @cached_property
-    def _columns(self):
-        """The distinct elements as (k, 1) columns of centre, half width,
-        copy count and correction weight, the orders above 1, and the row
-        of each distinct element in cascade order.
-
-        Rows with an order above 1 come first, so Dekker's correction runs
-        on one leading slice; an order-1 row is the plain square.
-        """
-        import numpy as np
-
-        counts = Counter(self)
-        rows = sorted(counts, key=lambda filt: filt.order == 1)
-        corrected = tuple(filt.order for filt in rows if filt.order > 1)
-
-        def column(values):
-            return np.array(values, dtype=float).reshape(-1, 1)
-
-        return (column([filt.center_offset_ghz for filt in rows]),
-                column([filt.bandwidth_3db_ghz for filt in rows]) / 2.0,
-                column([counts[filt] for filt in rows]),
-                column(corrected),
-                corrected,
-                tuple(rows.index(filt) for filt in counts))
-
 
 def filter_transfer(filters: tuple[FilterElement, ...], f: np.ndarray) -> np.ndarray:
     """Cascade power transfer at offsets f (GHz) from the channel center.
 
     Each element passes exp(-ln2 * x^2n) at its normalized offset x, so k
     identical elements pass exp(-k ln2 x^2n) and the whole cascade is one
-    exponential of the count-weighted sum over its distinct elements.
+    exponential of the count-weighted sum over its distinct elements, taken
+    one element at a time in cascade order.
 
-    The distinct elements are evaluated together, one row each of a (k, n)
-    array, with the float operations of evaluating them one at a time, so
-    the result is bit-identical to that. x^2n is the repeated squaring of
-    x * x. Squaring alone would multiply the rounding of x * x by n, which
-    far out on a filter skirt, where x^2n is hundreds, is the whole error
-    budget of exp(-ln2 * x^2n); Dekker's exact product (Veltkamp split)
-    recovers that rounding, and the first-order term n * error * x^(2n - 2)
-    puts it back. Only the squaring chain runs per row, as orders differ.
-    The rows are summed in cascade order.
+    x^2n is the repeated squaring of x * x. Squaring alone would multiply
+    the rounding of x * x by n, which far out on a filter skirt, where x^2n
+    is hundreds, is the whole error budget of exp(-ln2 * x^2n); Dekker's
+    exact product (Veltkamp split) recovers that rounding, and the
+    first-order term n * error * x^(2n - 2) puts it back.
     """
     import numpy as np
 
-    if not isinstance(filters, FilterCascade):
-        filters = FilterCascade(filters)
-    centers, halves, counts, weights, orders, sum_rows = filters._columns
-    x = np.subtract(f, centers)
-    x /= halves
-    square = x * x
-    # The leading rows, of order above 1, as named views: an augmented
-    # assignment to a subscript would copy the result back onto itself.
-    x, head = x[:len(orders)], square[:len(orders)]
-    # Dekker: error = x * x - square, exactly
-    low = x * _VELTKAMP_SPLIT                    # scaled
-    error = low - x                              # scaled - x
-    np.subtract(low, error, out=error)           # high
-    np.subtract(x, error, out=low)               # low = x - high
-    x += error                                   # high + x
-    low *= x
-    error *= error                               # high * high
-    error -= head
-    error += low
-    # x^(2n - 2) per row by repeated squaring, into the free rows of x
-    power = x
-    power.fill(1.0)
-    for base, power_row, scratch, order in zip(head, power, low, orders):
-        exponent = order - 1
-        while exponent:
-            if exponent & 1:
-                power_row *= base
-            exponent >>= 1
-            if exponent:
-                base = np.multiply(base, base, out=scratch)
-    error *= weights
-    error *= power
-    head *= power
-    head += error
-    square *= counts
-    # No row holds -0.0, so the first row has the bits of 0.0 + that row.
-    exponent = square[sum_rows[0]] if sum_rows else np.zeros_like(f)
-    for row in sum_rows[1:]:
-        exponent += square[row]
-    exponent *= -_LN2
-    return np.exp(exponent, out=exponent)
+    exponent = np.zeros_like(f)
+    for filt, count in Counter(filters).items():
+        x = (f - filt.center_offset_ghz) / (filt.bandwidth_3db_ghz / 2.0)
+        term = x * x
+        if filt.order > 1:
+            scaled = x * _VELTKAMP_SPLIT
+            high = scaled - (scaled - x)
+            error = (high * high - term) + (x - high) * (high + x)  # x * x - term
+            power, base, bits = 1.0, term, filt.order - 1  # power: x^(2n - 2)
+            while bits:
+                if bits & 1:
+                    power = power * base
+                bits >>= 1
+                if bits:
+                    base = base * base
+            term = term * power + (filt.order * error) * power
+        exponent += count * term
+    return np.exp(-_LN2 * exponent)
 
 
 def _key_words(key: tuple[int, ...]) -> list[int]:
@@ -430,10 +376,8 @@ def _transfer_block(filters: tuple[FilterElement, ...], block: int) -> np.ndarra
     import numpy as np
 
     start = block * _TRANSFER_BLOCK_POINTS
-    # filter_transfer returns one row of its (k, B) work array; the copy
-    # keeps only the B points alive in the cache.
     transfer = filter_transfer(filters, np.arange(
-        start, start + _TRANSFER_BLOCK_POINTS) * _LATTICE_STEP_GHZ).copy()
+        start, start + _TRANSFER_BLOCK_POINTS) * _LATTICE_STEP_GHZ)
     transfer.flags.writeable = False
     return transfer
 

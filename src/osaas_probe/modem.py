@@ -30,7 +30,7 @@ from operator import itemgetter, le, mul
 from pathlib import Path
 
 from .errors import (CurveRangeError, FitRejectedError, InsufficientDataError,
-                     build_record, check_range)
+                     build_record, check_range, number, text)
 from .spectrum import ModulationFormat, PltConfig
 from .units import erfcinv, harmonic_db_sum, q_db_from_ber
 
@@ -405,23 +405,18 @@ def curve_to_dict(curve: CharacterizationCurve) -> dict:
 
 
 def _finite(value) -> float:
-    return check_range("curve value", float(value), error=ValueError)
-
-
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError("config_id must be a string")
-    return value
+    return check_range("curve value", number(value, "curve value"),
+                       error=ValueError)
 
 
 # How a curve file value converts to each field of CharacterizationCurve.
 _CURVE_CONVERTERS = {
-    "config_id": _string,
+    "config_id": lambda config_id: text(config_id, "config_id"),
     "points": lambda points: tuple((_finite(g), _finite(q)) for g, q in points),
     "coefficients": lambda coefficients: tuple(map(_finite, coefficients)),
     "valid_range": lambda bounds: tuple(map(_finite, bounds)),
-    "snr_modem_db": lambda snr: (math.inf if snr is None
-                                 else ModemModel(float(snr)).snr_modem_db),
+    "snr_modem_db": lambda snr: (math.inf if snr is None else
+                                 ModemModel(number(snr, "snr_modem_db")).snr_modem_db),
 }
 
 
@@ -430,7 +425,8 @@ def curve_from_dict(data: dict) -> CharacterizationCurve:
 
     Any malformed or inconsistent content raises :class:`FitRejectedError`.
     """
-    if not isinstance(data, dict) or data.get("schema_version") != CURVE_SCHEMA_VERSION:
+    version = data.get("schema_version") if isinstance(data, dict) else None
+    if version is True or version != CURVE_SCHEMA_VERSION:  # True == 1
         raise FitRejectedError(
             f"not a curve file of schema_version {CURVE_SCHEMA_VERSION}")
     try:

@@ -16,7 +16,8 @@ import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .errors import ScenarioError, build_record, check_range
+from .errors import (ScenarioError, build_record, check_range, integer,
+                     number, text)
 from .spectrum import GRID_UNIT_GHZ, MediaChannel, PolicyKind, PowerPolicy
 from .linesystem import DispersionComp, FilterElement, LinkSpec, SpanSpec
 
@@ -51,28 +52,32 @@ class Scenario:
         return replace(self, link=replace(self.link, seed=seed))
 
 
-def _integer(name: str, value) -> int:
-    """An integer from a file. int() alone would cut 3.7 to 3 and end in an
-    OverflowError on an infinite value."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ScenarioError(f"{name} must be an integer, got {value}")
-    return int(value)
+def _array(value, name: str) -> list:
+    """A JSON array. Iterating a string or an object instead would read
+    "" or {} as no spans, filters or ripple points."""
+    if value.__class__ is not list:
+        raise ScenarioError(f"{name} must be an array, got {value!r}")
+    return value
 
 
-# How a file value converts to each field that is not a float, by field name.
+# How a file value converts to each field that is not a plain number.
 _CONVERTERS = {
-    "name": str,
-    "catalog": str,
-    "monitor_config_id": str,
+    "name": lambda name: text(name, "name"),
+    "catalog": lambda catalog: text(catalog, "catalog"),
+    "monitor_config_id": lambda config_id: text(config_id, "monitor_config_id"),
     "dispersion_comp": DispersionComp,
     "kind": PolicyKind,
-    "order": lambda order: _integer("filter order", order),
-    "seed": lambda seed: _integer("seed", seed),
-    "equalizer_window_ghz": lambda width: None if width is None else float(width),
-    "ripple": lambda points: tuple((float(f), float(db)) for f, db in points),
+    "order": lambda order: integer(order, "filter order"),
+    "seed": lambda seed: integer(seed, "seed"),
+    "equalizer_window_ghz": lambda width: (
+        None if width is None else number(width, "equalizer_window_ghz")),
+    "ripple": lambda points: tuple((number(f, "ripple"), number(db, "ripple"))
+                                   for f, db in _array(points, "ripple")),
     "media_channel": lambda mc: build_record(MediaChannel, mc, _CONVERTERS),
-    "spans": lambda spans: tuple(build_record(SpanSpec, s, _CONVERTERS) for s in spans),
-    "filters": lambda fs: tuple(build_record(FilterElement, f, _CONVERTERS) for f in fs),
+    "spans": lambda spans: tuple(build_record(SpanSpec, s, _CONVERTERS)
+                                 for s in _array(spans, "spans")),
+    "filters": lambda fs: tuple(build_record(FilterElement, f, _CONVERTERS)
+                                for f in _array(fs, "filters")),
     "policy": lambda policy: build_record(PowerPolicy, policy, _CONVERTERS),
 }
 

@@ -688,14 +688,20 @@ def test_unwritable_out_is_config_error(tmp_path, curves_dir, args):
     assert taken.read_text() == "kept\n"
 
 
-def _number_paths(node, path=()):
+def _value_paths(node, path=()):
+    """(path, value) for every value of every object and array in a parsed
+    JSON document, at any depth, each before the values inside it."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,), child
+        yield from _value_paths(child, path + (key,))
+
+
+def _number_paths(node):
     """The path to every number in a parsed JSON document."""
-    if isinstance(node, (dict, list)):
-        items = node.items() if isinstance(node, dict) else enumerate(node)
-        for key, child in items:
-            yield from _number_paths(child, path + (key,))
-    elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        yield path
+    return [path for path, value in _value_paths(node)
+            if isinstance(value, (int, float)) and not isinstance(value, bool)]
 
 
 # Values at and beyond every range end: zero, signs, the float extremes and
@@ -716,7 +722,7 @@ def test_numeric_mutation_ends_in_its_exit_code(curves_dir, data):
     scenario = shipped_data(data.draw(st.sampled_from(SCENARIO_NAMES)))
     records = catalog_records(resolve_catalog(scenario["catalog"]))
     document = data.draw(st.sampled_from([scenario, records]))
-    *parents, key = data.draw(st.sampled_from(list(_number_paths(document))))
+    *parents, key = data.draw(st.sampled_from(_number_paths(document)))
     for parent in parents:
         document = document[parent]
     document[key] = data.draw(st.one_of(st.sampled_from(EDGE_NUMBERS),
@@ -752,7 +758,7 @@ def test_curve_number_mutation_ends_in_its_exit_code(curves_dir, data):
     name = data.draw(st.sampled_from(
         sorted(path.name for path in curves_dir.glob("*.json"))))
     curve = json.loads((curves_dir / name).read_text())
-    *parents, key = data.draw(st.sampled_from(list(_number_paths(curve))))
+    *parents, key = data.draw(st.sampled_from(_number_paths(curve)))
     node = curve
     for parent in parents:
         node = node[parent]
@@ -770,21 +776,15 @@ def test_curve_number_mutation_ends_in_its_exit_code(curves_dir, data):
     assert len(stderr.getvalue().splitlines()) == (code != 0)
 
 
-def _key_paths(node, path=()):
+def _key_paths(node):
     """The path to every key of every object in a parsed JSON document."""
-    if isinstance(node, dict):
-        for key, child in node.items():
-            yield path + (key,)
-            yield from _key_paths(child, path + (key,))
-    elif isinstance(node, list):
-        for index, child in enumerate(node):
-            yield from _key_paths(child, path + (index,))
+    return [path for path, _ in _value_paths(node) if isinstance(path[-1], str)]
 
 
 def _rename_a_key(data, document, keys):
     """Rename one key of ``document``, at any depth, to a name not in
     ``keys``."""
-    *parents, key = data.draw(st.sampled_from(list(_key_paths(document))))
+    *parents, key = data.draw(st.sampled_from(_key_paths(document)))
     for parent in parents:
         document = document[parent]
     new_key = data.draw(st.text().filter(lambda k: k not in keys))
@@ -845,4 +845,121 @@ def test_renamed_curve_or_catalog_key_is_config_error(curves_dir, data, renamed)
                         "--catalog", catalog, "--curves", curves,
                         "--out", work / "out"])
     assert code == 3
+    assert len(stderr.getvalue().splitlines()) == 1
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", True, "seed must be a number, got True"),
+    ("isi_factor", "7.0", "isi_factor must be a number, got '7.0'"),
+    ("noise_sigma_q_db", True, "noise_sigma_q_db must be a number, got True"),
+    ("name", ["a"], "name must be a string, got ['a']"),
+    ("catalog", None, "catalog must be a string, got None"),
+    ("monitor_config_id", 69.4, "monitor_config_id must be a string, got 69.4"),
+    ("spans", "", "spans must be an array, got ''"),
+    ("filters", {}, "filters must be an array, got {}"),
+    ("ripple", "", "ripple must be an array, got ''"),
+], ids=["seed-true", "isi-factor-text", "noise-sigma-true", "name-list",
+        "catalog-null", "monitor-config-number", "spans-empty-text",
+        "filters-empty-object", "ripple-empty-text"])
+def test_value_of_another_type_is_invalid_scenario(tmp_path, curves_dir, capsys,
+                                                   key, value, message):
+    """Each once ran: true read as seed 1 or a 1 dB noise sigma, "7.0" as
+    7, any value as text (a list name wrote ``['a']-report.json``), and an
+    empty string or object as no spans, filters or ripple points. A null
+    catalog looked for a catalog file named None (exit 3)."""
+    scenario = shipped_data("B-485")
+    scenario[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    assert run(["probe", "--scenario", path, "--curves", curves_dir,
+                "--out", out]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"invalid scenario: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("document, edit", [
+    ("catalog", lambda records: records[0].update(required_gsnr_db=True)),
+    ("catalog", lambda records: records[0].update(symbol_rate_gbd="31.5")),
+    ("curve", lambda curve: curve.update(
+        snr_modem_db=str(curve["snr_modem_db"]))),
+    ("curve", lambda curve: curve.update(schema_version=True)),
+    ("curve", lambda curve: curve.update(
+        coefficients=[str(c) for c in curve["coefficients"]])),
+], ids=["catalog-gsnr-true", "catalog-rate-text", "curve-modem-snr-text",
+        "curve-schema-true", "curve-coefficients-text"])
+def test_value_of_another_type_in_catalog_or_curve_is_config_error(
+        tmp_path, curves_dir, capsys, document, edit):
+    """Each once probed B-485 with exit 0: true read as 1 (a 1 dB required
+    GSNR, curve schema 1) and numeric text as a number."""
+    curves = tmp_path / "curves"
+    shutil.copytree(curves_dir, curves)
+    records = catalog_records(resolve_catalog("default"))
+    curve_path = curves / "DP-QPSK-31.5.json"
+    curve = json.loads(curve_path.read_text())
+    edit(records if document == "catalog" else curve)
+    (tmp_path / "catalog.json").write_text(json.dumps(records))
+    curve_path.write_text(json.dumps(curve))
+    assert run(["probe", "--scenario", SCENARIOS / "B-485.json", "--catalog",
+                tmp_path / "catalog.json", "--curves", curves,
+                "--out", tmp_path / "out"]) == 3
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def _json_type(value):
+    if value is None or isinstance(value, (bool, str, list, dict)):
+        return type(value)
+    return float  # an int or a float: both a JSON number
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+# Fields that take null as well as a number.
+NULLABLE_KEYS = {"equalizer_window_ghz", "snr_modem_db"}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), document=st.sampled_from(["scenario", "catalog", "curve"]))
+def test_value_of_another_json_type_ends_in_its_exit_code(curves_dir, data,
+                                                          document):
+    """Any one value of a shipped scenario, of a catalog record or of a
+    written curve file, at any depth, set to a value of another JSON type:
+    probe ends in exit 4 for the scenario and exit 3 for the others, with
+    one stderr line."""
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        curves = work / "curves"
+        shutil.copytree(curves_dir, curves)
+        scenario = shipped_data(data.draw(st.sampled_from(SCENARIO_NAMES)))
+        catalog = resolve_catalog(scenario["catalog"])
+        records = catalog_records(catalog)
+        # a curve the probe reads: one of the scenario's catalog
+        curve_path = curves / data.draw(st.sampled_from(
+            sorted(f"{cfg.config_id}.json" for cfg in catalog)))
+        curve = json.loads(curve_path.read_text())
+        node = {"scenario": scenario, "catalog": records, "curve": curve}[document]
+        *parents, key = data.draw(st.sampled_from(
+            [path for path, _ in _value_paths(node)]))
+        for parent in parents:
+            node = node[parent]
+        kept = {_json_type(node[key])}
+        if key in NULLABLE_KEYS:
+            kept |= {float, type(None)}
+        node[key] = data.draw(JSON_VALUES.filter(
+            lambda value: _json_type(value) not in kept))
+        (work / "scenario.json").write_text(json.dumps(scenario))
+        (work / "catalog.json").write_text(json.dumps(records))
+        curve_path.write_text(json.dumps(curve))
+        stderr = io.StringIO()
+        with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
+            code = run(["probe", "--scenario", work / "scenario.json",
+                        "--catalog", work / "catalog.json", "--curves", curves,
+                        "--out", work / "out"])
+    assert code == (4 if document == "scenario" else 3)
     assert len(stderr.getvalue().splitlines()) == 1

@@ -1,6 +1,6 @@
 """The filter cascade as one exponential, against the naive per-element
-product it replaces, and its distinct elements evaluated as one array,
-against evaluating them one at a time."""
+product it replaces, and bit for bit against an independent copy of its
+per-element evaluation with Dekker's correction."""
 
 import math
 import random
@@ -70,8 +70,8 @@ def _even_power(x, order):
 
 def per_element_transfer(filters, f):
     """The cascade transfer with its distinct elements evaluated one at a
-    time, in cascade order: the bit-for-bit reference of the stacked
-    evaluation in ``filter_transfer``."""
+    time, in cascade order, written apart from the package: the bit-for-bit
+    reference of ``filter_transfer`` and of every transfer block."""
     exponent = np.zeros_like(f)
     for filt, count in Counter(filters).items():
         x = (f - filt.center_offset_ghz) / (filt.bandwidth_3db_ghz / 2.0)
@@ -119,12 +119,13 @@ distinct_cascades = st.lists(
 
 @settings(deadline=None)
 @given(distinct_cascades, st.randoms(use_true_random=False))
-# Order-1 rows, which take no correction, before and between corrected ones.
+# Order-1 elements, which take no correction, before and between corrected
+# ones.
 @example([(FilterElement(0.0, 60.0, 1), 2), (FilterElement(5.0, 80.0, 5), 1),
           (FilterElement(-3.0, 40.0, 1), 1), (FilterElement(0.0, 90.0, 12), 3)],
          random.Random(0))
 @example([(FilterElement(-59.99, 99.0, 9), 1)], random.Random(0))
-def test_stacked_transfer_is_bit_identical_to_per_element(groups, rng):
+def test_transfer_is_bit_identical_to_reference_evaluation(groups, rng):
     filters = [filt for filt, copies in groups for _ in range(copies)]
     rng.shuffle(filters)
     f = np.linspace(-200.0, 200.0, 2001)
@@ -149,7 +150,7 @@ def lattice_half_width(rs, roll_off):
     return math.floor((1.0 + roll_off) * rs / 2.0 / LATTICE_STEP) + 1
 
 
-def test_stacked_transfer_is_bit_identical_on_scenario_placements():
+def test_transfer_is_bit_identical_to_reference_on_scenario_placements():
     """Every scenario file's cascade over the default and regional catalogs,
     on the penalty lattice at every 25th admissible placement, and on every
     transfer block the integrals of those placements read."""
@@ -302,5 +303,5 @@ def test_penalty_grid_is_read_only():
         with pytest.raises(ValueError):
             array[0] = 1.0
     assert reference == pytest.approx(1.0, rel=1e-6)
-    # A block owns its points, not filter_transfer's (k, B) work array.
+    # A block owns its points; it is no view of a larger work array.
     assert _transfer_block(cascade, 0).base is None

@@ -298,6 +298,7 @@ def test_curve_load_reverifies_monotonicity(curves):
 BAD_CURVE_EDITS = {
     "no schema_version": lambda d: d.pop("schema_version"),
     "schema_version 2": lambda d: d.update(schema_version=2),
+    "schema_version true": lambda d: d.update(schema_version=True),
     "no points": lambda d: d.pop("points"),
     "no coefficients": lambda d: d.pop("coefficients"),
     "no valid_range": lambda d: d.pop("valid_range"),
@@ -309,10 +310,13 @@ BAD_CURVE_EDITS = {
     "nan coefficient": lambda d: d.update(
         coefficients=[0.0, float("nan"), 0.0, 0.0]),
     "text in points": lambda d: d.update(points=[[1.0, "x"]]),
+    "numeric text coefficient": lambda d: d["coefficients"].__setitem__(
+        0, str(d["coefficients"][0])),
     "short valid_range": lambda d: d.update(valid_range=[1.0]),
     "range beyond points": lambda d: d.update(
         valid_range=[d["valid_range"][0] - 0.1, d["valid_range"][1]]),
     "negative modem SNR": lambda d: d.update(snr_modem_db=-3.0),
+    "numeric text modem SNR": lambda d: d.update(snr_modem_db="26.0"),
     "no snr_modem_db": lambda d: d.pop("snr_modem_db"),
     "unknown key": lambda d: d.update(snr_modem_dB=d.pop("snr_modem_db")),
     "non-monotone polynomial": make_non_monotone,
