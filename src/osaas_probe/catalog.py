@@ -4,16 +4,15 @@ The default catalog carries eleven configurations over the symbol rates
 31.5, 34.5, 46.3, 52.0, 55.5, 58.0 and 69.4 GBd. Required GSNR per
 configuration is derived by inverting the analytic BER law of its format at
 the FEC threshold, so that a margin of exactly zero coincides with the FEC
-limit of the simulated transceiver. A catalog file's records are read by
-``errors.build_record``.
+limit of the simulated transceiver. Every fault of a catalog file, which
+``errors.read_json`` and ``build_record`` read, raises ``ConfigError``.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from .errors import ScenarioError, build_record
+from .errors import ConfigError, build_record, read_json
 from .modem import required_snr_db
 from .spectrum import DEFAULT_FEC_THRESHOLD_BER, ModulationFormat, PltConfig
 
@@ -69,19 +68,16 @@ def resolve_catalog(name_or_path: str) -> tuple[PltConfig, ...]:
 
 
 def load_catalog(path: str | Path) -> tuple[PltConfig, ...]:
-    try:
-        records = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot read catalog {path}: {exc}") from exc
+    records = read_json(path, "catalog", ConfigError)
     if not isinstance(records, list):
-        raise ScenarioError(f"catalog {path} must be a JSON array")
+        raise ConfigError(f"catalog {path} must be a JSON array")
     configs = {}  # config id -> config; a workflow probes each id once
     for rec in records:
         try:
             config = build_record(PltConfig, rec,
                                   {"format": ModulationFormat.from_label})
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(f"bad catalog record {rec!r}: {exc}") from exc
+            raise ConfigError(f"bad catalog record {rec!r}: {exc}") from exc
         if configs.setdefault(config.config_id, config) is not config:
-            raise ScenarioError(f"catalog {path} repeats {config.config_id}")
+            raise ConfigError(f"catalog {path} repeats {config.config_id}")
     return tuple(configs.values())

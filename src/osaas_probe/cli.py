@@ -21,6 +21,7 @@ from pathlib import Path
 from . import __version__
 from .catalog import resolve_catalog
 from .errors import (
+    ConfigError,
     FitRejectedError,
     InsufficientDataError,
     NoSignalError,
@@ -73,17 +74,13 @@ EXIT_SCENARIO = 4
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message)
-
-
-class CliError(Exception):
-    """Bad flags or inconsistent configuration; maps to exit code 3."""
+        raise ConfigError(message)
 
 
 def _resolve_seed(args, scenario: Scenario) -> int:
     if args.seed is None:
         return scenario.link.seed
-    return check_range("--seed", args.seed, 0, error=CliError)
+    return check_range("--seed", args.seed, 0, error=ConfigError)
 
 
 def _load_curves(curves_dir: Path, catalog, loaded: dict) -> dict:
@@ -94,16 +91,13 @@ def _load_curves(curves_dir: Path, catalog, loaded: dict) -> dict:
             continue
         path = curves_dir / f"{config.config_id}.json"
         if not path.exists():
-            raise CliError(
+            raise ConfigError(
                 f"no characterization curve for {config.config_id} in "
                 f"{curves_dir}; run 'osaas-probe characterize' first")
-        try:
-            curve = loaded[config.config_id] = load_curve(path)
-        except FitRejectedError as exc:
-            raise CliError(f"bad characterization curve {path}: {exc}")
+        curve = loaded[config.config_id] = load_curve(path)
         if curve.config_id != config.config_id:
-            raise CliError(f"characterization curve {path} holds "
-                           f"{curve.config_id!r}, not {config.config_id!r}")
+            raise ConfigError(f"characterization curve {path} holds "
+                              f"{curve.config_id!r}, not {config.config_id!r}")
     return {config.config_id: loaded[config.config_id] for config in catalog}
 
 
@@ -112,32 +106,26 @@ def _context(args, path=None, loaded=None):
     ``loaded`` is as in :func:`_load_curves`."""
     scenario = load_scenario(path or args.scenario)
     scenario = scenario.with_seed(_resolve_seed(args, scenario))
-    try:
-        catalog = resolve_catalog(args.catalog or scenario.catalog)
-    except ScenarioError as exc:
-        raise CliError(str(exc))
+    catalog = resolve_catalog(args.catalog or scenario.catalog)
     curves = _load_curves(Path(args.curves), catalog,
                           {} if loaded is None else loaded)
     modems = {curve.snr_modem_db for curve in curves.values()}
     if len(modems) > 1:
-        raise CliError("characterization curves mix different modem models")
+        raise ConfigError("characterization curves mix different modem models")
     # the curves' modem, or the default one when the catalog is empty
     line = LineSystem(scenario.link, ModemModel(*modems))
     return scenario, catalog, curves, line
 
 
 def cmd_characterize(args) -> int:
-    try:
-        catalog = resolve_catalog(args.catalog)
-    except ScenarioError as exc:
-        raise CliError(str(exc))
+    catalog = resolve_catalog(args.catalog)
     try:
         modem = ModemModel(args.modem_snr_db)
     except ValueError as exc:
-        raise CliError(f"--modem-snr-db: {exc}")
-    check_range("--degree", args.degree, *FIT_DEGREE_RANGE, error=CliError)
+        raise ConfigError(f"--modem-snr-db: {exc}")
+    check_range("--degree", args.degree, *FIT_DEGREE_RANGE, error=ConfigError)
     check_range("--grid-step-db", args.grid_step_db, *GRID_STEP_RANGE_DB,
-                unit="dB", error=CliError)
+                unit="dB", error=ConfigError)
     out = Path(args.out)
     for config in catalog:
         grid = default_gsnr_grid(config, args.grid_step_db)
@@ -153,7 +141,7 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    check_range("--theta-db", args.theta_db, error=CliError)
+    check_range("--theta-db", args.theta_db, error=ConfigError)
     scenario, catalog, curves, line = _context(args)
     report = run_probe_workflow(line, catalog, curves, scenario.policy,
                                 args.theta_db)
@@ -176,16 +164,16 @@ def cmd_sweep(args) -> int:
     if args.configs is not None:
         wanted = [c.strip() for c in args.configs.split(",") if c.strip()]
         if not wanted:
-            raise CliError(f"--configs selects no configuration: {args.configs!r}")
+            raise ConfigError(f"--configs selects no configuration: {args.configs!r}")
         repeated = sorted({w for w in wanted if wanted.count(w) > 1})
         if repeated:
             # each probe of a repeat is another transceiver reconfiguration
-            raise CliError(f"--configs repeats {', '.join(repeated)}")
+            raise ConfigError(f"--configs repeats {', '.join(repeated)}")
         by_id = {c.config_id: c for c in catalog}
         missing = [w for w in wanted if w not in by_id]
         if missing:
-            raise CliError(f"unknown config ids {missing}; catalog has "
-                           f"{sorted(by_id)}")
+            raise ConfigError(f"unknown config ids {missing}; catalog has "
+                              f"{sorted(by_id)}")
         configs = tuple(by_id[w] for w in wanted)
     profile = run_frequency_sweep(line, configs, curves,
                                   scenario.sweep_step_ghz, scenario.policy)
@@ -212,7 +200,7 @@ def cmd_sweep(args) -> int:
 def cmd_regime(args) -> int:
     if args.psd_ref is not None:
         check_range("--psd-ref", args.psd_ref, *POLICY_VALUE_RANGE, unit="dBm/GHz",
-                    error=CliError)
+                    error=ConfigError)
     scenario, catalog, curves, line = _context(args)
     if not catalog:
         raise NoSignalError("the catalog holds no configuration")
@@ -222,7 +210,7 @@ def cmd_regime(args) -> int:
         check_range("--rs-ref", args.rs_ref,
                     min(c.symbol_rate_gbd for c in catalog),
                     scenario.link.media_channel.width_ghz,
-                    unit="GBd", error=CliError)
+                    unit="GBd", error=ConfigError)
     psd_ref = (args.psd_ref if args.psd_ref is not None
                else scenario.policy.value)
     rs_ref = (args.rs_ref if args.rs_ref is not None
@@ -244,14 +232,14 @@ def cmd_regime(args) -> int:
 
 
 def cmd_throughput(args) -> int:
-    check_range("--theta-db", args.theta_db, error=CliError)
+    check_range("--theta-db", args.theta_db, error=ConfigError)
     loaded = {}
     contexts = [_context(args, path, loaded) for path in args.scenario]
     names = [scenario.link.name for scenario, *_ in contexts]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         # each probe of a repeat is another transceiver reconfiguration
-        raise CliError(f"--scenario repeats route {', '.join(repeated)}")
+        raise ConfigError(f"--scenario repeats route {', '.join(repeated)}")
     entries = []
     for scenario, catalog, curves, line in contexts:
         name = scenario.link.name
@@ -281,13 +269,13 @@ def cmd_monitor(args) -> int:
     scenario, catalog, curves, line = _context(args)
     by_id = {c.config_id: c for c in catalog}
     if scenario.monitor_config_id not in by_id:
-        raise CliError(f"monitor config {scenario.monitor_config_id!r} not in "
-                       f"catalog")
+        raise ConfigError(f"monitor config {scenario.monitor_config_id!r} not in "
+                          f"catalog")
     config = by_id[scenario.monitor_config_id]
     try:
         check_monitor_span(args.duration_h, args.interval_h)
     except ValueError as exc:
-        raise CliError(f"--duration-h/--interval-h: {exc}")
+        raise ConfigError(f"--duration-h/--interval-h: {exc}")
     series = run_monitor(line, config, curves[config.config_id],
                          scenario.policy, args.duration_h, args.interval_h)
     ests = [v for _, v in series if v is not None]
@@ -379,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
+    except (ConfigError, FitRejectedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ScenarioError as exc:

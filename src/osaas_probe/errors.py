@@ -1,10 +1,12 @@
 """Exception types raised across the toolkit, the range check every loader
-and flag parser rejects a number with, build_record, the one reader of a
-scenario part, catalog record or curve file from a JSON object, and the
-converters of its number, integer and text values."""
+and flag parser rejects a number with, read_json, the one reader of an
+input file, build_record, the one reader of a record from a JSON object,
+and the converters of its number, integer and text values."""
 
+import json
 import math
 from dataclasses import MISSING
+from pathlib import Path
 
 
 class SpectrumError(ValueError):
@@ -36,7 +38,20 @@ class NoSignalError(RuntimeError):
 
 
 class ScenarioError(ValueError):
-    """Scenario or catalog file is malformed or internally inconsistent."""
+    """Scenario file is malformed or internally inconsistent."""
+
+
+class ConfigError(ValueError):
+    """Bad flag, catalog or inconsistent configuration; maps to exit code 3."""
+
+
+def read_json(path, what: str, error):
+    """The JSON of the UTF-8 file ``path``, or ``error`` in one line. Bad UTF-8
+    or JSON, too many digits and an unencodable path are ValueErrors."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
 def check_range(name: str, value, low=-math.inf, high=math.inf, *,
@@ -74,9 +89,14 @@ def integer(value, name: str) -> int:
 
 
 def text(value, name: str) -> str:
-    """A JSON string; str() would make text of any value."""
+    """A JSON string that encodes as UTF-8; str() would make text of any
+    value, and a lone surrogate ("\\ud800") fails where it is written."""
     if value.__class__ is not str:
         raise ScenarioError(f"{name} must be a string, got {value!r}")
+    try:
+        value.encode()
+    except UnicodeEncodeError:
+        raise ScenarioError(f"{name} must be UTF-8 text, got {value!r}") from None
     return value
 
 

@@ -21,7 +21,6 @@ from a fit or from a file, in ``CharacterizationCurve.__post_init__``.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from operator import itemgetter, le, mul
 from pathlib import Path
 
 from .errors import (CurveRangeError, FitRejectedError, InsufficientDataError,
-                     build_record, check_range, number, text)
+                     build_record, check_range, number, read_json, text)
 from .spectrum import ModulationFormat, PltConfig
 from .units import erfcinv, harmonic_db_sum, q_db_from_ber
 
@@ -53,6 +52,11 @@ GRID_ABOVE_THRESHOLD_DB = 14.0
 GRID_STEP_RANGE_DB = (MONOTONICITY_STEP_DB,
                       GRID_BELOW_THRESHOLD_DB + GRID_ABOVE_THRESHOLD_DB)
 CURVE_SCHEMA_VERSION = 1
+# GSNR values (points and validity range) a curve file may hold, in dB.
+# Every characterization grid lies in [0, 40] dB, and the modem noise only
+# lowers a point's total, to no less than -10 log10(2) dB; the margins hold
+# float rounding. The bound keeps the monotonicity gate's samples few.
+CURVE_GSNR_RANGE_DB = (-10.0, 50.0)
 # Curve files store points rounded to 6 decimals but the validity range
 # exactly, so the range may stick out of the stored points by this much.
 _PERSISTED_POINT_ROUNDING = 1e-6
@@ -409,12 +413,25 @@ def _finite(value) -> float:
                        error=ValueError)
 
 
+def _gsnr(value) -> float:
+    return check_range("curve GSNR", number(value, "curve GSNR"),
+                       *CURVE_GSNR_RANGE_DB, unit="dB", error=ValueError)
+
+
+def _coefficients(values) -> tuple[float, ...]:
+    coefficients = tuple(map(_finite, values))
+    if len(coefficients) > FIT_DEGREE_RANGE[1] + 1:
+        raise ValueError(f"{len(coefficients)} coefficients, more than a "
+                         f"degree-{FIT_DEGREE_RANGE[1]} fit has")
+    return coefficients
+
+
 # How a curve file value converts to each field of CharacterizationCurve.
 _CURVE_CONVERTERS = {
     "config_id": lambda config_id: text(config_id, "config_id"),
-    "points": lambda points: tuple((_finite(g), _finite(q)) for g, q in points),
-    "coefficients": lambda coefficients: tuple(map(_finite, coefficients)),
-    "valid_range": lambda bounds: tuple(map(_finite, bounds)),
+    "points": lambda points: tuple((_gsnr(g), _finite(q)) for g, q in points),
+    "coefficients": _coefficients,
+    "valid_range": lambda bounds: tuple(map(_gsnr, bounds)),
     "snr_modem_db": lambda snr: (math.inf if snr is None else
                                  ModemModel(number(snr, "snr_modem_db")).snr_modem_db),
 }
@@ -440,8 +457,8 @@ def curve_from_dict(data: dict) -> CharacterizationCurve:
 
 
 def load_curve(path: str | Path) -> CharacterizationCurve:
+    data = read_json(path, "curve", FitRejectedError)
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise FitRejectedError(f"cannot read curve {path}: {exc}") from exc
-    return curve_from_dict(data)
+        return curve_from_dict(data)
+    except FitRejectedError as exc:
+        raise FitRejectedError(f"bad characterization curve {path}: {exc}") from exc

@@ -12,12 +12,11 @@ of ``errors.build_record``, which reads catalog records and curve files too.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import (ScenarioError, build_record, check_range, integer,
-                     number, text)
+                     number, read_json, text)
 from .spectrum import GRID_UNIT_GHZ, MediaChannel, PolicyKind, PowerPolicy
 from .linesystem import DispersionComp, FilterElement, LinkSpec, SpanSpec
 
@@ -111,8 +110,4 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(read_json(path, "scenario", ScenarioError))

@@ -83,6 +83,27 @@ def make_huge_residual(curve_data: dict) -> dict:
     return curve_data
 
 
+# One file content per way an input file read fails, with the exception the
+# reader converts: None is no file, "DIR" a directory.
+UNREADABLE = {
+    "missing": (None, OSError),
+    "directory": ("DIR", OSError),
+    "first-byte-0xff": (b"\xff[]", UnicodeDecodeError),
+    "truncated": (b'{"a": [1,', json.JSONDecodeError),
+    "5000-digit-integer": (b"[" + b"7" * 5000 + b"]", ValueError),
+    "100000-deep": (b"[" * 100_000 + b"]" * 100_000, RecursionError),
+}
+
+
+def write_unreadable(path, kind):
+    """Make ``path`` the unreadable file ``kind`` of UNREADABLE."""
+    content = UNREADABLE[kind][0]
+    if content == "DIR":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return default_catalog()

@@ -10,7 +10,7 @@ from osaas_probe.catalog import (
     regional_catalog,
     resolve_catalog,
 )
-from osaas_probe.errors import ScenarioError
+from osaas_probe.errors import ConfigError
 from osaas_probe.modem import required_snr_db
 from osaas_probe.spectrum import ModulationFormat
 
@@ -81,7 +81,7 @@ def test_catalog_record_keys_are_field_names(tmp_path):
     assert config.roll_off == 0.19
     assert config.fec_threshold_ber == 2e-2
     path.write_text(json.dumps([dict(record, rolloff=0.2)]))
-    with pytest.raises(ScenarioError, match="unknown key 'rolloff'"):
+    with pytest.raises(ConfigError, match="unknown key 'rolloff'"):
         load_catalog(path)
 
 
@@ -91,14 +91,14 @@ def test_resolve_catalog(tmp_path, catalog):
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(catalog_records(catalog[:2])))
     assert len(resolve_catalog(str(path))) == 2
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ConfigError):
         resolve_catalog(str(tmp_path / "missing.json"))
 
 
 def test_load_catalog_rejects_bad_records(tmp_path, catalog):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([{"format": "DP-QPSK"}]))
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ConfigError):
         load_catalog(path)
     # a zero roll-off once divided by zero; the other values loaded and probed
     for key, value, message in [
@@ -109,12 +109,12 @@ def test_load_catalog_rejects_bad_records(tmp_path, catalog):
             ("required_gsnr_db", 10 ** 400, "too large to convert")]:
         record = dict(catalog_records(catalog[:1])[0], **{key: value})
         path.write_text(json.dumps([record]))
-        with pytest.raises(ScenarioError, match=message):
+        with pytest.raises(ConfigError, match=message):
             load_catalog(path)
     # a repeated config id ended a probe in a "duplicate probe" traceback
     path.write_text(json.dumps(catalog_records(catalog[:1]) * 2))
-    with pytest.raises(ScenarioError, match="repeats DP-QPSK-31.5"):
+    with pytest.raises(ConfigError, match="repeats DP-QPSK-31.5"):
         load_catalog(path)
     path.write_text(json.dumps({"not": "a list"}))
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ConfigError):
         load_catalog(path)

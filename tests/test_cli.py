@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from osaas_probe.catalog import load_catalog, resolve_catalog
 from osaas_probe.cli import main
-from osaas_probe.errors import FitRejectedError, ScenarioError
+from osaas_probe.errors import ConfigError, FitRejectedError, ScenarioError
 from osaas_probe.linesystem import FilterElement, LinkSpec, SpanSpec
 from osaas_probe.modem import CharacterizationCurve, curve_from_dict
 from osaas_probe.scenario import Scenario, scenario_from_dict
@@ -25,10 +25,12 @@ from osaas_probe.spectrum import MediaChannel, PltConfig, PowerPolicy
 from conftest import (
     REPO_ROOT,
     SCENARIO_NAMES,
+    UNREADABLE,
     catalog_records,
     make_huge_residual,
     make_non_monotone,
     shipped_data,
+    write_unreadable,
 )
 
 SCENARIOS = REPO_ROOT / "scenarios"
@@ -837,7 +839,7 @@ def test_renamed_curve_or_catalog_key_is_config_error(curves_dir, data, renamed)
         else:
             _rename_a_key(data, records, CATALOG_KEYS)
             catalog.write_text(json.dumps(records))
-            with pytest.raises(ScenarioError):
+            with pytest.raises(ConfigError):
                 load_catalog(catalog)
         stderr = io.StringIO()
         with redirect_stderr(stderr), redirect_stdout(io.StringIO()):
@@ -858,15 +860,22 @@ def test_renamed_curve_or_catalog_key_is_config_error(curves_dir, data, renamed)
     ("spans", "", "spans must be an array, got ''"),
     ("filters", {}, "filters must be an array, got {}"),
     ("ripple", "", "ripple must be an array, got ''"),
+    ("name", "\ud800x", "name must be UTF-8 text, got '\\ud800x'"),
+    ("catalog", "\ud800", "catalog must be UTF-8 text, got '\\ud800'"),
+    ("monitor_config_id", "\udfff",
+     "monitor_config_id must be UTF-8 text, got '\\udfff'"),
 ], ids=["seed-true", "isi-factor-text", "noise-sigma-true", "name-list",
         "catalog-null", "monitor-config-number", "spans-empty-text",
-        "filters-empty-object", "ripple-empty-text"])
+        "filters-empty-object", "ripple-empty-text", "name-lone-surrogate",
+        "catalog-lone-surrogate", "monitor-config-lone-surrogate"])
 def test_value_of_another_type_is_invalid_scenario(tmp_path, curves_dir, capsys,
                                                    key, value, message):
     """Each once ran: true read as seed 1 or a 1 dB noise sigma, "7.0" as
     7, any value as text (a list name wrote ``['a']-report.json``), and an
     empty string or object as no spans, filters or ripple points. A null
-    catalog looked for a catalog file named None (exit 3)."""
+    catalog looked for a catalog file named None (exit 3). A lone surrogate,
+    which a JSON string may spell but no UTF-8 file name or output holds,
+    ended in a UnicodeEncodeError traceback in a name or catalog."""
     scenario = shipped_data("B-485")
     scenario[key] = value
     path = tmp_path / "bad.json"
@@ -876,6 +885,46 @@ def test_value_of_another_type_is_invalid_scenario(tmp_path, curves_dir, capsys,
                 "--out", out]) == 4
     assert capsys.readouterr().err.splitlines() == [
         f"invalid scenario: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+@pytest.mark.parametrize("document", ["scenario", "catalog", "curve"])
+def test_unreadable_input_file_ends_in_its_exit_code(tmp_path, curves_dir,
+                                                     capsys, document, kind):
+    """A scenario, catalog or curve file that is no UTF-8 JSON within
+    Python's limits: probe ends in exit 4 for the scenario and 3 for the
+    others, with one stderr line naming the file and no report. A
+    first byte 0xFF, 5000 digits or 100 000 levels of nesting once ended in
+    a traceback (exit 1) in the scenario and the catalog, and the nesting
+    in a curve file too."""
+    curves = tmp_path / "curves"
+    shutil.copytree(curves_dir, curves)
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(catalog_records(resolve_catalog("default"))))
+    scenario = tmp_path / "scenario.json"
+    shutil.copy(SCENARIOS / "B-485.json", scenario)
+    path = {"scenario": scenario, "catalog": catalog,
+            "curve": curves / "DP-QPSK-31.5.json"}[document]
+    path.unlink()
+    write_unreadable(path, kind)
+    out = tmp_path / "out"
+    code = run(["probe", "--scenario", scenario, "--catalog", catalog,
+                "--curves", curves, "--out", out])
+    (line,) = capsys.readouterr().err.splitlines()
+    if document == "curve" and kind == "missing":
+        assert code == 3
+        assert line.startswith("error: no characterization curve for DP-QPSK-31.5")
+    elif document == "scenario":
+        assert code == 4
+        assert line.startswith(f"invalid scenario: cannot read scenario {path}: ")
+    else:
+        assert code == 3
+        assert line.startswith(f"error: cannot read {document} {path}: ")
+        if document == "curve" and kind != "directory":
+            # "bad characterization curve P: cannot read curve P: ..." named
+            # the file twice
+            assert line.count(str(path)) == 1
     assert not out.exists()
 
 
@@ -912,12 +961,15 @@ def test_name_that_is_no_file_name_is_invalid_scenario(tmp_path, curves_dir,
     ("curve", lambda curve: curve.update(schema_version=True)),
     ("curve", lambda curve: curve.update(
         coefficients=[str(c) for c in curve["coefficients"]])),
+    ("curve", lambda curve: curve.update(config_id="\ud800")),
 ], ids=["catalog-gsnr-true", "catalog-rate-text", "curve-modem-snr-text",
-        "curve-schema-true", "curve-coefficients-text"])
+        "curve-schema-true", "curve-coefficients-text",
+        "curve-config-id-lone-surrogate"])
 def test_value_of_another_type_in_catalog_or_curve_is_config_error(
         tmp_path, curves_dir, capsys, document, edit):
-    """Each once probed B-485 with exit 0: true read as 1 (a 1 dB required
-    GSNR, curve schema 1) and numeric text as a number."""
+    """Each but the last once probed B-485 with exit 0: true read as 1 (a
+    1 dB required GSNR, curve schema 1) and numeric text as a number. A
+    config_id that is no UTF-8 text is a bad curve file."""
     curves = tmp_path / "curves"
     shutil.copytree(curves_dir, curves)
     records = catalog_records(resolve_catalog("default"))

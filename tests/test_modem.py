@@ -11,7 +11,9 @@ from scipy.special import erfc
 
 from osaas_probe.catalog import regional_catalog
 from osaas_probe.errors import CurveRangeError, FitRejectedError, InsufficientDataError
+from osaas_probe import modem
 from osaas_probe.modem import (
+    CURVE_GSNR_RANGE_DB,
     MONOTONICITY_STEP_DB,
     ModemModel,
     ber_from_snr,
@@ -32,7 +34,7 @@ from osaas_probe.modem import (
 )
 from osaas_probe.reports import write_report
 from osaas_probe.spectrum import ModulationFormat, PltConfig
-from osaas_probe.units import q_db_from_ber
+from osaas_probe.units import harmonic_db_sum, q_db_from_ber
 
 from conftest import make_huge_residual, make_non_monotone
 
@@ -307,6 +309,11 @@ BAD_CURVE_EDITS = {
     "one coefficient": lambda d: d.update(coefficients=[1.0]),
     "more coefficients than points": lambda d: d.update(
         coefficients=[0.0, 1.0] + [0.0] * 40),
+    "more coefficients than a degree-12 fit": lambda d: d.update(
+        coefficients=d["coefficients"] + [0.0] * 10),
+    "GSNR beyond the curve range": lambda d: d.update(
+        points=[[0, 0], [1e9, 1], [2e9, 2]], coefficients=[0, 1e-9],
+        valid_range=[0, 2e9]),
     "nan coefficient": lambda d: d.update(
         coefficients=[0.0, float("nan"), 0.0, 0.0]),
     "text in points": lambda d: d.update(points=[[1.0, "x"]]),
@@ -402,6 +409,44 @@ def test_curve_load_rejects_bad_content(curves, edit):
     BAD_CURVE_EDITS[edit](data)
     with pytest.raises(FitRejectedError):
         curve_from_dict(data)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("GSNR beyond the curve range",
+     "curve GSNR must be finite and in [-10, 50] dB, got 1000000000.0"),
+    ("more coefficients than a degree-12 fit",
+     "14 coefficients, more than a degree-12 fit has")])
+def test_curve_file_bounds_hold_before_any_gate(curves, monkeypatch, edit,
+                                                message):
+    """A curve file's GSNR values and coefficient count are bounded before
+    the gates run. The first file passed the residual gate, and its
+    monotonicity gate then asked for 2e11 samples (a MemoryError under a
+    2 GB address-space limit); the second, the curve's own polynomial
+    padded with zeros to 14 coefficients, once loaded, though no
+    characterization fits a degree above 12."""
+    def gate(*args):
+        raise AssertionError("a gate ran")
+    monkeypatch.setattr(modem, "_check_fit", gate)
+    data = curve_to_dict(curves["DP-16QAM-52"])
+    BAD_CURVE_EDITS[edit](data)
+    with pytest.raises(FitRejectedError) as raised:
+        curve_from_dict(data)
+    assert str(raised.value) == f"malformed curve: {message}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(gsnr=st.floats(0.0, 40.0),
+       modem_snr=st.floats(0.0, exclude_min=True) | st.just(math.inf))
+@example(gsnr=0.0, modem_snr=5e-324)
+@example(gsnr=40.0, modem_snr=math.inf)
+def test_characterization_totals_lie_in_the_curve_gsnr_range(gsnr, modem_snr):
+    """The GSNR of every point a characterization writes, at any allowed
+    modem SNR, lies in the range a curve file is bounded to, also as the
+    file rounds it: generate_char_points combines a grid value in [0, 40]
+    dB with the modem noise, which only lowers the total."""
+    total = harmonic_db_sum(gsnr, ModemModel(modem_snr).snr_modem_db)
+    for g in (total, round(total, 6)):
+        assert CURVE_GSNR_RANGE_DB[0] <= g <= CURVE_GSNR_RANGE_DB[1]
 
 
 @pytest.mark.parametrize("data", [{"bad": 1}, [], None, "curve"])
