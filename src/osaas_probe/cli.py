@@ -14,6 +14,7 @@ unwritable output included), 4 invalid scenario file.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,7 +24,6 @@ from .catalog import resolve_catalog
 from .errors import (
     ConfigError,
     FitRejectedError,
-    InsufficientDataError,
     NoSignalError,
     ScenarioError,
     check_range,
@@ -65,6 +65,7 @@ from .reports import (
     write_report,
 )
 from .scenario import POLICY_VALUE_RANGE, Scenario, load_scenario
+from .spectrum import PolicyKind
 
 EXIT_OK = 0
 EXIT_NO_SIGNAL = 2
@@ -131,7 +132,7 @@ def cmd_characterize(args) -> int:
         grid = default_gsnr_grid(config, args.grid_step_db)
         try:
             curve = characterize(modem, config, args.degree, grid)
-        except (InsufficientDataError, FitRejectedError) as exc:
+        except ValueError as exc:  # a bad grid, no data or a rejected fit
             print(f"characterization failed for {config.config_id}: {exc}",
                   file=sys.stderr)
             return EXIT_CONFIG
@@ -198,9 +199,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_regime(args) -> int:
-    if args.psd_ref is not None:
-        check_range("--psd-ref", args.psd_ref, *POLICY_VALUE_RANGE, unit="dBm/GHz",
-                    error=ConfigError)
     scenario, catalog, curves, line = _context(args)
     if not catalog:
         raise NoSignalError("the catalog holds no configuration")
@@ -211,10 +209,16 @@ def cmd_regime(args) -> int:
                     min(c.symbol_rate_gbd for c in catalog),
                     scenario.link.media_channel.width_ghz,
                     unit="GBd", error=ConfigError)
-    psd_ref = (args.psd_ref if args.psd_ref is not None
-               else scenario.policy.value)
     rs_ref = (args.rs_ref if args.rs_ref is not None
               else max(c.symbol_rate_gbd for c in catalog))
+    psd_ref = args.psd_ref
+    if psd_ref is None:
+        psd_ref = scenario.policy.value
+        if scenario.policy.kind is PolicyKind.CONSTANT_TOTAL_POWER:
+            # the PSD of a reference-rate carrier at that total power
+            psd_ref -= 10.0 * math.log10(rs_ref)
+    check_range("--psd-ref", psd_ref, *POLICY_VALUE_RANGE, unit="dBm/GHz",
+                error=ConfigError)
     report = detect_operation_regime(line, catalog, curves, psd_ref, rs_ref)
     if not report.entries:
         print("no configuration produced a regime classification",
@@ -343,7 +347,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("regime", help="operation regime detection")
     common(p)
     p.add_argument("--psd-ref", type=float,
-                   help="reference PSD in dBm/GHz (default: scenario policy)")
+                   help="reference PSD in dBm/GHz (default: the scenario "
+                        "policy's PSD; under a constant total power, that of "
+                        "a carrier at --rs-ref with that power)")
     p.add_argument("--rs-ref", type=float,
                    help="reference symbol rate in GBd (default: catalog max)")
     p.set_defaults(func=cmd_regime)

@@ -291,7 +291,8 @@ def generate_char_points(
     Each applied noise-loading GSNR g combines with the modem noise into the
     total GSNR the decision circuit sees; that total and the resulting
     Q-factor form one point. Points in the unmeasurable BER region are
-    dropped.
+    dropped, and so are points whose BER underflows to 0, which have no
+    Q-factor.
     """
     if gsnr_grid is None:
         gsnr_grid = default_gsnr_grid(config)
@@ -303,7 +304,7 @@ def generate_char_points(
     for g in gsnr_grid:
         total = harmonic_db_sum(g, model.snr_modem_db)
         ber = ber_from_snr(config.format, total)
-        if ber >= UNMEASURABLE_BER:
+        if not 0.0 < ber < UNMEASURABLE_BER:
             continue
         points.append((total, q_db_from_ber(ber)))
     return points

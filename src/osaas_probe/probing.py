@@ -84,18 +84,7 @@ class ProbeCampaign:
     link_name: str
     media_channel: MediaChannel
     configs: dict[str, PltConfig]
-    results: list[ProbeResult] = field(default_factory=list)
-    _keys: set = field(default_factory=set, repr=False, init=False)
-
-    def add(self, result: ProbeResult) -> None:
-        if result.config_id not in self.configs:
-            raise KeyError(f"{result.config_id} not in campaign catalog")
-        key = (result.config_id, round(result.carrier_center_thz, 6),
-               result.policy, round(result.sim_time_h, 9))
-        if key in self._keys:
-            raise ValueError(f"duplicate probe {key}")
-        self._keys.add(key)
-        self.results.append(result)
+    results: list[ProbeResult]
 
     def working(self) -> list[ProbeResult]:
         return [r for r in self.results if r.status is ProbeStatus.WORKING]
@@ -172,19 +161,28 @@ def probe_once(line, config: PltConfig, curve: CharacterizationCurve,
                        post_fec_ok=reading.post_fec_ok)
 
 
+def _configs_by_id(configs: tuple[PltConfig, ...]) -> dict[str, PltConfig]:
+    """Each configuration by its id, in order; a repeated id is a ValueError,
+    as each probe of a repeat is another transceiver reconfiguration."""
+    by_id: dict[str, PltConfig] = {}
+    for config in configs:
+        if config.config_id in by_id:
+            raise ValueError(f"configuration {config.config_id} repeated")
+        by_id[config.config_id] = config
+    return by_id
+
+
 def run_extended_probe(line, catalog: tuple[PltConfig, ...],
                        curves: dict[str, CharacterizationCurve],
                        policy: PowerPolicy) -> ProbeCampaign:
     """Probe every catalog configuration once at the channel center."""
-    campaign = ProbeCampaign(
+    return ProbeCampaign(
         link_name=line.name,
         media_channel=line.media_channel,
-        configs={cfg.config_id: cfg for cfg in catalog},
+        configs=_configs_by_id(catalog),
+        results=[probe_once(line, cfg, curves[cfg.config_id], policy)
+                 for cfg in catalog],
     )
-    for config in catalog:
-        curve = curves[config.config_id]
-        campaign.add(probe_once(line, config, curve, policy))
-    return campaign
 
 
 def compute_penalties(campaign: ProbeCampaign) -> dict[str, float]:
@@ -347,7 +345,7 @@ def run_frequency_sweep(line, configs: tuple[PltConfig, ...],
     """
     mc = line.media_channel
     profile = GsnrProfile(media_channel=mc, step_ghz=step_ghz, points={},
-                          configs={cfg.config_id: cfg for cfg in configs})
+                          configs=_configs_by_id(configs))
     for config in configs:
         offsets = admissible_offsets_ghz(mc, config, step_ghz)
         if not offsets:
@@ -473,38 +471,31 @@ def detect_operation_regime(line, catalog: tuple[PltConfig, ...],
                             rs_ref_gbd: float) -> RegimeReport:
     """Compare constant-PSD and constant-total-power probing per configuration.
 
-    The constant-power campaign launches the total power a reference-rate
-    carrier would get under the reference PSD, so narrower configurations run
-    at a higher PSD. A configuration that improves under the extra power is
-    in the linear regime; one that degrades is past the optimum.
+    One pass over the configurations within the reference rate probes each
+    under the reference PSD, then under the total power a reference-rate
+    carrier would get at that PSD, so narrower configurations run at a
+    higher PSD. A configuration that improves under the extra power is in
+    the linear regime; one that degrades is past the optimum.
 
     A configuration at the reference rate gets the same carrier under both
     policies, so its constant-PSD reading stands for both and it is probed
     once.
     """
     power_ref = psd_ref_dbm_per_ghz + 10.0 * math.log10(rs_ref_gbd)
-    tested = tuple(cfg for cfg in catalog if _within_cap(cfg, rs_ref_gbd))
     psd_policy = PowerPolicy(PolicyKind.CONSTANT_PSD, psd_ref_dbm_per_ghz)
     power_policy = PowerPolicy(PolicyKind.CONSTANT_TOTAL_POWER, power_ref)
-    psd_campaign = run_extended_probe(line, tested, curves, psd_policy)
-    psd_by_id = {r.config_id: r for r in psd_campaign.results}
-    power_by_id = {}
-    for config in tested:
-        cid = config.config_id
-        if (carrier_power_dbm(psd_policy, config)
-                == carrier_power_dbm(power_policy, config)):
-            power_by_id[cid] = psd_by_id[cid]._replace(policy=power_policy)
-        else:
-            power_by_id[cid] = probe_once(line, config, curves[cid],
-                                          power_policy)
-
     report = RegimeReport(psd_ref_dbm_per_ghz=psd_ref_dbm_per_ghz,
                           rs_ref_gbd=rs_ref_gbd, entries={})
-    for config in tested:
-        cid = config.config_id
+    for cid, config in _configs_by_id(catalog).items():
+        if not _within_cap(config, rs_ref_gbd):
+            continue
+        at_psd = probe_once(line, config, curves[cid], psd_policy)
+        if (carrier_power_dbm(psd_policy, config)
+                == carrier_power_dbm(power_policy, config)):
+            at_power = at_psd
+        else:
+            at_power = probe_once(line, config, curves[cid], power_policy)
         applied_delta = 10.0 * math.log10(rs_ref_gbd / config.symbol_rate_gbd)
-        at_psd = psd_by_id[cid]
-        at_power = power_by_id[cid]
         psd_ok = at_psd.status is ProbeStatus.WORKING
         power_ok = at_power.status is ProbeStatus.WORKING
         if not psd_ok and not power_ok:

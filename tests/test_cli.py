@@ -131,6 +131,38 @@ def test_characterize_bad_flags_are_config_errors(tmp_path, capsys, flags):
     assert not (tmp_path / "curves").exists()
 
 
+def test_characterize_drops_points_whose_ber_underflows(tmp_path):
+    """With an ideal modem the totals of a record that needs 26 dB reach 40
+    dB, where the BER underflows to 0 and has no Q-factor; those points are
+    dropped, as unmeasurable ones are, where they ended in a traceback."""
+    catalog_path = tmp_path / "high.json"
+    catalog_path.write_text(json.dumps([{
+        "format": "DP-QPSK", "symbol_rate_gbd": 31.5, "line_rate_gbps": 100,
+        "required_gsnr_db": 26}]))
+    out = tmp_path / "curves"
+    assert run(["characterize", "--catalog", catalog_path,
+                "--modem-snr-db", "inf", "--out", out]) == 0
+    curve = json.loads((out / "DP-QPSK-31.5.json").read_text())
+    assert len(curve["points"]) == 14
+    assert curve["valid_range"] == [25.0, 31.5]
+
+
+def test_characterize_grid_past_40_db_is_config_error(tmp_path, capsys):
+    """A 0.8 dB step rounds the grid of a 26 dB record up to 40.2 dB, past
+    the characterization range: exit 3 with one line, not a traceback."""
+    catalog_path = tmp_path / "high.json"
+    catalog_path.write_text(json.dumps([{
+        "format": "DP-QPSK", "symbol_rate_gbd": 31.5, "line_rate_gbps": 100,
+        "required_gsnr_db": 26}]))
+    out = tmp_path / "curves"
+    assert run(["characterize", "--catalog", catalog_path,
+                "--grid-step-db", "0.8", "--out", out]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "characterization failed for DP-QPSK-31.5: "
+        "GSNR grid must lie within [0, 40] dB"]
+    assert not out.exists()
+
+
 BROKEN_CURVES = {"malformed": lambda data: {"bad": 1},
                  "non-monotone": make_non_monotone,
                  "residual": make_huge_residual}
@@ -284,6 +316,45 @@ def test_regime_command(tmp_path, curves_dir):
     report = json.loads((out / "LH-5738-regime.json").read_text())
     assert report["entries"]["DP-QPSK-31.5"]["classification"] == "nonlinear"
     assert report["entries"]["DP-QPSK-69.4"]["classification"] == "near_optimum"
+
+
+def test_regime_reads_a_constant_power_policy_as_a_reference_carrier(
+        tmp_path, curves_dir):
+    """Under a constant total power of P dBm the default reference PSD is
+    that of a carrier at the reference rate, P - 10 log10(rs_ref); it used
+    to be P read as dBm/GHz, above the channel's PSD limit for every
+    carrier, and the command ended in exit 2."""
+    data = shipped_data("LH-5738")
+    data["policy"] = {"kind": "constant_total_power", "value": -7.6}
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(data))
+    psd_ref = -7.6 - 10.0 * math.log10(69.4)
+    reports = []
+    for name, flags in (("default", []),
+                        ("explicit", [f"--psd-ref={psd_ref!r}"])):
+        out = tmp_path / name
+        assert run(["regime", "--scenario", path, "--curves", curves_dir,
+                    "--out", out] + flags) == 0
+        reports.append((out / "LH-5738-regime.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["psd_ref_dbm_per_ghz"] == round(psd_ref, 2)
+
+
+def test_regime_default_psd_ref_is_range_checked(tmp_path, curves_dir, capsys):
+    """A total power whose reference-rate PSD leaves [-100, 100] dBm/GHz
+    is exit 3 with one line, as the same --psd-ref is."""
+    data = shipped_data("LH-5738")
+    data["policy"] = {"kind": "constant_total_power", "value": -90.0}
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert run(["regime", "--scenario", path, "--curves", curves_dir,
+                "--out", out]) == 3
+    psd_ref = -90.0 - 10.0 * math.log10(69.4)
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --psd-ref must be finite and in [-100, 100] dBm/GHz, "
+        f"got {psd_ref}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--rs-ref", "30"]])

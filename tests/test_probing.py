@@ -52,6 +52,7 @@ from osaas_probe.spectrum import (
     PltConfig,
     PolicyKind,
     PowerPolicy,
+    carrier_power_dbm,
 )
 from osaas_probe.reports import probe_result_to_dict
 
@@ -64,26 +65,37 @@ MC = MediaChannel(193.2, 100.0, 9.0, -20.0)
 def mk_campaign(entries):
     """entries: list of (rate, format, status, gsnr_est)."""
     configs = {}
-    campaign = None
     results = []
-    for i, (rate, fmt, status, est) in enumerate(entries):
+    for rate, fmt, status, est in entries:
         cfg = PltConfig(fmt, rate, min(100.0, 4 * rate), 6.2509)
         configs[cfg.config_id] = cfg
         results.append(ProbeResult(
             cfg.config_id, MC.center_thz, POLICY, status,
             gsnr_est_db=est, q_db=est))
-    campaign = ProbeCampaign("synthetic", MC, configs)
-    for r in results:
-        campaign.add(r)
-    return campaign
+    return ProbeCampaign("synthetic", MC, configs, results)
 
 
-def test_campaign_rejects_duplicates():
-    campaign = mk_campaign([(31.5, ModulationFormat.DP_QPSK,
-                             ProbeStatus.WORKING, 15.0)])
-    dup = campaign.results[0]
-    with pytest.raises(ValueError):
-        campaign.add(dup)
+@pytest.mark.parametrize("workflow", ["extended", "sweep", "regime"])
+def test_repeated_config_id_is_rejected_before_any_probe(catalog, curves,
+                                                         workflow):
+    """Each probe of a repeated configuration is another transceiver
+    reconfiguration, so a catalog that repeats an id is a ValueError in
+    every workflow that indexes it, and nothing is probed."""
+    config = catalog[0]
+    repeated = (config,) + catalog[1:] + (replace(config,
+                                                  required_gsnr_db=9.0),)
+    proxy = ProbeSurface(_StubLine(BerReading(1e-3, True, 0.0)))
+    run = {
+        "extended": lambda: run_extended_probe(proxy, repeated, curves, POLICY),
+        "sweep": lambda: run_frequency_sweep(proxy, repeated, curves, 0.25,
+                                             POLICY),
+        "regime": lambda: detect_operation_regime(proxy, repeated, curves,
+                                                  -26.0, 69.4),
+    }[workflow]
+    with pytest.raises(ValueError, match=f"configuration {config.config_id} "
+                                         "repeated"):
+        run()
+    assert proxy.probes == []
 
 
 def test_compute_penalties_all_equal():
@@ -303,12 +315,12 @@ def test_verification_reads_the_post_fec_status():
     rejected carrier does not. A margin of exactly zero is never false."""
     works = PltConfig(ModulationFormat.DP_QPSK, 31.5, 37.5, 6.2509)
     rejected = PltConfig(ModulationFormat.DP_16QAM, 31.5, 37.5, 12.0)
-    campaign = ProbeCampaign("synthetic", MC, {c.config_id: c
-                                               for c in (works, rejected)})
-    campaign.add(ProbeResult(works.config_id, MC.center_thz, POLICY,
-                             ProbeStatus.UNUSABLE, post_fec_ok=True))
-    campaign.add(ProbeResult(rejected.config_id, MC.center_thz, POLICY,
-                             ProbeStatus.UNUSABLE))
+    campaign = ProbeCampaign(
+        "synthetic", MC, {c.config_id: c for c in (works, rejected)},
+        [ProbeResult(works.config_id, MC.center_thz, POLICY,
+                     ProbeStatus.UNUSABLE, post_fec_ok=True),
+         ProbeResult(rejected.config_id, MC.center_thz, POLICY,
+                     ProbeStatus.UNUSABLE)])
     assert verify_margin_accuracy(campaign, {works.config_id: -0.4,
                                              rejected.config_id: 0.3}) == (
         0.4, VerificationFlag.FALSE_PREDICTIONS)
@@ -798,11 +810,38 @@ def test_regime_probes_the_reference_rate_once(curves):
         sc.policy.value + 10.0 * math.log10(rs_ref))
     for config in reference_rate:
         assert line.probe(config, sc.policy) == line.probe(config, power)
-        # the reused entry is the constant-PSD result with only its policy
-        # replaced, and equals a constant-power probe
+        # the one result read under constant PSD stands for both policies:
+        # apart from its policy it equals a constant-power probe
         curve = curves[config.config_id]
         at_psd = probe_once(line, config, curve, sc.policy)
         reused = at_psd._replace(policy=power)
         assert reused.policy is power and at_psd.policy is sc.policy
         assert reused[:2] == at_psd[:2] and reused[3:] == at_psd[3:]
         assert reused == probe_once(line, config, curve, power)
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_regime_reads_each_carrier_once(curves, name):
+    """On every shipped route and seeds 1-5, at the catalog's top rate and
+    at one below it, the regime probes each tested configuration once under
+    constant PSD and once under constant power where that carrier differs,
+    and no probe twice."""
+    sc = shipped_scenario(name)
+    catalog = resolve_catalog(sc.catalog)
+    rates = sorted({c.symbol_rate_gbd for c in catalog})
+    psd = sc.policy
+    for seed in range(1, 6):
+        line = LineSystem(replace(sc.link, seed=seed), ModemModel(26.0))
+        for rs_ref in (rates[-1], rates[len(rates) // 2]):
+            power = PowerPolicy.constant_total_power(
+                psd.value + 10.0 * math.log10(rs_ref))
+            tested = [c for c in catalog if c.symbol_rate_gbd <= rs_ref]
+            expected = [(c, psd, None, 0.0) for c in tested]
+            expected += [(c, power, None, 0.0) for c in tested
+                         if carrier_power_dbm(psd, c)
+                         != carrier_power_dbm(power, c)]
+            proxy = ProbeSurface(line)
+            detect_operation_regime(proxy, catalog, curves, psd.value, rs_ref)
+            # expected holds no probe twice, so neither does proxy.probes
+            assert len(proxy.probes) == len(expected)
+            assert set(proxy.probes) == set(expected)
