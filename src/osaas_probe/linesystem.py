@@ -40,10 +40,14 @@ process and every line shares the memo: a probe that repeats a key (a
 re-probe, a what-if copy of the line, the same carrier under another
 policy) reads it back instead of drawing it again.
 
-The time-independent terms of every carrier probed are memoized, keyed on
-(config, policy, carrier centre): received power, optical SNR (ASE/NLI,
-filtering penalty, equalized tilt/ripple), the noise key without its seed
-and time words and, without diurnal drift, the BER law and Q. The config
+One function, ``LineSystem._static_terms``, computes a carrier's
+time-independent link budget, and both the probe memo and the
+``ground_truth_gsnr`` oracle read it: the carrier centre snaps to the
+0.25 GHz grid there, once, and the noise key takes the same grid units.
+Its terms are memoized per carrier probed, keyed on (config, policy,
+carrier centre): received power, optical SNR (ASE/NLI, filtering penalty,
+equalized tilt/ripple), the noise key without its seed and time words and,
+without diurnal drift, the BER law and Q. The config
 object is the key, not its id, which omits roll-off and FEC threshold. A
 repeated carrier then costs a lookup, the diurnal term, the memoized draw
 and the Q-to-BER readout, with the float operations in the same order as
@@ -503,24 +507,23 @@ class LineSystem:
 
     # -- probe surface -----------------------------------------------------
 
-    def _carrier_offset_ghz(self, config: PltConfig,
-                            carrier_center_thz: float | None) -> float:
-        mc = self.link.media_channel
-        if carrier_center_thz is None:
-            offset = 0.0
-        else:
-            offset = (carrier_center_thz - mc.center_thz) * 1000.0
-            offset = from_grid_units(to_grid_units(offset))
-        check_carrier_fits(mc, config, offset)
-        return offset
-
-    def _static_snr_db(self, config: PltConfig, policy: PowerPolicy,
-                       offset_ghz: float) -> tuple[float, float, float]:
-        """The time-independent link budget of one carrier: optical SNR
-        without the diurnal term, realized launch power and the in-band
-        filter loss before the ISI factor, all in dB(m)."""
+    def _static_terms(self, config: PltConfig, policy: PowerPolicy,
+                      carrier_center_thz: float | None
+                      ) -> tuple[int, float, float, float]:
+        """The time-independent link budget of one carrier, shared by the
+        probe memo and the oracle: the centre's offset from the channel
+        centre in grid units, realized launch power, in-band filter loss
+        before the ISI factor and optical SNR without the diurnal term, all
+        in dB(m). The centre snaps to the grid here and nowhere else on the
+        line. A centre off the grid, a carrier outside the channel and a
+        violated channel limit raise."""
         link = self.link
-        power_dbm = carrier_power_dbm(policy, config, link.media_channel)
+        mc = link.media_channel
+        units = (0 if carrier_center_thz is None
+                 else to_grid_units((carrier_center_thz - mc.center_thz) * 1000.0))
+        offset = from_grid_units(units)
+        check_carrier_fits(mc, config, offset)
+        power_dbm = carrier_power_dbm(policy, config, mc)
         power_mw = dbm_to_mw(power_dbm)
         osnr = power_dbm + self._osnr_at_0dbm
         snr_ase = (osnr_to_snr_db(osnr, config.symbol_rate_gbd)
@@ -529,11 +532,10 @@ class LineSystem:
         snr_nli = (10.0 * math.log10(power_mw / nli_mw)
                    if nli_mw > 0 else math.inf)
         optical = harmonic_db_sum(snr_ase, snr_nli)
-        in_band = filtering_penalty_db(self.effective_filters,
-                                       link.media_channel, config, offset_ghz)
+        in_band = filtering_penalty_db(self.effective_filters, mc, config, offset)
         optical -= link.isi_factor * in_band
-        optical += self.gsnr_offset_db(offset_ghz)
-        return optical, power_dbm, in_band
+        optical += self.gsnr_offset_db(offset)
+        return units, power_dbm, in_band, optical
 
     def _total_snr_db(self, optical_db: float, sim_time_h: float) -> float:
         """Total SNR from the static optical SNR at one time of day."""
@@ -549,35 +551,21 @@ class LineSystem:
         return ber_true, (q_db_from_ber(ber_true) if 0.0 < ber_true < 0.5
                           else None)
 
-    def _noise_key(self, config: PltConfig, offset_ghz: float,
-                   power_dbm: float) -> tuple[int, ...]:
-        """The noise key of a realized carrier, without its seed and time
-        words."""
-        return (
-            zlib.crc32(config.config_id.encode()),
-            to_grid_units(offset_ghz) + 2 ** 20,
-            int(round((power_dbm + 200.0) * 100.0)),
-        )
-
-    def _keyed_noise_db(self, noise_key: tuple[int, ...],
-                        sim_time_h: float) -> float:
-        """Noise on the Q readout of a noisy line's carrier at one time."""
-        return self.link.noise_sigma_q_db * _standard_normal(
-            (self.link.seed, *noise_key, int(round(sim_time_h * 3600.0))))
-
     def _memoize_carrier(self, config: PltConfig, policy: PowerPolicy,
                          carrier_center_thz: float | None) -> tuple:
         """Compute and store the time-independent terms of one carrier:
-        rx power, static optical SNR, noise key (None on a noiseless line)
-        and, on a line without diurnal drift, the BER law. A rejected
-        carrier or a violated limit raises before anything is stored."""
-        offset = self._carrier_offset_ghz(config, carrier_center_thz)
-        optical, power_dbm, in_band = self._static_snr_db(config, policy, offset)
+        rx power, static optical SNR, noise key without its seed and time
+        words (None on a noiseless line) and, on a line without diurnal
+        drift, the BER law. A rejected carrier or a violated limit raises
+        before anything is stored."""
+        units, power_dbm, in_band, optical = self._static_terms(
+            config, policy, carrier_center_thz)
         link = self.link
         carrier = (
             power_dbm - in_band,
             optical,
-            (self._noise_key(config, offset, power_dbm)
+            ((zlib.crc32(config.config_id.encode()), units + 2 ** 20,
+              int(round((power_dbm + 200.0) * 100.0)))
              if link.noise_sigma_q_db else None),
             (None if link.diurnal_amplitude_db
              else self._ber_law(config, optical, 0.0)),
@@ -602,9 +590,10 @@ class LineSystem:
         ber_true, q_true = (self._ber_law(config, optical, sim_time_h)
                             if law is None else law)
         if q_true is not None:
-            noise = (0.0 if noise_key is None
-                     else self._keyed_noise_db(noise_key, sim_time_h))
-            ber = ber_from_q_db(q_true + noise)
+            if noise_key is not None:
+                q_true += self.link.noise_sigma_q_db * _standard_normal(
+                    (self.link.seed, *noise_key, int(round(sim_time_h * 3600.0))))
+            ber = ber_from_q_db(q_true)
         elif ber_true < 0.5:
             # noiseless line: the counter reads error-free
             ber = 0.0
@@ -629,8 +618,7 @@ class LineSystem:
         Reserved for tests and simulator-assisted what-if analyses; probing
         algorithms must not call it.
         """
-        offset = self._carrier_offset_ghz(config, carrier_center_thz)
-        optical = self._static_snr_db(config, policy, offset)[0]
+        optical = self._static_terms(config, policy, carrier_center_thz)[3]
         return self._total_snr_db(optical, sim_time_h)
 
     def without_filters(self) -> "LineSystem":

@@ -130,20 +130,6 @@ class RegimeReport:
     excluded: dict[str, str] = field(default_factory=dict)
 
 
-def _classify_reading(reading, curve: CharacterizationCurve
-                      ) -> tuple[ProbeStatus, float | None, float | None, str]:
-    if not reading.post_fec_ok:
-        return ProbeStatus.OUTAGE, None, None, "post-FEC errors"
-    if reading.pre_fec_ber <= 0.0:
-        return ProbeStatus.UNUSABLE, None, None, "error-free reading, no Q estimate"
-    q = q_db_from_ber(reading.pre_fec_ber)
-    try:
-        gsnr = gsnr_from_q(curve, q)
-    except CurveRangeError as exc:
-        return ProbeStatus.UNUSABLE, q, None, str(exc)
-    return ProbeStatus.WORKING, q, gsnr, ""
-
-
 def probe_once(line, config: PltConfig, curve: CharacterizationCurve,
                policy: PowerPolicy, carrier_center_thz: float | None = None,
                sim_time_h: float = 0.0) -> ProbeResult:
@@ -155,10 +141,22 @@ def probe_once(line, config: PltConfig, curve: CharacterizationCurve,
     except (CarrierRejectedError, LimitViolationError) as exc:
         return ProbeResult(config.config_id, center, policy,
                            ProbeStatus.UNUSABLE, sim_time_h, note=str(exc))
-    status, q, gsnr, note = _classify_reading(reading, curve)
-    return ProbeResult(config.config_id, center, policy, status, sim_time_h,
-                       q_db=q, gsnr_est_db=gsnr, note=note,
-                       post_fec_ok=reading.post_fec_ok)
+    ok = reading.post_fec_ok
+    if not ok:
+        return ProbeResult(config.config_id, center, policy, ProbeStatus.OUTAGE,
+                           sim_time_h, note="post-FEC errors", post_fec_ok=ok)
+    if reading.pre_fec_ber <= 0.0:
+        return ProbeResult(config.config_id, center, policy, ProbeStatus.UNUSABLE,
+                           sim_time_h, note="error-free reading, no Q estimate",
+                           post_fec_ok=ok)
+    q = q_db_from_ber(reading.pre_fec_ber)
+    try:
+        gsnr = gsnr_from_q(curve, q)
+    except CurveRangeError as exc:
+        return ProbeResult(config.config_id, center, policy, ProbeStatus.UNUSABLE,
+                           sim_time_h, q, note=str(exc), post_fec_ok=ok)
+    return ProbeResult(config.config_id, center, policy, ProbeStatus.WORKING,
+                       sim_time_h, q, gsnr, post_fec_ok=ok)
 
 
 def _configs_by_id(configs: tuple[PltConfig, ...]) -> dict[str, PltConfig]:

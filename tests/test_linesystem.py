@@ -1,4 +1,5 @@
 import math
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from osaas_probe import linesystem
-from osaas_probe.catalog import regional_catalog
+from osaas_probe.catalog import regional_catalog, resolve_catalog
 from osaas_probe.errors import CarrierRejectedError, LimitViolationError, ScenarioError
 from osaas_probe.linesystem import (
     DISPERSION_COMP_NLI_FACTOR,
@@ -29,6 +30,7 @@ from osaas_probe.spectrum import (
     ModulationFormat,
     PltConfig,
     PowerPolicy,
+    admissible_offsets_ghz,
     carrier_power_dbm,
     to_grid_units,
 )
@@ -341,14 +343,37 @@ def test_cold_sweep_integrates_each_placement_once(curves):
     ("B-1302", "DP-QPSK-69.4", 6.25, 0.5, 0.0, -0.003586733798898486),
     ("LH-5738", "DP-P-16QAM-46.3", -12.5, -2.25, 3.0, 0.017825178083964135),
 ])
-def test_noise_draws_are_pinned(catalog, name, config_id, offset, power, hours,
-                                expected):
+def test_noise_draws_are_pinned(name, config_id, offset, power, hours, expected):
     """The per-probe noise draw is part of every seeded report; its entropy
-    and generator must not change."""
-    line = LineSystem(shipped_scenario(name).link)
-    config = {c.config_id: c for c in catalog}[config_id]
-    assert line._keyed_noise_db(line._noise_key(config, offset, power),
-                                hours) == expected
+    and generator must not change. The key is the one the carrier memo
+    builds: seed, configuration id, centre in grid units, power, time."""
+    link = shipped_scenario(name).link
+    key = (link.seed, zlib.crc32(config_id.encode()),
+           to_grid_units(offset) + 2 ** 20, int(round((power + 200.0) * 100.0)),
+           int(round(hours * 3600.0)))
+    assert link.noise_sigma_q_db * linesystem._standard_normal(key) == expected
+
+
+def test_probe_memo_and_oracle_read_one_budget(modem):
+    """On a noiseless line the probe reads the BER of the oracle's GSNR:
+    every shipped scenario, its catalog, every admissible placement at its
+    sweep step, wherever that BER is neither error-free nor coin flips."""
+    cases = 0
+    for path in SCENARIO_FILES:
+        sc = load_scenario(path)
+        line = LineSystem(replace(sc.link, noise_sigma_q_db=0.0), modem)
+        mc = line.media_channel
+        for cfg in resolve_catalog(sc.catalog):
+            for offset in admissible_offsets_ghz(mc, cfg, sc.sweep_step_ghz):
+                center = mc.center_thz + offset / 1000.0
+                reading = line.probe(cfg, sc.policy, center)
+                ber = ber_from_snr(cfg.format,
+                                   line.ground_truth_gsnr(cfg, sc.policy, center))
+                if 0.0 < ber < 0.5:
+                    cases += 1
+                    assert q_db_from_ber(reading.pre_fec_ber) == pytest.approx(
+                        q_db_from_ber(ber), rel=0.0, abs=1e-12), (path.stem, cfg, offset)
+    assert len(SCENARIO_FILES) == 23 and cases == 5735
 
 
 @pytest.mark.parametrize("isi_factor", [-7.0, -1e-9, math.inf, math.nan])
