@@ -9,18 +9,20 @@ estimate over simulated time.
 Every command is deterministic for a fixed scenario file and seed. Exit
 codes: 0 success, 2 no usable signal, 3 configuration error (an
 unwritable output included), 4 invalid scenario file.
+
+Each command imports the package modules it runs when it runs, so importing
+the CLI, ``--help``, ``--version`` and an argument error load ``errors``
+alone, and ``characterize`` loads no line model.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .catalog import resolve_catalog
 from .errors import (
     ConfigError,
     FitRejectedError,
@@ -28,44 +30,9 @@ from .errors import (
     ScenarioError,
     check_range,
 )
-from .linesystem import LineSystem
-from .modem import (
-    DEFAULT_FIT_DEGREE,
-    FIT_DEGREE_RANGE,
-    GRID_STEP_DB,
-    GRID_STEP_RANGE_DB,
-    ModemModel,
-    characterize,
-    curve_to_dict,
-    default_gsnr_grid,
-    load_curve,
-)
-from .probing import (
-    DEFAULT_CAP_THETA_DB,
-    check_monitor_span,
-    detect_operation_regime,
-    monitor_upgrade,
-    run_frequency_sweep,
-    run_monitor,
-    run_probe_workflow,
-    sweep_diagnostics,
-    what_if_line_rates,
-)
-from .reports import (
-    WHAT_IF_CAVEAT,
-    margin_report_to_dict,
-    monitor_series_to_csv,
-    monitor_summary_to_dict,
-    profile_to_csv,
-    regime_report_to_dict,
-    sweep_summary_to_dict,
-    throughput_entry,
-    throughput_no_signal_entry,
-    throughput_to_dict,
-    write_report,
-)
-from .scenario import POLICY_VALUE_RANGE, Scenario, load_scenario
-from .spectrum import PolicyKind
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 EXIT_OK = 0
 EXIT_NO_SIGNAL = 2
@@ -87,6 +54,8 @@ def _resolve_seed(args, scenario: Scenario) -> int:
 def _load_curves(curves_dir: Path, catalog, loaded: dict) -> dict:
     """The curve of each catalog configuration. ``loaded`` holds the curves
     this command has read so far, so each file is read and gated once."""
+    from .modem import load_curve
+
     for config in catalog:
         if config.config_id in loaded:
             continue
@@ -105,6 +74,11 @@ def _load_curves(curves_dir: Path, catalog, loaded: dict) -> dict:
 def _context(args, path=None, loaded=None):
     """Seeded scenario, catalog, curves and line for ``path`` or --scenario;
     ``loaded`` is as in :func:`_load_curves`."""
+    from .catalog import resolve_catalog
+    from .linesystem import LineSystem
+    from .modem import ModemModel
+    from .scenario import load_scenario
+
     scenario = load_scenario(path or args.scenario)
     scenario = scenario.with_seed(_resolve_seed(args, scenario))
     catalog = resolve_catalog(args.catalog or scenario.catalog)
@@ -119,19 +93,28 @@ def _context(args, path=None, loaded=None):
 
 
 def cmd_characterize(args) -> int:
+    from .catalog import resolve_catalog
+    from .modem import (DEFAULT_FIT_DEGREE, FIT_DEGREE_RANGE, GRID_STEP_DB,
+                        GRID_STEP_RANGE_DB, ModemModel, characterize,
+                        curve_to_dict, default_gsnr_grid)
+    from .reports import write_report
+
+    degree = DEFAULT_FIT_DEGREE if args.degree is None else args.degree
+    grid_step_db = (GRID_STEP_DB if args.grid_step_db is None
+                    else args.grid_step_db)
     catalog = resolve_catalog(args.catalog)
     try:
         modem = ModemModel(args.modem_snr_db)
     except ValueError as exc:
         raise ConfigError(f"--modem-snr-db: {exc}")
-    check_range("--degree", args.degree, *FIT_DEGREE_RANGE, error=ConfigError)
-    check_range("--grid-step-db", args.grid_step_db, *GRID_STEP_RANGE_DB,
+    check_range("--degree", degree, *FIT_DEGREE_RANGE, error=ConfigError)
+    check_range("--grid-step-db", grid_step_db, *GRID_STEP_RANGE_DB,
                 unit="dB", error=ConfigError)
     out = Path(args.out)
     for config in catalog:
-        grid = default_gsnr_grid(config, args.grid_step_db)
+        grid = default_gsnr_grid(config, grid_step_db)
         try:
-            curve = characterize(modem, config, args.degree, grid)
+            curve = characterize(modem, config, degree, grid)
         except ValueError as exc:  # a bad grid, no data or a rejected fit
             print(f"characterization failed for {config.config_id}: {exc}",
                   file=sys.stderr)
@@ -142,10 +125,13 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    check_range("--theta-db", args.theta_db, error=ConfigError)
+    from .probing import DEFAULT_CAP_THETA_DB, run_probe_workflow
+    from .reports import margin_report_to_dict, write_report
+
+    theta_db = DEFAULT_CAP_THETA_DB if args.theta_db is None else args.theta_db
+    check_range("--theta-db", theta_db, error=ConfigError)
     scenario, catalog, curves, line = _context(args)
-    report = run_probe_workflow(line, catalog, curves, scenario.policy,
-                                args.theta_db)
+    report = run_probe_workflow(line, catalog, curves, scenario.policy, theta_db)
     out = Path(args.out) / f"{scenario.link.name}-report.json"
     write_report(out, margin_report_to_dict(report, scenario.link.seed))
     print(f"{scenario.link.name}: GSNR {report.gsnr_est_link_db:.2f} dB, "
@@ -158,6 +144,11 @@ def cmd_probe(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from dataclasses import replace
+
+    from .probing import run_frequency_sweep, sweep_diagnostics
+    from .reports import profile_to_csv, sweep_summary_to_dict, write_report
+
     scenario, catalog, curves, line = _context(args)
     if args.step_ghz is not None:
         scenario = replace(scenario, sweep_step_ghz=args.step_ghz)
@@ -199,6 +190,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_regime(args) -> int:
+    import math
+
+    from .probing import detect_operation_regime
+    from .reports import regime_report_to_dict, write_report
+    from .scenario import POLICY_VALUE_RANGE
+    from .spectrum import PolicyKind
+
     scenario, catalog, curves, line = _context(args)
     if not catalog:
         raise NoSignalError("the catalog holds no configuration")
@@ -236,7 +234,13 @@ def cmd_regime(args) -> int:
 
 
 def cmd_throughput(args) -> int:
-    check_range("--theta-db", args.theta_db, error=ConfigError)
+    from .probing import DEFAULT_CAP_THETA_DB, what_if_line_rates
+    from .reports import (WHAT_IF_CAVEAT, throughput_entry,
+                          throughput_no_signal_entry, throughput_to_dict,
+                          write_report)
+
+    theta_db = DEFAULT_CAP_THETA_DB if args.theta_db is None else args.theta_db
+    check_range("--theta-db", theta_db, error=ConfigError)
     loaded = {}
     contexts = [_context(args, path, loaded) for path in args.scenario]
     names = [scenario.link.name for scenario, *_ in contexts]
@@ -249,7 +253,7 @@ def cmd_throughput(args) -> int:
         name = scenario.link.name
         try:
             rates = what_if_line_rates(line, catalog, curves, scenario.policy,
-                                       args.theta_db)
+                                       theta_db)
         except NoSignalError as exc:
             entries.append(throughput_no_signal_entry(name, str(exc)))
             print(f"{name}: no signal: {exc}", file=sys.stderr)
@@ -270,6 +274,10 @@ def cmd_throughput(args) -> int:
 
 
 def cmd_monitor(args) -> int:
+    from .probing import check_monitor_span, monitor_upgrade, run_monitor
+    from .reports import (monitor_series_to_csv, monitor_summary_to_dict,
+                          write_report)
+
     scenario, catalog, curves, line = _context(args)
     by_id = {c.config_id: c for c in catalog}
     if scenario.monitor_config_id not in by_id:
@@ -326,15 +334,17 @@ def build_parser() -> _Parser:
     p.add_argument("--catalog", default="default", help="catalog name or JSON file")
     p.add_argument("--modem-snr-db", type=float, default=26.0,
                    help="transceiver implementation noise SNR (default 26)")
-    p.add_argument("--degree", type=int, default=DEFAULT_FIT_DEGREE)
-    p.add_argument("--grid-step-db", type=float, default=GRID_STEP_DB)
+    # an omitted --degree, --grid-step-db or --theta-db is None, and the
+    # command takes the default from the module it imports to run
+    p.add_argument("--degree", type=int)
+    p.add_argument("--grid-step-db", type=float)
     p.add_argument("--out", default="curves",
                    help="curve output directory (default: curves)")
     p.set_defaults(func=cmd_characterize)
 
     p = sub.add_parser("probe", help="extended symbol-rate-variable probing")
     common(p)
-    p.add_argument("--theta-db", type=float, default=DEFAULT_CAP_THETA_DB,
+    p.add_argument("--theta-db", type=float,
                    help="cap penalty threshold (default 2.0)")
     p.set_defaults(func=cmd_probe)
 
@@ -356,7 +366,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("throughput", help="achievable vs potential line rate")
     common(p, action="append")
-    p.add_argument("--theta-db", type=float, default=DEFAULT_CAP_THETA_DB,
+    p.add_argument("--theta-db", type=float,
                    help="cap penalty threshold (default 2.0)")
     p.set_defaults(func=cmd_throughput)
 

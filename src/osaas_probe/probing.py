@@ -303,7 +303,10 @@ def run_probe_workflow(line, catalog: tuple[PltConfig, ...],
     cap = detect_symbol_rate_cap(campaign, penalties, theta_db)
     est = estimate_link_gsnr(campaign, cap)
     margins = compute_margins(est, catalog, cap)
-    best = select_best_config(margins, catalog)
+    # never recommend a configuration the campaign read with post-FEC errors
+    ok = {r.config_id for r in campaign.results if r.post_fec_ok}
+    best = select_best_config(
+        {cid: m for cid, m in margins.items() if cid in ok}, catalog)
     bound, flag = verify_margin_accuracy(campaign, margins)
     return MarginReport(
         gsnr_est_link_db=est,

@@ -7,20 +7,21 @@ Margin reports embed the full probe evidence chain for auditability.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .probing import (
-    GsnrProfile,
-    MarginReport,
-    ProbeCampaign,
-    ProbeResult,
-    RegimeReport,
-)
 from .spectrum import C_BAND_WIDTH_GHZ, PltConfig
+
+if TYPE_CHECKING:  # annotations only: writing curve files loads no probing
+    from .probing import (
+        GsnrProfile,
+        MarginReport,
+        ProbeCampaign,
+        ProbeResult,
+        RegimeReport,
+    )
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -43,6 +44,10 @@ def _num(value, digits=6):
     if isinstance(value, float) and math.isinf(value):
         return "inf"
     return round(float(value), digits)
+
+
+def _csv_value(value: float | None) -> str:
+    return "OUTAGE" if value is None else f"{value:.3f}"
 
 
 def probe_result_to_dict(result: ProbeResult) -> dict:
@@ -87,15 +92,15 @@ def margin_report_to_dict(report: MarginReport, seed: int) -> dict:
 
 
 def profile_to_csv(profile: GsnrProfile) -> str:
-    """Plot-ready sweep profile: freq_thz, config_id, gsnr_db or OUTAGE."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["freq_thz", "config_id", "gsnr_db"])
-    for cid in sorted(profile.points):
-        for freq, value in profile.points[cid]:
-            writer.writerow([f"{freq:.6f}", cid,
-                             "OUTAGE" if value is None else f"{value:.3f}"])
-    return buffer.getvalue()
+    """Plot-ready sweep profile: freq_thz, config_id, gsnr_db or OUTAGE.
+
+    No field holds a comma, a quote or a newline (formatted floats, OUTAGE
+    and config ids), so the rows are joined as they are, unquoted."""
+    rows = ["freq_thz,config_id,gsnr_db"]
+    rows += [f"{freq:.6f},{cid},{_csv_value(value)}"
+             for cid in sorted(profile.points)
+             for freq, value in profile.points[cid]]
+    return "\n".join(rows) + "\n"
 
 
 def sweep_summary_to_dict(profile: GsnrProfile, seed: int,
@@ -139,12 +144,9 @@ def regime_report_to_dict(report: RegimeReport, seed: int) -> dict:
 
 
 def monitor_series_to_csv(series: list[tuple[float, float | None]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["sim_time_h", "gsnr_est_db"])
-    for t, value in series:
-        writer.writerow([f"{t:.3f}", "OUTAGE" if value is None else f"{value:.3f}"])
-    return buffer.getvalue()
+    rows = ["sim_time_h,gsnr_est_db"]
+    rows += [f"{t:.3f},{_csv_value(value)}" for t, value in series]
+    return "\n".join(rows) + "\n"
 
 
 def monitor_summary_to_dict(series: list[tuple[float, float | None]], seed: int,

@@ -319,10 +319,10 @@ def test_workflow_order_never_matters(curves, name, seeds, order):
         assert run_workflow(workflow, alone, sc, catalog, curves) == report
 
 
-def loaded_after(tmp_path, command, module, code=0):
-    """Whether a fresh interpreter has ``module`` loaded after the CLI
-    ``command`` ended in exit ``code``: a command with --scenario runs on
-    freshly characterized curves, and None only imports the CLI."""
+def loaded_after(tmp_path, command, code=0):
+    """The sorted names of the modules a fresh interpreter has loaded after
+    the CLI ``command`` ended in exit ``code``: a command with --scenario runs
+    on freshly characterized curves, and None only imports the CLI."""
     argv = list(command or ())
     if "--scenario" in argv:
         curves = tmp_path / "curves"
@@ -335,13 +335,13 @@ def loaded_after(tmp_path, command, module, code=0):
                    "except SystemExit as exit:\n"
                    "    code = exit.code\n"
                    f"assert code == {code!r}, code\n")
-    script += f"print({module!r} in sys.modules)\n"
+    script += "print(*sorted(sys.modules))\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120,
                           check=True)
-    return proc.stdout.splitlines()[-1] == "True"
+    return proc.stdout.splitlines()[-1].split()
 
 
 def test_noiseless_monitor_does_not_import_numpy_random(tmp_path):
@@ -349,8 +349,8 @@ def test_noiseless_monitor_does_not_import_numpy_random(tmp_path):
     loads it."""
     assert shipped_scenario("LH-3751-monitor-summer").link.noise_sigma_q_db == 0.0
     scenario = REPO_ROOT / "scenarios" / "LH-3751-monitor-summer.json"
-    assert not loaded_after(tmp_path, ["monitor", "--scenario", str(scenario)],
-                            "numpy.random")
+    assert "numpy.random" not in loaded_after(
+        tmp_path, ["monitor", "--scenario", str(scenario)])
 
 
 def test_probe_does_not_import_numpy_polynomial(tmp_path):
@@ -358,8 +358,8 @@ def test_probe_does_not_import_numpy_polynomial(tmp_path):
     numpy.polynomial; probe, which loads numpy for its penalty integrals,
     must not pull it in either."""
     scenario = REPO_ROOT / "scenarios" / "B-485.json"
-    assert not loaded_after(tmp_path, ["probe", "--scenario", str(scenario)],
-                            "numpy.polynomial")
+    assert "numpy.polynomial" not in loaded_after(
+        tmp_path, ["probe", "--scenario", str(scenario)])
 
 
 def _scenario(name):
@@ -369,22 +369,59 @@ def _scenario(name):
 @pytest.mark.parametrize("command, code", [
     (None, 0),
     (["--help"], 0),
+    (["--version"], 0),
     (["characterize", "--out", "curves"], 0),
     (["monitor", "--scenario", _scenario("LH-3751-monitor-summer")], 0),
     (["characterize", "--degree", "13"], 3),
     (["throughput", "--scenario", _scenario("B-621"),
       "--scenario", _scenario("B-621")], 3),
     (["probe", "--scenario", "missing.json"], 4),
-], ids=["import", "help", "characterize", "monitor-LH-3751", "bad-degree",
-        "repeated-route", "missing-scenario"])
+], ids=["import", "help", "version", "characterize", "monitor-LH-3751",
+        "bad-degree", "repeated-route", "missing-scenario"])
 def test_start_does_not_import_numpy(tmp_path, command, code):
-    """Importing the CLI, --help, input errors, characterize and a monitor
-    of a noiseless line without filters or ripple never build an array, so
-    they never load numpy."""
-    assert not loaded_after(tmp_path, command, "numpy", code)
+    """Importing the CLI, --help, --version, input errors, characterize and
+    a monitor of a noiseless line without filters or ripple never build an
+    array, so they never load numpy."""
+    assert "numpy" not in loaded_after(tmp_path, command, code)
 
 
 def test_probe_loads_numpy(tmp_path):
     """B-485's filters need the penalty integral, which loads numpy."""
-    assert loaded_after(tmp_path, ["probe", "--scenario", _scenario("B-485")],
-                        "numpy")
+    assert "numpy" in loaded_after(tmp_path,
+                                   ["probe", "--scenario", _scenario("B-485")])
+
+
+def _package(*names):
+    return sorted(["osaas_probe", "osaas_probe.cli", "osaas_probe.errors"]
+                  + [f"osaas_probe.{name}" for name in names])
+
+
+CHARACTERIZE_MODULES = _package("catalog", "modem", "reports", "spectrum",
+                                "units")
+EVERY_MODULE = sorted(["osaas_probe"] + [
+    f"osaas_probe.{path.stem}"
+    for path in (REPO_ROOT / "src" / "osaas_probe").glob("*.py")
+    if path.stem != "__init__"])
+
+
+@pytest.mark.parametrize("command, code, modules", [
+    (None, 0, _package()),
+    (["--help"], 0, _package()),
+    (["--version"], 0, _package()),
+    (["probe"], 3, _package()),
+    (["characterize", "--out", "curves"], 0, CHARACTERIZE_MODULES),
+    (["characterize", "--degree", "13"], 3, CHARACTERIZE_MODULES),
+    (["probe", "--scenario", _scenario("B-485")], 0, EVERY_MODULE),
+], ids=["import", "help", "version", "no-scenario", "characterize",
+        "bad-degree", "probe-B-485"])
+def test_command_loads_only_the_modules_it_runs(tmp_path, command, code,
+                                               modules):
+    """The CLI imports each package module where a command runs it: importing
+    the CLI, --help, --version and an argument error load the CLI and its
+    errors alone, and characterize adds only the catalog, the modem model and
+    the report writer, without csv. A probe, the positive control, loads
+    every package module."""
+    loaded = loaded_after(tmp_path, command, code)
+    assert [m for m in loaded if m.partition(".")[0] == "osaas_probe"] == modules
+    if modules != EVERY_MODULE:
+        assert "csv" not in loaded

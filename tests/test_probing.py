@@ -460,6 +460,26 @@ def test_verification_on_every_shipped_route(curves, modem, name):
         assert VerificationFlag.UNVERIFIED not in flags
 
 
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_recommendation_worked_in_its_campaign(curves, modem, name):
+    """Seeds 1-100: the recommended configuration's campaign reading is
+    post-FEC OK, and by the oracle, which only this test reads, its margin
+    is positive."""
+    sc = shipped_scenario(name)
+    catalog = resolve_catalog(sc.catalog)
+    by_id = {cfg.config_id: cfg for cfg in catalog}
+    for seed in range(1, 101):
+        line = LineSystem(replace(sc.link, seed=seed), modem)
+        report = run_probe_workflow(line, catalog, curves, sc.policy)
+        if report.best_config is None:
+            continue
+        reading, = [r for r in report.campaign.results
+                    if r.config_id == report.best_config]
+        assert reading.post_fec_ok, seed
+        best = by_id[report.best_config]
+        assert line.ground_truth_gsnr(best, sc.policy) > best.required_gsnr_db, seed
+
+
 
 def test_what_if_equals_achievable_without_filters(lh_line_and_curves):
     """LH-1016 has no filters and no DCG spans: its what-if copy is itself."""
