@@ -1,26 +1,25 @@
 """Command-line front end.
 
-Subcommands mirror the probing workflows: ``characterize`` builds curve
-files, ``probe`` runs the extended symbol-rate-variable workflow, ``sweep``
-walks the carrier across the slot, ``regime`` compares power policies,
-``throughput`` quantifies the filtering cost, and ``monitor`` tracks the
-estimate over simulated time.
+Each command loads its context, calls one library function, writes the
+reports and prints its summary lines. ``characterize`` calls
+modem.characterize, and in probing, ``probe`` calls run_probe_workflow,
+``sweep`` sweep_diagnostics, ``regime`` run_regime_workflow,
+``throughput`` what_if_line_rates and ``monitor`` run_monitor_workflow.
 
 Every command is deterministic for a fixed scenario file and seed. Exit
 codes: 0 success, 2 no usable signal, 3 configuration error (an
-unwritable output included), 4 invalid scenario file.
+unwritable output included), 4 invalid scenario file. A failure prints one
+stderr line, ``no signal: <reason>`` for exit 2 (``throughput`` prefixes
+each route's with the route name).
 
 Each command imports the package modules it runs when it runs, so importing
 the CLI, ``--help``, ``--version`` and an argument error load ``errors``
 alone, and ``characterize`` loads no line model.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import (
@@ -31,9 +30,6 @@ from .errors import (
     check_range,
 )
 
-if TYPE_CHECKING:
-    from .scenario import Scenario
-
 EXIT_OK = 0
 EXIT_NO_SIGNAL = 2
 EXIT_CONFIG = 3
@@ -43,12 +39,6 @@ EXIT_SCENARIO = 4
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
-
-
-def _resolve_seed(args, scenario: Scenario) -> int:
-    if args.seed is None:
-        return scenario.link.seed
-    return check_range("--seed", args.seed, 0, error=ConfigError)
 
 
 def _load_curves(curves_dir: Path, catalog, loaded: dict) -> dict:
@@ -80,7 +70,9 @@ def _context(args, path=None, loaded=None):
     from .scenario import load_scenario
 
     scenario = load_scenario(path or args.scenario)
-    scenario = scenario.with_seed(_resolve_seed(args, scenario))
+    if args.seed is not None:
+        scenario = scenario.with_seed(
+            check_range("--seed", args.seed, 0, error=ConfigError))
     catalog = resolve_catalog(args.catalog or scenario.catalog)
     curves = _load_curves(Path(args.curves), catalog,
                           {} if loaded is None else loaded)
@@ -146,7 +138,7 @@ def cmd_probe(args) -> int:
 def cmd_sweep(args) -> int:
     from dataclasses import replace
 
-    from .probing import run_frequency_sweep, sweep_diagnostics
+    from .probing import sweep_diagnostics
     from .reports import profile_to_csv, sweep_summary_to_dict, write_report
 
     scenario, catalog, curves, line = _context(args)
@@ -157,22 +149,14 @@ def cmd_sweep(args) -> int:
         wanted = [c.strip() for c in args.configs.split(",") if c.strip()]
         if not wanted:
             raise ConfigError(f"--configs selects no configuration: {args.configs!r}")
-        repeated = sorted({w for w in wanted if wanted.count(w) > 1})
-        if repeated:
-            # each probe of a repeat is another transceiver reconfiguration
-            raise ConfigError(f"--configs repeats {', '.join(repeated)}")
         by_id = {c.config_id: c for c in catalog}
         missing = [w for w in wanted if w not in by_id]
         if missing:
             raise ConfigError(f"unknown config ids {missing}; catalog has "
                               f"{sorted(by_id)}")
         configs = tuple(by_id[w] for w in wanted)
-    profile = run_frequency_sweep(line, configs, curves,
-                                  scenario.sweep_step_ghz, scenario.policy)
-    if not profile.points:
-        print("no configuration admits any carrier placement", file=sys.stderr)
-        return EXIT_NO_SIGNAL
-    misalignment, tilt_ripple = sweep_diagnostics(profile)
+    profile, misalignment, tilt_ripple = sweep_diagnostics(
+        line, configs, curves, scenario.sweep_step_ghz, scenario.policy)
     out_dir = Path(args.out)
     csv_path = out_dir / f"{scenario.link.name}-profile.csv"
     write_report(csv_path, profile_to_csv(profile))
@@ -190,38 +174,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_regime(args) -> int:
-    import math
-
-    from .probing import detect_operation_regime
+    from .probing import run_regime_workflow
     from .reports import regime_report_to_dict, write_report
-    from .scenario import POLICY_VALUE_RANGE
-    from .spectrum import PolicyKind
 
     scenario, catalog, curves, line = _context(args)
-    if not catalog:
-        raise NoSignalError("the catalog holds no configuration")
-    if args.rs_ref is not None:
-        # below every catalog rate no configuration is tested, and a carrier
-        # at a rate above the media-channel width never fits
-        check_range("--rs-ref", args.rs_ref,
-                    min(c.symbol_rate_gbd for c in catalog),
-                    scenario.link.media_channel.width_ghz,
-                    unit="GBd", error=ConfigError)
-    rs_ref = (args.rs_ref if args.rs_ref is not None
-              else max(c.symbol_rate_gbd for c in catalog))
-    psd_ref = args.psd_ref
-    if psd_ref is None:
-        psd_ref = scenario.policy.value
-        if scenario.policy.kind is PolicyKind.CONSTANT_TOTAL_POWER:
-            # the PSD of a reference-rate carrier at that total power
-            psd_ref -= 10.0 * math.log10(rs_ref)
-    check_range("--psd-ref", psd_ref, *POLICY_VALUE_RANGE, unit="dBm/GHz",
-                error=ConfigError)
-    report = detect_operation_regime(line, catalog, curves, psd_ref, rs_ref)
-    if not report.entries:
-        print("no configuration produced a regime classification",
-              file=sys.stderr)
-        return EXIT_NO_SIGNAL
+    report = run_regime_workflow(line, catalog, curves, scenario.policy,
+                                 args.psd_ref, args.rs_ref)
     out = Path(args.out) / f"{scenario.link.name}-regime.json"
     write_report(out, regime_report_to_dict(report, scenario.link.seed))
     for cid, entry in sorted(report.entries.items()):
@@ -274,35 +232,22 @@ def cmd_throughput(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    from .probing import check_monitor_span, monitor_upgrade, run_monitor
+    from .probing import run_monitor_workflow
     from .reports import (monitor_series_to_csv, monitor_summary_to_dict,
                           write_report)
 
     scenario, catalog, curves, line = _context(args)
-    by_id = {c.config_id: c for c in catalog}
-    if scenario.monitor_config_id not in by_id:
-        raise ConfigError(f"monitor config {scenario.monitor_config_id!r} not in "
-                          f"catalog")
-    config = by_id[scenario.monitor_config_id]
-    try:
-        check_monitor_span(args.duration_h, args.interval_h)
-    except ValueError as exc:
-        raise ConfigError(f"--duration-h/--interval-h: {exc}")
-    series = run_monitor(line, config, curves[config.config_id],
-                         scenario.policy, args.duration_h, args.interval_h)
-    ests = [v for _, v in series if v is not None]
-    if not ests:
-        print("monitored configuration never worked", file=sys.stderr)
-        return EXIT_NO_SIGNAL
-    upgrade = monitor_upgrade(catalog, config, max(ests))
+    config, series, upgrade = run_monitor_workflow(
+        line, catalog, curves, scenario.policy, scenario.monitor_config_id,
+        args.duration_h, args.interval_h)
     summary = monitor_summary_to_dict(series, scenario.link.seed, config,
                                       upgrade)
     out_dir = Path(args.out)
     csv_path = out_dir / f"{scenario.link.name}-monitor.csv"
     write_report(csv_path, monitor_series_to_csv(series))
     write_report(out_dir / f"{scenario.link.name}-monitor-summary.json", summary)
-    print(f"{scenario.link.name}: swing {max(ests) - min(ests):.2f} dB over "
-          f"{args.duration_h:g} h")
+    print(f"{scenario.link.name}: swing {summary['peak_to_peak_db']:.2f} dB "
+          f"over {args.duration_h:g} h")
     if upgrade is not None:
         gain = summary["upgrade"]["c_band_capacity_gain_gbps"]
         print(f"upgrade available at peak: {upgrade.config_id} "
@@ -330,22 +275,28 @@ def build_parser() -> _Parser:
                        help="override the scenario seed")
         p.add_argument("--out", default=".", help="output directory (default: cwd)")
 
+    theta_db = dict(type=float, help="penalty threshold of the symbol rate "
+                                     "cap, any finite dB value (default 2.0)")
+
     p = sub.add_parser("characterize", help="build characterization curves")
     p.add_argument("--catalog", default="default", help="catalog name or JSON file")
     p.add_argument("--modem-snr-db", type=float, default=26.0,
                    help="transceiver implementation noise SNR (default 26)")
     # an omitted --degree, --grid-step-db or --theta-db is None, and the
     # command takes the default from the module it imports to run
-    p.add_argument("--degree", type=int)
-    p.add_argument("--grid-step-db", type=float)
+    p.add_argument("--degree", type=int,
+                   help="degree of each curve's polynomial fit, an integer "
+                        "in [1, 12] (default 3)")
+    p.add_argument("--grid-step-db", type=float,
+                   help="GSNR step of the noise-loading grid, in [0.01, 15] "
+                        "dB (default 0.5)")
     p.add_argument("--out", default="curves",
                    help="curve output directory (default: curves)")
     p.set_defaults(func=cmd_characterize)
 
     p = sub.add_parser("probe", help="extended symbol-rate-variable probing")
     common(p)
-    p.add_argument("--theta-db", type=float,
-                   help="cap penalty threshold (default 2.0)")
+    p.add_argument("--theta-db", **theta_db)
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("sweep", help="frequency sweep across the slot")
@@ -366,14 +317,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("throughput", help="achievable vs potential line rate")
     common(p, action="append")
-    p.add_argument("--theta-db", type=float,
-                   help="cap penalty threshold (default 2.0)")
+    p.add_argument("--theta-db", **theta_db)
     p.set_defaults(func=cmd_throughput)
 
     p = sub.add_parser("monitor", help="repeated probing over simulated time")
     common(p)
-    p.add_argument("--duration-h", type=float, default=48.0)
-    p.add_argument("--interval-h", type=float, default=1.0)
+    p.add_argument("--duration-h", type=float, default=48.0,
+                   help="monitored span, in [0, inf) h (default %(default)g)")
+    p.add_argument("--interval-h", type=float, default=1.0,
+                   help="time between samples, in (0, inf) h or inf for one "
+                        "sample; at most 100000 samples (default %(default)g)")
     p.set_defaults(func=cmd_monitor)
     return parser
 

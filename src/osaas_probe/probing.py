@@ -3,6 +3,11 @@ symbol-rate cap, link GSNR estimation, margins and configuration selection,
 the throughput what-if, frequency sweeps with profile analytics, regime
 detection, and monitoring over time with the slot-narrowing upgrade it reveals.
 
+One function runs each CLI command, raising NoSignalError when the line
+gives it nothing to report: run_probe_workflow (``probe``),
+sweep_diagnostics (``sweep``), run_regime_workflow (``regime``),
+what_if_line_rates (``throughput``) and run_monitor_workflow (``monitor``).
+
 Everything here drives a line exclusively through its black-box probe surface
 (:meth:`LineSystem.probe` or anything with the same signature) plus published
 channel metadata. Ground-truth oracles of the simulator are off limits.
@@ -22,6 +27,7 @@ from enum import Enum
 
 from .errors import (
     CarrierRejectedError,
+    ConfigError,
     CurveRangeError,
     InsufficientDataError,
     LimitViolationError,
@@ -30,6 +36,7 @@ from .errors import (
 )
 from .modem import CharacterizationCurve, gsnr_from_q
 from .spectrum import (
+    POLICY_VALUE_RANGE,
     MediaChannel,
     PltConfig,
     PolicyKind,
@@ -160,12 +167,12 @@ def probe_once(line, config: PltConfig, curve: CharacterizationCurve,
 
 
 def _configs_by_id(configs: tuple[PltConfig, ...]) -> dict[str, PltConfig]:
-    """Each configuration by its id, in order; a repeated id is a ValueError,
+    """Each configuration by its id, in order; a repeated id is a ConfigError,
     as each probe of a repeat is another transceiver reconfiguration."""
     by_id: dict[str, PltConfig] = {}
     for config in configs:
         if config.config_id in by_id:
-            raise ValueError(f"configuration {config.config_id} repeated")
+            raise ConfigError(f"configuration {config.config_id} repeated")
         by_id[config.config_id] = config
     return by_id
 
@@ -449,10 +456,19 @@ def profile_tilt_ripple(profile: GsnrProfile, config_id: str) -> tuple[float, fl
     return abs(slope) * profile.media_channel.width_ghz, ripple
 
 
-def sweep_diagnostics(profile: GsnrProfile) -> tuple[
-        tuple[float, bool] | None, dict[str, tuple[float, float]]]:
-    """Misalignment and per-configuration tilt/ripple of a sweep; each is
-    left out where the profile has too few working points for it."""
+def sweep_diagnostics(line, configs: tuple[PltConfig, ...],
+                      curves: dict[str, CharacterizationCurve],
+                      step_ghz: float, policy: PowerPolicy) -> tuple[
+        GsnrProfile, tuple[float, bool] | None, dict[str, tuple[float, float]]]:
+    """A frequency sweep, its misalignment and per-configuration tilt/ripple,
+    each diagnostic left out where too few points work for it. A repeated
+    id is a ConfigError naming --configs, raised before any probe."""
+    try:
+        profile = run_frequency_sweep(line, configs, curves, step_ghz, policy)
+    except ConfigError as exc:
+        raise ConfigError(f"--configs: {exc}") from None
+    if not profile.points:
+        raise NoSignalError("no configuration admits any carrier placement")
     try:
         misalignment = detect_misalignment(profile)
     except InsufficientDataError:
@@ -463,7 +479,7 @@ def sweep_diagnostics(profile: GsnrProfile) -> tuple[
             tilt_ripple[cid] = profile_tilt_ripple(profile, cid)
         except InsufficientDataError:
             continue
-    return misalignment, tilt_ripple
+    return profile, misalignment, tilt_ripple
 
 
 def detect_operation_regime(line, catalog: tuple[PltConfig, ...],
@@ -527,17 +543,49 @@ def detect_operation_regime(line, catalog: tuple[PltConfig, ...],
     return report
 
 
+def run_regime_workflow(line, catalog: tuple[PltConfig, ...],
+                        curves: dict[str, CharacterizationCurve],
+                        policy: PowerPolicy,
+                        psd_ref_dbm_per_ghz: float | None = None,
+                        rs_ref_gbd: float | None = None) -> RegimeReport:
+    """Operation regime at the given references, or at the catalog's highest
+    rate and the policy's PSD (under a constant total power, that of a
+    reference-rate carrier at that power). A reference out of range is a
+    ConfigError naming its flag, --rs-ref or --psd-ref."""
+    rates = [c.symbol_rate_gbd for c in catalog]
+    if not rates:
+        raise NoSignalError("the catalog holds no configuration")
+    if rs_ref_gbd is None:
+        rs_ref_gbd = max(rates)
+    else:
+        # below every catalog rate no configuration is tested, and a carrier
+        # at a rate above the media-channel width never fits
+        check_range("--rs-ref", rs_ref_gbd, min(rates),
+                    line.media_channel.width_ghz, unit="GBd", error=ConfigError)
+    if psd_ref_dbm_per_ghz is None:
+        psd_ref_dbm_per_ghz = policy.value
+        if policy.kind is PolicyKind.CONSTANT_TOTAL_POWER:
+            psd_ref_dbm_per_ghz -= 10.0 * math.log10(rs_ref_gbd)
+    check_range("--psd-ref", psd_ref_dbm_per_ghz, *POLICY_VALUE_RANGE,
+                unit="dBm/GHz", error=ConfigError)
+    report = detect_operation_regime(line, catalog, curves,
+                                     psd_ref_dbm_per_ghz, rs_ref_gbd)
+    if not report.entries:
+        raise NoSignalError("no configuration produced a regime classification")
+    return report
+
+
 def check_monitor_span(duration_h: float, interval_h: float) -> None:
-    """Raise ValueError unless ``duration_h`` and ``interval_h`` make a
+    """Raise ConfigError unless ``duration_h`` and ``interval_h`` make a
     finite series of at most MAX_MONITOR_SAMPLES samples."""
     if interval_h != math.inf:  # one sample, at t = 0
         check_range("monitor interval", interval_h, 0.0,
-                    low_open=True, unit="h", error=ValueError)
-    check_range("monitor duration", duration_h, 0.0, unit="h", error=ValueError)
+                    low_open=True, unit="h", error=ConfigError)
+    check_range("monitor duration", duration_h, 0.0, unit="h", error=ConfigError)
     if (duration_h + 1e-9) / interval_h >= MAX_MONITOR_SAMPLES:
-        raise ValueError(f"monitor duration {duration_h:g} h at interval "
-                         f"{interval_h:g} h asks for more than "
-                         f"{MAX_MONITOR_SAMPLES} samples")
+        raise ConfigError(f"monitor duration {duration_h:g} h at interval "
+                          f"{interval_h:g} h asks for more than "
+                          f"{MAX_MONITOR_SAMPLES} samples")
 
 
 def run_monitor(line, config: PltConfig, curve: CharacterizationCurve,
@@ -568,3 +616,25 @@ def monitor_upgrade(catalog: tuple[PltConfig, ...], monitor_config: PltConfig,
     if not candidates:
         return None
     return min(candidates, key=lambda c: (c.slot_width_ghz, -c.line_rate_gbps))
+
+
+def run_monitor_workflow(line, catalog: tuple[PltConfig, ...],
+                         curves: dict[str, CharacterizationCurve],
+                         policy: PowerPolicy, config_id: str,
+                         duration_h: float, interval_h: float) -> tuple[
+        PltConfig, list[tuple[float, float | None]], PltConfig | None]:
+    """The catalog configuration ``config_id``, its monitor series and the
+    upgrade at the series' peak. A bad span is a ConfigError naming
+    --duration-h/--interval-h, raised before any probe."""
+    config = next((c for c in catalog if c.config_id == config_id), None)
+    if config is None:
+        raise ConfigError(f"monitor config {config_id!r} not in catalog")
+    try:
+        series = run_monitor(line, config, curves[config_id], policy,
+                             duration_h, interval_h)
+    except ConfigError as exc:  # the span, checked before the first probe
+        raise ConfigError(f"--duration-h/--interval-h: {exc}") from None
+    ests = [v for _, v in series if v is not None]
+    if not ests:
+        raise NoSignalError("monitored configuration never worked")
+    return config, series, monitor_upgrade(catalog, config, max(ests))

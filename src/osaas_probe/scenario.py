@@ -17,15 +17,11 @@ from pathlib import Path
 
 from .errors import (ScenarioError, build_record, check_range, integer,
                      number, read_json, text)
-from .spectrum import GRID_UNIT_GHZ, MediaChannel, PolicyKind, PowerPolicy
+from .spectrum import (GRID_UNIT_GHZ, POLICY_VALUE_RANGE, MediaChannel,
+                       PolicyKind, PowerPolicy)
 from .linesystem import DispersionComp, FilterElement, LinkSpec, SpanSpec
 
 SCHEMA_VERSION = 3
-# Policy values (dBm or dBm/GHz). No probe carrier is launched near either
-# end. The low end keeps the realized carrier power, which every noise key
-# counts from -200 dBm, far above that origin; the high end keeps the NLI
-# power, the cube of the carrier power in mW, finite.
-POLICY_VALUE_RANGE = (-100.0, 100.0)
 
 
 @dataclass(frozen=True)

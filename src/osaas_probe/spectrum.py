@@ -154,6 +154,13 @@ class PltConfig:
         return math.ceil(self.symbol_rate_gbd / 12.5) * 12.5
 
 
+# Policy values (dBm or dBm/GHz). No probe carrier is launched near either
+# end. The low end keeps the realized carrier power, which every noise key
+# counts from -200 dBm, far above that origin; the high end keeps the NLI
+# power, the cube of the carrier power in mW, finite.
+POLICY_VALUE_RANGE = (-100.0, 100.0)
+
+
 class PolicyKind(Enum):
     CONSTANT_PSD = "constant_psd"
     CONSTANT_TOTAL_POWER = "constant_total_power"
@@ -175,14 +182,6 @@ class PowerPolicy:
     def __hash__(self) -> int:
         """Hash of the value alone, as for :class:`PltConfig`."""
         return hash(self.value)
-
-    @staticmethod
-    def constant_psd(psd_dbm_per_ghz: float) -> "PowerPolicy":
-        return PowerPolicy(PolicyKind.CONSTANT_PSD, psd_dbm_per_ghz)
-
-    @staticmethod
-    def constant_total_power(power_dbm: float) -> "PowerPolicy":
-        return PowerPolicy(PolicyKind.CONSTANT_TOTAL_POWER, power_dbm)
 
 
 def carrier_power_dbm(

@@ -35,13 +35,14 @@ from osaas_probe.probing import (
 from osaas_probe.spectrum import (
     C_BAND_WIDTH_GHZ,
     MediaChannel,
+    PolicyKind,
     PowerPolicy,
 )
 from osaas_probe.units import dbm_to_mw, osnr_to_snr_db
 
 from conftest import REPO_ROOT, ProbeSurface, shipped_scenario
 
-POLICY = PowerPolicy.constant_psd(-26.0)
+POLICY = PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0)
 SCENARIOS = REPO_ROOT / "scenarios"
 
 
@@ -266,7 +267,7 @@ def test_criterion_11_operation_regime(catalog, curves):
 
     def gsnr(p_dbm):
         return line.ground_truth_gsnr(
-            config, PowerPolicy.constant_total_power(p_dbm))
+            config, PowerPolicy(PolicyKind.CONSTANT_TOTAL_POWER, p_dbm))
 
     phi = (math.sqrt(5) - 1) / 2
     a, b = -15.0, 8.0

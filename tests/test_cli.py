@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from osaas_probe import modem, probing
 from osaas_probe.catalog import load_catalog, resolve_catalog
 from osaas_probe.cli import main
 from osaas_probe.errors import ConfigError, FitRejectedError, ScenarioError
@@ -525,6 +527,62 @@ def test_throughput_without_any_working_link_exit_2(tmp_path, curves_dir):
     assert stderr.splitlines() == [
         "B-621-dead: no signal: no working probe result in campaign"]
     assert not (tmp_path / "throughput.json").exists()
+
+
+def _narrow_without_filters(scenario):
+    scenario["media_channel"]["width_ghz"] = 50.0
+    scenario["filters"] = []
+
+
+@pytest.mark.parametrize("command, edit, flags, reason", [
+    ("sweep", _narrow_without_filters, ["--configs", "DP-QPSK-52"],
+     "no configuration admits any carrier placement"),
+    ("regime", _dead_spans, [],
+     "no configuration produced a regime classification"),
+    ("monitor", _dead_spans, ["--duration-h", "2"],
+     "monitored configuration never worked"),
+], ids=["sweep", "regime", "monitor"])
+def test_no_signal_is_one_line_and_exit_2(tmp_path, curves_dir, capsys,
+                                          command, edit, flags, reason):
+    """A sweep that no configuration fits, a regime run that classifies
+    none and a monitor whose configuration never works end as every other
+    exit 2 does, in one "no signal:" line; each used to print its reason
+    without that prefix."""
+    scenario = _variant(tmp_path, "B-621-no-signal", edit)
+    out = tmp_path / "out"
+    assert run([command, "--scenario", scenario, "--curves", curves_dir,
+                "--out", out] + flags) == 2
+    assert capsys.readouterr().err.splitlines() == [f"no signal: {reason}"]
+    assert not out.exists()
+
+
+def _help(command):
+    """The --help text of ``command``, its whitespace runs made one space."""
+    stdout = io.StringIO()
+    with redirect_stdout(stdout), pytest.raises(SystemExit):
+        main([command, "--help"])
+    return " ".join(stdout.getvalue().split())
+
+
+def test_help_gives_the_defaults_and_ranges_the_commands_use():
+    """Each default and range the help quotes is the one its command takes
+    from the module it runs; the help used to give --degree and
+    --grid-step-db none, and --theta-db a copy of its default."""
+    characterize = _help("characterize")
+    degree = re.search(r"--degree DEGREE .*? \[(\S+), (\S+)\] \(default (\S+)\)",
+                       characterize)
+    assert tuple(map(float, degree.groups())) == (
+        *modem.FIT_DEGREE_RANGE, modem.DEFAULT_FIT_DEGREE)
+    step = re.search(r"--grid-step-db GRID_STEP_DB .*? \[(\S+), (\S+)\] dB "
+                     r"\(default (\S+)\)", characterize)
+    assert tuple(map(float, step.groups())) == (
+        *modem.GRID_STEP_RANGE_DB, modem.GRID_STEP_DB)
+    for command in ("probe", "throughput"):
+        theta = re.search(r"--theta-db THETA_DB .*? \(default (\S+)\)",
+                          _help(command))
+        assert float(theta.group(1)) == probing.DEFAULT_CAP_THETA_DB
+    samples = re.search(r"at most (\d+) samples", _help("monitor"))
+    assert int(samples.group(1)) == probing.MAX_MONITOR_SAMPLES
 
 
 def test_negative_isi_factor_is_invalid_scenario(tmp_path, curves_dir):

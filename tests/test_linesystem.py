@@ -29,6 +29,7 @@ from osaas_probe.spectrum import (
     MediaChannel,
     ModulationFormat,
     PltConfig,
+    PolicyKind,
     PowerPolicy,
     admissible_offsets_ghz,
     carrier_power_dbm,
@@ -127,7 +128,7 @@ def ase_only_line(snr_ase_db, rate, psd=-26.0, modem=None):
 def test_probe_linear_link_matches_ase_only_gsnr():
     cfg = config()
     line = ase_only_line(17.0, cfg.symbol_rate_gbd)
-    policy = PowerPolicy.constant_psd(-26.0)
+    policy = PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0)
     gt = line.ground_truth_gsnr(cfg, policy)
     assert gt == pytest.approx(17.0, abs=1e-9)
     reading = line.probe(cfg, policy)
@@ -138,7 +139,8 @@ def test_probe_linear_link_matches_ase_only_gsnr():
 def test_probe_applies_modem_noise_harmonically():
     cfg = config()
     line = ase_only_line(20.0, cfg.symbol_rate_gbd, modem=ModemModel(20.0))
-    gt = line.ground_truth_gsnr(cfg, PowerPolicy.constant_psd(-26.0))
+    gt = line.ground_truth_gsnr(cfg,
+                                PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0))
     assert gt == pytest.approx(16.9897, abs=1e-4)
 
 
@@ -146,28 +148,28 @@ def test_probe_rejects_misplaced_carrier():
     cfg = config(rate=69.4, line=200.0)
     line = ase_only_line(17.0, 69.4)
     with pytest.raises(CarrierRejectedError):
-        line.probe(cfg, PowerPolicy.constant_psd(-26.0),
+        line.probe(cfg, PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0),
                    carrier_center_thz=MC.center_thz + 0.02)
     with pytest.raises(LimitViolationError):
-        line.probe(cfg, PowerPolicy.constant_psd(-15.0))
+        line.probe(cfg, PowerPolicy(PolicyKind.CONSTANT_PSD, -15.0))
 
 
 def test_post_fec_threshold():
     cfg = config(req=6.2509)
     # tune the line right below the FEC limit: BER above threshold
     line = ase_only_line(cfg.required_gsnr_db - 0.5, cfg.symbol_rate_gbd)
-    reading = line.probe(cfg, PowerPolicy.constant_psd(-26.0))
+    reading = line.probe(cfg, PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0))
     assert reading.pre_fec_ber > cfg.fec_threshold_ber
     assert not reading.post_fec_ok
     line = ase_only_line(cfg.required_gsnr_db + 0.5, cfg.symbol_rate_gbd)
-    reading = line.probe(cfg, PowerPolicy.constant_psd(-26.0))
+    reading = line.probe(cfg, PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0))
     assert reading.post_fec_ok
 
 
 def test_error_free_line_reads_zero_ber():
     # zero spans, ideal modem: nothing degrades the carrier
     line = line_with(())
-    reading = line.probe(config(), PowerPolicy.constant_psd(-26.0))
+    reading = line.probe(config(), PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0))
     assert reading.pre_fec_ber == 0.0
     assert reading.post_fec_ok
 
@@ -175,7 +177,7 @@ def test_error_free_line_reads_zero_ber():
 def test_probe_deterministic_and_order_free():
     cfg = config()
     link = replace(ase_only_line(15.0, 31.5).link, noise_sigma_q_db=0.05, seed=9)
-    policy = PowerPolicy.constant_psd(-26.0)
+    policy = PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0)
     first = LineSystem(link, ModemModel(26.0)).probe(cfg, policy)
     other_cfg = config(rate=46.3, line=150.0)
     line2 = LineSystem(link, ModemModel(26.0))
@@ -191,16 +193,17 @@ def test_noise_keyed_on_realized_power_not_policy():
     cfg = config(rate=69.4, line=200.0)
     link = replace(ase_only_line(15.0, 69.4).link, noise_sigma_q_db=0.05, seed=3)
     line = LineSystem(link, ModemModel(26.0))
-    psd_reading = line.probe(cfg, PowerPolicy.constant_psd(-26.0))
+    psd_reading = line.probe(cfg, PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0))
     power = -26.0 + 10 * math.log10(69.4)
-    power_reading = line.probe(cfg, PowerPolicy.constant_total_power(power))
+    power_reading = line.probe(
+        cfg, PowerPolicy(PolicyKind.CONSTANT_TOTAL_POWER, power))
     assert psd_reading == power_reading
 
 
 def test_tilt_and_diurnal_offsets():
     cfg = config(rate=31.5)
     base = ase_only_line(15.0, 31.5).link
-    policy = PowerPolicy.constant_psd(-26.0)
+    policy = PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0)
     tilted = LineSystem(replace(base, tilt_db_per_mc=2.5), ModemModel(math.inf))
     low = tilted.ground_truth_gsnr(cfg, policy, MC.center_thz - 0.030)
     high = tilted.ground_truth_gsnr(cfg, policy, MC.center_thz + 0.030)
@@ -214,7 +217,7 @@ def test_tilt_and_diurnal_offsets():
 
 def test_equalizer_granularity():
     cfg = config(rate=31.5)
-    policy = PowerPolicy.constant_psd(-26.0)
+    policy = PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0)
     base = replace(ase_only_line(15.0, 31.5).link, tilt_db_per_mc=2.0)
     per_mc = LineSystem(replace(base, equalizer_window_ghz=MC.width_ghz),
                         ModemModel(math.inf))
@@ -233,7 +236,7 @@ def test_equalizer_granularity():
 
 def test_adding_span_never_improves_gsnr():
     cfg = config()
-    policy = PowerPolicy.constant_psd(-26.0)
+    policy = PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0)
     for n in range(1, 6):
         shorter = line_with((span(16.0, 5.0, 1e-4),) * n)
         longer = line_with((span(16.0, 5.0, 1e-4),) * (n + 1))
@@ -245,7 +248,7 @@ def test_ground_truth_consistency_with_probe():
     cfg = config(rate=46.3, line=150.0)
     line = line_with((span(18.0, 5.0, 5e-4),) * 4,
                      filters=(FilterElement(0.0, 60.0, 3),))
-    policy = PowerPolicy.constant_psd(-26.0)
+    policy = PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0)
     gt = line.ground_truth_gsnr(cfg, policy)
     reading = line.probe(cfg, policy)
     assert reading.pre_fec_ber == pytest.approx(
@@ -259,7 +262,7 @@ def test_without_filters_removes_all_filtering():
     clean = line.without_filters()
     assert clean.effective_filters == ()
     cfg = config(rate=55.5, line=200.0)
-    policy = PowerPolicy.constant_psd(-26.0)
+    policy = PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0)
     assert clean.ground_truth_gsnr(cfg, policy) > \
         line.ground_truth_gsnr(cfg, policy)
 
@@ -274,7 +277,7 @@ def test_launch_power_optimum_at_ase_twice_nli():
 
     def gsnr(p_dbm):
         return line.ground_truth_gsnr(
-            cfg, PowerPolicy.constant_total_power(p_dbm))
+            cfg, PowerPolicy(PolicyKind.CONSTANT_TOTAL_POWER, p_dbm))
 
     phi = (math.sqrt(5) - 1) / 2
     a, b = -15.0, 8.0
@@ -440,7 +443,7 @@ def test_memo_keys_on_the_config_not_its_id(catalog_regional):
     strict = replace(cfg, fec_threshold_ber=base.pre_fec_ber / 2.0)
     assert narrow.config_id == strict.config_id == cfg.config_id
     other_format = replace(cfg, format=ModulationFormat.DP_16QAM)
-    total_power = PowerPolicy.constant_total_power(sc.policy.value)
+    total_power = PowerPolicy(PolicyKind.CONSTANT_TOTAL_POWER, sc.policy.value)
     assert hash(other_format) == hash(cfg) and other_format != cfg
     assert hash(total_power) == hash(sc.policy) and total_power != sc.policy
     probes = [(narrow, sc.policy), (strict, sc.policy),
@@ -462,10 +465,10 @@ def test_rejected_probes_are_not_memoized():
     line = ase_only_line(17.0, 69.4)
     for _ in range(2):
         with pytest.raises(CarrierRejectedError):
-            line.probe(cfg, PowerPolicy.constant_psd(-26.0),
+            line.probe(cfg, PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0),
                        carrier_center_thz=MC.center_thz + 0.02)
         with pytest.raises(LimitViolationError):
-            line.probe(cfg, PowerPolicy.constant_psd(-15.0))
+            line.probe(cfg, PowerPolicy(PolicyKind.CONSTANT_PSD, -15.0))
     assert line._carriers == {}
 
 

@@ -27,10 +27,9 @@ from osaas_probe.linesystem import (
 )
 from osaas_probe.modem import ModemModel
 from osaas_probe.probing import (
-    detect_operation_regime,
-    run_frequency_sweep,
     run_monitor,
     run_probe_workflow,
+    run_regime_workflow,
     sweep_diagnostics,
 )
 from osaas_probe.spectrum import MediaChannel, admissible_offsets_ghz
@@ -278,19 +277,20 @@ def run_workflow(workflow, line, sc, catalog, curves):
         return reports.margin_report_to_dict(
             run_probe_workflow(line, catalog, curves, sc.policy), seed)
     if workflow == "regime":
-        return reports.regime_report_to_dict(detect_operation_regime(
-            line, catalog, curves, sc.policy.value,
-            max(c.symbol_rate_gbd for c in catalog)), seed)
+        return reports.regime_report_to_dict(
+            run_regime_workflow(line, catalog, curves, sc.policy), seed)
     config = by_id[sc.monitor_config_id]
     if workflow == "monitor":
+        # run_monitor, not the monitor command's workflow: the series is read
+        # on lines where no sample works too, where the command ends in exit 2
         series = run_monitor(line, config, curves[config.config_id], sc.policy,
                              6.0, 1.0)
         return {"csv": reports.monitor_series_to_csv(series)}
-    profile = run_frequency_sweep(line, (config,), curves, sc.sweep_step_ghz,
-                                  sc.policy)
+    profile, *diagnostics = sweep_diagnostics(line, (config,), curves,
+                                              sc.sweep_step_ghz, sc.policy)
     return {"csv": reports.profile_to_csv(profile),
-            "summary": reports.sweep_summary_to_dict(
-                profile, seed, *sweep_diagnostics(profile))}
+            "summary": reports.sweep_summary_to_dict(profile, seed,
+                                                     *diagnostics)}
 
 
 WORKFLOWS = ("probe", "regime", "monitor", "sweep")

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from osaas_probe import probing
 from osaas_probe.catalog import default_catalog, regional_catalog, resolve_catalog
 from osaas_probe.errors import (
     CarrierRejectedError,
+    ConfigError,
     InsufficientDataError,
     LimitViolationError,
     NoSignalError,
@@ -41,8 +43,10 @@ from osaas_probe.probing import (
     run_extended_probe,
     run_frequency_sweep,
     run_monitor,
+    run_monitor_workflow,
     run_probe_workflow,
     select_best_config,
+    sweep_diagnostics,
     verify_margin_accuracy,
     what_if_line_rates,
 )
@@ -58,7 +62,7 @@ from osaas_probe.reports import probe_result_to_dict
 
 from conftest import SCENARIO_NAMES, ProbeSurface, shipped_scenario
 
-POLICY = PowerPolicy.constant_psd(-26.0)
+POLICY = PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0)
 MC = MediaChannel(193.2, 100.0, 9.0, -20.0)
 
 
@@ -75,7 +79,8 @@ def mk_campaign(entries):
     return ProbeCampaign("synthetic", MC, configs, results)
 
 
-@pytest.mark.parametrize("workflow", ["extended", "sweep", "regime"])
+@pytest.mark.parametrize("workflow", ["extended", "sweep", "regime",
+                                      "sweep-command"])
 def test_repeated_config_id_is_rejected_before_any_probe(catalog, curves,
                                                          workflow):
     """Each probe of a repeated configuration is another transceiver
@@ -91,6 +96,8 @@ def test_repeated_config_id_is_rejected_before_any_probe(catalog, curves,
                                              POLICY),
         "regime": lambda: detect_operation_regime(proxy, repeated, curves,
                                                   -26.0, 69.4),
+        "sweep-command": lambda: sweep_diagnostics(proxy, repeated, curves,
+                                                   0.25, POLICY),
     }[workflow]
     with pytest.raises(ValueError, match=f"configuration {config.config_id} "
                                          "repeated"):
@@ -787,6 +794,25 @@ def test_monitor_sample_bound_is_inclusive(catalog, curves):
                                       POLICY, 48.0, math.inf)] == [0.0]
 
 
+def test_monitor_workflow_checks_the_span_once(catalog, curves, monkeypatch):
+    """The monitor command's span is checked once, in run_monitor, and a bad
+    span names the command's flags before any probe."""
+    checks = []
+    check = probing.check_monitor_span
+    monkeypatch.setattr(probing, "check_monitor_span",
+                        lambda *span: checks.append(span) or check(*span))
+    config = catalog[0]
+    proxy = ProbeSurface(_StubLine(BerReading(1e-3, True, 0.0)))
+    monitored, series, _ = run_monitor_workflow(
+        proxy, catalog, curves, POLICY, config.config_id, 2.0, 1.0)
+    assert (monitored, checks, len(series)) == (config, [(2.0, 1.0)], 3)
+    with pytest.raises(ConfigError, match="^--duration-h/--interval-h: "
+                                          "monitor duration"):
+        run_monitor_workflow(proxy, catalog, curves, POLICY, config.config_id,
+                             -1.0, 1.0)
+    assert len(checks) == 2 and len(proxy.probes) == 3
+
+
 @pytest.mark.parametrize("duration_h", [0.0, 1e-9, 1.0, 48.0, 1e6])
 def test_monitor_at_an_infinite_interval_samples_t0_once(lh_line_and_curves,
                                                          duration_h):
@@ -826,7 +852,7 @@ def test_regime_probes_the_reference_rate_once(curves):
     assert report.excluded["DP-P-16QAM-69.4"] == "outage under both power policies"
     # the reading reused for the constant-power policy is the one it gets
     assert sc.link.noise_sigma_q_db > 0
-    power = PowerPolicy.constant_total_power(
+    power = PowerPolicy(PolicyKind.CONSTANT_TOTAL_POWER, 
         sc.policy.value + 10.0 * math.log10(rs_ref))
     for config in reference_rate:
         assert line.probe(config, sc.policy) == line.probe(config, power)
@@ -853,7 +879,7 @@ def test_regime_reads_each_carrier_once(curves, name):
     for seed in range(1, 6):
         line = LineSystem(replace(sc.link, seed=seed), ModemModel(26.0))
         for rs_ref in (rates[-1], rates[len(rates) // 2]):
-            power = PowerPolicy.constant_total_power(
+            power = PowerPolicy(PolicyKind.CONSTANT_TOTAL_POWER, 
                 psd.value + 10.0 * math.log10(rs_ref))
             tested = [c for c in catalog if c.symbol_rate_gbd <= rs_ref]
             expected = [(c, psd, None, 0.0) for c in tested]

@@ -7,6 +7,7 @@ from osaas_probe.spectrum import (
     MediaChannel,
     ModulationFormat,
     PltConfig,
+    PolicyKind,
     PowerPolicy,
     admissible_offsets_ghz,
     carrier_power_dbm,
@@ -68,13 +69,13 @@ def test_grid_units():
 
 
 def test_carrier_power_constant_psd():
-    policy = PowerPolicy.constant_psd(-23.0)
+    policy = PowerPolicy(PolicyKind.CONSTANT_PSD, -23.0)
     assert carrier_power_dbm(policy, qpsk(50.0)) == pytest.approx(-6.0103, abs=1e-3)
     assert carrier_power_dbm(policy, qpsk(69.4, 200.0)) == pytest.approx(-4.5864, abs=1e-3)
 
 
 def test_carrier_power_constant_total():
-    policy = PowerPolicy.constant_total_power(-6.0)
+    policy = PowerPolicy(PolicyKind.CONSTANT_TOTAL_POWER, -6.0)
     for rate in (31.5, 50.0, 69.4):
         assert carrier_power_dbm(policy, qpsk(rate, 100.0)) == -6.0
 
@@ -82,7 +83,7 @@ def test_carrier_power_constant_total():
 @given(st.floats(min_value=20.0, max_value=69.0),
        st.floats(min_value=1.01, max_value=1.4))
 def test_constant_psd_power_increasing_in_rate(rate, factor):
-    policy = PowerPolicy.constant_psd(-26.0)
+    policy = PowerPolicy(PolicyKind.CONSTANT_PSD, -26.0)
     low = carrier_power_dbm(policy, qpsk(rate, 80.0))
     high = carrier_power_dbm(policy, qpsk(rate * factor, 80.0))
     assert high > low
@@ -91,14 +92,15 @@ def test_constant_psd_power_increasing_in_rate(rate, factor):
 def test_power_limits_enforced():
     channel = MediaChannel(193.2, 100.0, -5.0, -20.0)
     with pytest.raises(LimitViolationError):
-        carrier_power_dbm(PowerPolicy.constant_psd(-20.0), qpsk(50.0), channel)
+        carrier_power_dbm(PowerPolicy(PolicyKind.CONSTANT_PSD, -20.0), qpsk(50.0),
+                          channel)
     with pytest.raises(LimitViolationError):
         # implied PSD -6 - 10log10(31.5) = -21 fits, but total power exceeds
-        carrier_power_dbm(PowerPolicy.constant_total_power(-4.0),
+        carrier_power_dbm(PowerPolicy(PolicyKind.CONSTANT_TOTAL_POWER, -4.0),
                           qpsk(31.5, 100.0), channel)
     with pytest.raises(LimitViolationError):
         # total fits, implied PSD -6 - 15 = -21 > -25 violates
-        carrier_power_dbm(PowerPolicy.constant_total_power(-6.0),
+        carrier_power_dbm(PowerPolicy(PolicyKind.CONSTANT_TOTAL_POWER, -6.0),
                           qpsk(31.5, 100.0),
                           MediaChannel(193.2, 100.0, 9.0, -25.0))
 
