@@ -21,9 +21,15 @@ Physics is deliberately reduced to what a probing campaign can observe:
   binary and 1/16 of the 0.25 GHz grid, so every carrier placement is a
   whole lattice shift. Each cascade's transfer is computed once over each
   media channel it filters, and every placement of every carrier shape
-  reads a slice of it (see _penalty_grid for the accuracy). An ISI factor
-  amplifies the loss for shape distortion on top of pure power clipping. A
-  cascade that passes no power blocks the carrier: its probes fail FEC.
+  reads a slice of it (see _penalty_grid for the accuracy). An element
+  centred a whole number of lattice steps off the channel centre, as every
+  shipped one is, is evaluated once per distance from its centre and
+  mirrored, and a carrier shape once per non-negative offset: offsets on
+  the lattice are exact, and rounding to nearest even is symmetric, so -x
+  gives the bits of x and the mirror the bits of a full evaluation. An ISI
+  factor amplifies the loss for shape distortion on top of pure power
+  clipping. A cascade that passes no power blocks the carrier: its probes
+  fail FEC.
 * Tilt and ripple are injected frequency profiles. The line re-levels them
   over one equalizer window: the whole media channel, which keeps the
   intra-channel tilt, or each network media channel of a narrower width.
@@ -262,39 +268,65 @@ class FilterCascade(tuple):
         return self._hash
 
 
-def filter_transfer(filters: tuple[FilterElement, ...], f: np.ndarray) -> np.ndarray:
-    """Cascade power transfer at offsets f (GHz) from the channel center.
-
-    Each element passes exp(-ln2 * x^2n) at its normalized offset x, so k
-    identical elements pass exp(-k ln2 x^2n) and the whole cascade is one
-    exponential of the count-weighted sum over its distinct elements, taken
-    one element at a time in cascade order.
+def _even_power(x: np.ndarray, order: int) -> np.ndarray:
+    """x^2n, n = ``order``, at normalized offsets x, which it overwrites.
 
     x^2n is the repeated squaring of x * x. Squaring alone would multiply
     the rounding of x * x by n, which far out on a filter skirt, where x^2n
     is hundreds, is the whole error budget of exp(-ln2 * x^2n); Dekker's
     exact product (Veltkamp split) recovers that rounding, and the
-    first-order term n * error * x^(2n - 2) puts it back.
+    first-order term n * error * x^(2n - 2) puts it back. Each step rounds
+    to nearest even, which is symmetric, so -x gives the bits of x.
+    """
+    import numpy as np
+
+    if order == 1:
+        x *= x
+        return x
+    term = x * x
+    high = x * _VELTKAMP_SPLIT
+    spare = high - x
+    high -= spare  # Veltkamp's upper half of x
+    np.add(high, x, out=spare)
+    x -= high
+    x *= spare  # (x - high) * (high + x)
+    error = np.multiply(high, high, out=spare)
+    error -= term
+    error += x  # x * x - term, exactly
+    # x^(2n - 2) by repeated squaring of term, in the freed work arrays
+    power, base, bits = x, high, order - 1
+    power.fill(1.0)
+    base[:] = term
+    while bits:
+        if bits & 1:
+            power *= base
+        bits >>= 1
+        if bits:
+            base *= base
+    # term * power + (n * error) * power
+    term *= power
+    error *= order
+    error *= power
+    term += error
+    return term
+
+
+def filter_transfer(filters: tuple[FilterElement, ...], f: np.ndarray) -> np.ndarray:
+    """Cascade power transfer at offsets f (GHz) from the channel center.
+
+    Each element passes exp(-ln2 * x^2n) at its normalized offset x (see
+    _even_power), so k identical elements pass exp(-k ln2 x^2n) and the
+    whole cascade is one exponential of the count-weighted sum over its
+    distinct elements, taken one element at a time in cascade order.
     """
     import numpy as np
 
     exponent = np.zeros_like(f)
     for filt, count in Counter(filters).items():
-        x = (f - filt.center_offset_ghz) / (filt.bandwidth_3db_ghz / 2.0)
-        term = x * x
-        if filt.order > 1:
-            scaled = x * _VELTKAMP_SPLIT
-            high = scaled - (scaled - x)
-            error = (high * high - term) + (x - high) * (high + x)  # x * x - term
-            power, base, bits = 1.0, term, filt.order - 1  # power: x^(2n - 2)
-            while bits:
-                if bits & 1:
-                    power = power * base
-                bits >>= 1
-                if bits:
-                    base = base * base
-            term = term * power + (filt.order * error) * power
-        exponent += count * term
+        term = _even_power((f - filt.center_offset_ghz)
+                           / (filt.bandwidth_3db_ghz / 2.0), filt.order)
+        term *= count
+        exponent += term
     return np.exp(-_LN2 * exponent)
 
 
@@ -340,6 +372,9 @@ def _penalty_grid(rs: float, roll_off: float) -> tuple[int, np.ndarray, float]:
     outside the occupied band, where the spectrum is zero, so the sum is the
     trapezoid rule. A placement dots the spectrum with the 2J + 1 points of
     its channel transfer centred on it. Read-only: every placement shares them.
+    The spectrum reads only |f|, and |f| is exact on the lattice, so it is
+    evaluated at 0..J and mirrored into -J..J with the bits of a full
+    evaluation; the step and the sum then see the same array.
 
     The step is fixed, so the error grows as a carrier narrows and its
     roll-off falls. Against a trapezoid of at least 40,001 points, on the
@@ -356,8 +391,8 @@ def _penalty_grid(rs: float, roll_off: float) -> tuple[int, np.ndarray, float]:
 
     edge = (1.0 + roll_off) * rs / 2.0
     half = math.floor(edge / _LATTICE_STEP_GHZ) + 1
-    weighted_shape = rrc_psd(rs, roll_off,
-                             np.arange(-half, half + 1) * _LATTICE_STEP_GHZ)
+    right = rrc_psd(rs, roll_off, np.arange(half + 1) * _LATTICE_STEP_GHZ)
+    weighted_shape = np.concatenate((right[:0:-1], right))
     weighted_shape *= _LATTICE_STEP_GHZ
     weighted_shape.flags.writeable = False
     return half, weighted_shape, float(weighted_shape.sum())
@@ -368,11 +403,37 @@ def _channel_transfer(filters: tuple[FilterElement, ...], half_points: int) -> n
     """The cascade transfer at lattice points -H..H, H = ``half_points``, of
     which every placement in one media channel reads a slice. Read-only. A
     shipped filtered channel (100 or 125 GHz) takes at most 8005 points (64 KB),
-    a 4800 GHz one, the widest allowed, 307,205 (2.4 MB) on its first probe."""
+    a 4800 GHz one, the widest allowed, 307,205 (2.4 MB) on its first probe.
+
+    An element centred m lattice steps from the channel centre, |m| <= H,
+    has the offset (j - m) * 2^-6 GHz at point j, exact in binary, so its
+    x^2n is evaluated once per distance 0..H + |m| from its centre and
+    mirrored about it: x^2n at -x has the bits of x^2n at x. Any other
+    element (off the lattice, or centred beyond the span) is evaluated
+    at every point, as filter_transfer does. The bits are filter_transfer's
+    either way, as the sum still takes one element at a time in cascade
+    order."""
     import numpy as np
 
-    transfer = filter_transfer(
-        filters, np.arange(-half_points, half_points + 1) * _LATTICE_STEP_GHZ)
+    exponent = np.zeros(2 * half_points + 1)
+    for filt, count in Counter(filters).items():
+        half_width = filt.bandwidth_3db_ghz / 2.0
+        steps = filt.center_offset_ghz / _LATTICE_STEP_GHZ
+        if steps.is_integer() and abs(steps) <= half_points:
+            centre = half_points + int(steps)
+            reach = half_points + abs(int(steps))  # the farthest point's distance
+            term = _even_power(np.arange(reach + 1) * _LATTICE_STEP_GHZ / half_width,
+                               filt.order)
+            term *= count
+            # point i is |i - centre| steps from the element's centre
+            exponent[:centre + 1] += term[centre::-1]
+            exponent[centre + 1:] += term[1:2 * half_points + 1 - centre]
+        else:
+            f = np.arange(-half_points, half_points + 1) * _LATTICE_STEP_GHZ
+            term = _even_power((f - filt.center_offset_ghz) / half_width, filt.order)
+            term *= count
+            exponent += term
+    transfer = np.exp(-_LN2 * exponent)
     transfer.flags.writeable = False
     return transfer
 

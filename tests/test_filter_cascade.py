@@ -178,6 +178,75 @@ def test_transfer_is_bit_identical_to_reference_on_scenario_placements():
     assert placements > 300
 
 
+# Spans of a 100 and a 125 GHz channel's transfer and a small one, in
+# lattice steps a side.
+TRANSFER_SPANS = (3202, 4002, 37)
+
+
+@st.composite
+def spanned_cascades(draw):
+    """A span and a cascade of distinct elements, each with its copies,
+    whose centres mix the channel centre, the 0.25 GHz grid, any lattice
+    point within the span, points off the lattice and lattice points beyond
+    the span."""
+    span = draw(st.sampled_from(TRANSFER_SPANS))
+    on_lattice = st.integers(-span, span).map(lambda steps: steps * LATTICE_STEP)
+    between = st.tuples(st.integers(-span, span), st.floats(0.001, 0.999)).map(
+        lambda point: (point[0] + point[1]) * LATTICE_STEP)
+    beyond = st.tuples(st.integers(span + 1, 2 * span), st.sampled_from((-1, 1))).map(
+        lambda point: point[0] * point[1] * LATTICE_STEP)
+    centres = st.one_of(st.just(0.0), st.integers(-240, 240).map(lambda k: k * 0.25),
+                        on_lattice, between, st.floats(-60.0, 60.0), beyond)
+    element = st.builds(FilterElement, center_offset_ghz=centres,
+                        bandwidth_3db_ghz=st.floats(1.0, 200.0),
+                        order=st.integers(1, 12))
+    groups = draw(st.lists(st.tuples(element, st.integers(1, 5)), min_size=1,
+                           max_size=4, unique_by=lambda group: group[0]))
+    return span, groups
+
+
+@settings(deadline=None)
+@given(spanned_cascades(), st.randoms(use_true_random=False))
+# An off-lattice element (a 3.13 GHz misalignment) before lattice ones, one
+# of them repeated, and one centred beyond the span.
+@example((3202, [(FilterElement(3.13, 88.0, 3), 1), (FilterElement(0.0, 80.0, 5), 2),
+                 (FilterElement(6.25, 60.0, 5), 3)]), None)
+@example((37, [(FilterElement(0.25, 3.0, 7), 2), (FilterElement(-0.75, 2.0, 12), 1),
+               (FilterElement(0.3, 1.5, 1), 4)]), None)
+def test_channel_transfer_is_bit_identical_to_reference(spanned, rng):
+    """The channel transfer, whose lattice-centred elements are mirrored
+    about their centres, against the reference evaluated at every one of its
+    lattice points."""
+    span, groups = spanned
+    filters = [filt for filt, copies in groups for _ in range(copies)]
+    if rng is not None:
+        rng.shuffle(filters)
+    transfer = _channel_transfer(FilterCascade(filters), span)
+    reference = per_element_transfer(
+        filters, np.arange(-span, span + 1) * LATTICE_STEP)
+    assert transfer.tobytes() == reference.tobytes()
+
+
+@settings(deadline=None)
+@given(st.floats(1.0, 120.0), st.floats(0.01, 1.0))
+@example(1.0, 0.01)
+@example(120.0, 0.01)
+@example(120.0, 1.0)
+@example(34.5, 0.19)
+def test_penalty_grid_is_bit_identical_to_full_evaluation(rs, roll_off):
+    """The carrier shape, evaluated at the non-negative lattice offsets and
+    mirrored, against the spectrum at every lattice point -J..J times the
+    step, and its sum against that array's."""
+    half, weighted_shape, reference = _penalty_grid(rs, roll_off)
+    assert half == lattice_half_width(rs, roll_off)
+    expected = rrc_psd(rs, roll_off, np.arange(-half, half + 1) * LATTICE_STEP)
+    expected *= LATTICE_STEP
+    assert weighted_shape.tobytes() == expected.tobytes()
+    assert reference.hex() == float(expected.sum()).hex()
+    assert not weighted_shape.flags.writeable
+    assert weighted_shape.base is None
+
+
 def test_transfer_of_no_filters_is_one():
     f = np.linspace(-50.0, 50.0, 11)
     assert np.array_equal(filter_transfer((), f), np.ones_like(f))
