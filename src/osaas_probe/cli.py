@@ -1,16 +1,16 @@
 """Command-line front end.
 
 Each command loads its context, calls one library function, writes the
-reports and prints its summary lines. ``characterize`` calls
-modem.characterize, and in probing, ``probe`` calls run_probe_workflow,
-``sweep`` sweep_diagnostics, ``regime`` run_regime_workflow,
-``throughput`` what_if_line_rates and ``monitor`` run_monitor_workflow.
+reports and prints its summary lines: ``characterize`` calls
+modem.characterize_catalog, and each probing command the workflow the
+probing module names for it. A command returns only on success: every
+failure is an exception, which main turns into its exit code.
 
 Every command is deterministic for a fixed scenario file and seed. Exit
 codes: 0 success, 2 no usable signal, 3 configuration error (an
 unwritable output included), 4 invalid scenario file. A failure prints one
-stderr line, ``no signal: <reason>`` for exit 2 (``throughput`` prefixes
-each route's with the route name).
+stderr line, and every check runs before the first report is written;
+every exit-2 line is ``no signal: <reason>``, throughput's naming each route.
 
 Each command imports the package modules it runs when it runs, so importing
 the CLI, ``--help``, ``--version`` and an argument error load ``errors``
@@ -84,46 +84,25 @@ def _context(args, path=None, loaded=None):
     return scenario, catalog, curves, line
 
 
-def cmd_characterize(args) -> int:
+def cmd_characterize(args):
     from .catalog import resolve_catalog
-    from .modem import (DEFAULT_FIT_DEGREE, FIT_DEGREE_RANGE, GRID_STEP_DB,
-                        GRID_STEP_RANGE_DB, ModemModel, characterize,
-                        curve_to_dict, default_gsnr_grid)
+    from .modem import characterize_catalog, curve_to_dict
     from .reports import write_report
 
-    degree = DEFAULT_FIT_DEGREE if args.degree is None else args.degree
-    grid_step_db = (GRID_STEP_DB if args.grid_step_db is None
-                    else args.grid_step_db)
-    catalog = resolve_catalog(args.catalog)
-    try:
-        modem = ModemModel(args.modem_snr_db)
-    except ValueError as exc:
-        raise ConfigError(f"--modem-snr-db: {exc}")
-    check_range("--degree", degree, *FIT_DEGREE_RANGE, error=ConfigError)
-    check_range("--grid-step-db", grid_step_db, *GRID_STEP_RANGE_DB,
-                unit="dB", error=ConfigError)
+    curves = characterize_catalog(resolve_catalog(args.catalog), args.modem_snr_db,
+                                  args.degree, args.grid_step_db)
     out = Path(args.out)
-    for config in catalog:
-        grid = default_gsnr_grid(config, grid_step_db)
-        try:
-            curve = characterize(modem, config, degree, grid)
-        except ValueError as exc:  # a bad grid, no data or a rejected fit
-            print(f"characterization failed for {config.config_id}: {exc}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        write_report(out / f"{config.config_id}.json", curve_to_dict(curve))
-    print(f"wrote {len(catalog)} characterization curves to {out}")
-    return EXIT_OK
+    for curve in curves:
+        write_report(out / f"{curve.config_id}.json", curve_to_dict(curve))
+    print(f"wrote {len(curves)} characterization curves to {out}")
 
 
-def cmd_probe(args) -> int:
-    from .probing import DEFAULT_CAP_THETA_DB, run_probe_workflow
+def cmd_probe(args):
+    from .probing import run_probe_workflow
     from .reports import margin_report_to_dict, write_report
 
-    theta_db = DEFAULT_CAP_THETA_DB if args.theta_db is None else args.theta_db
-    check_range("--theta-db", theta_db, error=ConfigError)
     scenario, catalog, curves, line = _context(args)
-    report = run_probe_workflow(line, catalog, curves, scenario.policy, theta_db)
+    report = run_probe_workflow(line, catalog, curves, scenario.policy, args.theta_db)
     out = Path(args.out) / f"{scenario.link.name}-report.json"
     write_report(out, margin_report_to_dict(report, scenario.link.seed))
     print(f"{scenario.link.name}: GSNR {report.gsnr_est_link_db:.2f} dB, "
@@ -132,10 +111,9 @@ def cmd_probe(args) -> int:
           f"accuracy bound {report.accuracy_bound_db:.2f} dB "
           f"({report.accuracy_flag.value})")
     print(f"report written to {out}")
-    return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     from dataclasses import replace
 
     from .probing import sweep_diagnostics
@@ -170,10 +148,9 @@ def cmd_sweep(args) -> int:
         print(f"{scenario.link.name}: {cid} tilt {tilt:.2f} dB, "
               f"ripple {ripple:.2f} dB")
     print(f"profile written to {csv_path}")
-    return EXIT_OK
 
 
-def cmd_regime(args) -> int:
+def cmd_regime(args):
     from .probing import run_regime_workflow
     from .reports import regime_report_to_dict, write_report
 
@@ -188,50 +165,33 @@ def cmd_regime(args) -> int:
               f"(delta {delta}, recommended power change "
               f"{entry.recommended_power_delta_db:+.2f} dB)")
     print(f"regime report written to {out}")
-    return EXIT_OK
 
 
-def cmd_throughput(args) -> int:
-    from .probing import DEFAULT_CAP_THETA_DB, what_if_line_rates
-    from .reports import (WHAT_IF_CAVEAT, throughput_entry,
-                          throughput_no_signal_entry, throughput_to_dict,
-                          write_report)
+def cmd_throughput(args):
+    from .probing import run_throughput_workflow
+    from .reports import WHAT_IF_CAVEAT, throughput_to_dict, write_report
 
-    theta_db = DEFAULT_CAP_THETA_DB if args.theta_db is None else args.theta_db
-    check_range("--theta-db", theta_db, error=ConfigError)
     loaded = {}
-    contexts = [_context(args, path, loaded) for path in args.scenario]
-    names = [scenario.link.name for scenario, *_ in contexts]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        # each probe of a repeat is another transceiver reconfiguration
-        raise ConfigError(f"--scenario repeats route {', '.join(repeated)}")
-    entries = []
-    for scenario, catalog, curves, line in contexts:
-        name = scenario.link.name
-        try:
-            rates = what_if_line_rates(line, catalog, curves, scenario.policy,
-                                       theta_db)
-        except NoSignalError as exc:
-            entries.append(throughput_no_signal_entry(name, str(exc)))
-            print(f"{name}: no signal: {exc}", file=sys.stderr)
+    routes = [(line, catalog, curves, scenario.policy)
+              for scenario, catalog, curves, line
+              in (_context(args, path, loaded) for path in args.scenario)]
+    report = throughput_to_dict(run_throughput_workflow(routes, args.theta_db))
+    for entry in report["links"]:
+        name = entry["scenario"]
+        if "no_signal" in entry:
+            print(f"{name}: no signal: {entry['no_signal']}", file=sys.stderr)
             continue
-        entry = throughput_entry(name, *rates)
-        entries.append(entry)
         gain = entry["gain_percent"]
-        print(f"{name}: achievable {rates[0]:g} Gbit/s, "
-              f"potential {rates[1]:g} Gbit/s"
+        print(f"{name}: achievable {entry['achievable_gbps']:g} Gbit/s, "
+              f"potential {entry['potential_gbps']:g} Gbit/s"
               + (f", gain {gain:.1f}%" if gain is not None else ""))
-    if all("no_signal" in entry for entry in entries):
-        return EXIT_NO_SIGNAL
     out = Path(args.out) / "throughput.json"
-    write_report(out, throughput_to_dict(entries))
+    write_report(out, report)
     print(f"note: {WHAT_IF_CAVEAT}")
     print(f"throughput report written to {out}")
-    return EXIT_OK
 
 
-def cmd_monitor(args) -> int:
+def cmd_monitor(args):
     from .probing import run_monitor_workflow
     from .reports import (monitor_series_to_csv, monitor_summary_to_dict,
                           write_report)
@@ -254,7 +214,6 @@ def cmd_monitor(args) -> int:
               f"({config.slot_width_ghz:g} -> {upgrade.slot_width_ghz:g} GHz "
               f"per carrier, +{gain:g} Gbit/s over C-band)")
     print(f"series written to {csv_path}")
-    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -283,7 +242,7 @@ def build_parser() -> _Parser:
     p.add_argument("--modem-snr-db", type=float, default=26.0,
                    help="transceiver implementation noise SNR (default 26)")
     # an omitted --degree, --grid-step-db or --theta-db is None, and the
-    # command takes the default from the module it imports to run
+    # library workflow the command calls takes its default and checks it
     p.add_argument("--degree", type=int,
                    help="degree of each curve's polynomial fit, an integer "
                         "in [1, 12] (default 3)")
@@ -335,7 +294,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except (ConfigError, FitRejectedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

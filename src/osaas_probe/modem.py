@@ -28,8 +28,9 @@ from functools import cache, cached_property
 from operator import itemgetter, le, mul
 from pathlib import Path
 
-from .errors import (CurveRangeError, FitRejectedError, InsufficientDataError,
-                     build_record, check_range, number, read_json, text)
+from .errors import (ConfigError, CurveRangeError, FitRejectedError,
+                     InsufficientDataError, build_record, check_range, number,
+                     read_json, text)
 from .spectrum import ModulationFormat, PltConfig
 from .units import erfcinv, harmonic_db_sum, q_db_from_ber
 
@@ -347,6 +348,31 @@ def characterize(model: ModemModel, config: PltConfig,
     points = generate_char_points(model, config, gsnr_grid)
     return fit_characterization(points, degree, config.config_id,
                                 model.snr_modem_db)
+
+
+def characterize_catalog(catalog: tuple[PltConfig, ...], snr_modem_db: float,
+                         degree: int | None = None, grid_step_db: float | None = None
+                         ) -> list[CharacterizationCurve]:
+    """The ``characterize`` command: every catalog configuration's curve, or
+    none and a ConfigError naming the flag or configuration at fault. A
+    ``degree`` or ``grid_step_db`` of None is DEFAULT_FIT_DEGREE or GRID_STEP_DB."""
+    try:
+        model = ModemModel(snr_modem_db)
+    except ValueError as exc:
+        raise ConfigError(f"--modem-snr-db: {exc}") from None
+    degree = DEFAULT_FIT_DEGREE if degree is None else degree
+    step = GRID_STEP_DB if grid_step_db is None else grid_step_db
+    check_range("--degree", degree, *FIT_DEGREE_RANGE, error=ConfigError)
+    check_range("--grid-step-db", step, *GRID_STEP_RANGE_DB, unit="dB", error=ConfigError)
+    curves = []
+    for config in catalog:
+        try:  # a bad grid, no data or a rejected fit
+            curves.append(characterize(model, config, degree,
+                                       default_gsnr_grid(config, step)))
+        except ValueError as exc:
+            raise ConfigError(
+                f"characterization failed for {config.config_id}: {exc}") from None
+    return curves
 
 
 def _inversion_seed(curve: CharacterizationCurve, q_db: float) -> float:

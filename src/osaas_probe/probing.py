@@ -6,7 +6,8 @@ detection, and monitoring over time with the slot-narrowing upgrade it reveals.
 One function runs each CLI command, raising NoSignalError when the line
 gives it nothing to report: run_probe_workflow (``probe``),
 sweep_diagnostics (``sweep``), run_regime_workflow (``regime``),
-what_if_line_rates (``throughput``) and run_monitor_workflow (``monitor``).
+run_throughput_workflow (``throughput``: when no route works, naming each)
+and run_monitor_workflow (``monitor``).
 
 Everything here drives a line exclusively through its black-box probe surface
 (:meth:`LineSystem.probe` or anything with the same signature) plus published
@@ -303,8 +304,11 @@ def verify_margin_accuracy(campaign: ProbeCampaign, margins_db: dict[str, float]
 def run_probe_workflow(line, catalog: tuple[PltConfig, ...],
                        curves: dict[str, CharacterizationCurve],
                        policy: PowerPolicy,
-                       theta_db: float = DEFAULT_CAP_THETA_DB) -> MarginReport:
-    """Full narrow-band workflow: probe, cap, estimate, margins, verify."""
+                       theta_db: float | None = None) -> MarginReport:
+    """Full narrow-band workflow: probe, cap, estimate, margins, verify. A cap
+    ``theta_db`` that is not finite is a ConfigError; None is the default."""
+    theta_db = (DEFAULT_CAP_THETA_DB if theta_db is None
+                else check_range("--theta-db", theta_db, error=ConfigError))
     campaign = run_extended_probe(line, catalog, curves, policy)
     penalties = compute_penalties(campaign)
     cap = detect_symbol_rate_cap(campaign, penalties, theta_db)
@@ -340,6 +344,28 @@ def what_if_line_rates(line, catalog: tuple[PltConfig, ...],
         best = report.best_config
         return report.campaign.configs[best].line_rate_gbps if best else 0.0
     return best_rate(line), best_rate(line.without_filters())
+
+
+def run_throughput_workflow(routes, theta_db: float | None = None
+                            ) -> dict[str, tuple[float, float] | str]:
+    """what_if_line_rates of each (line, catalog, curves, policy) route, or
+    the reason none of its probes works, keyed on the line's name. A repeated
+    name (another transceiver reconfiguration per probe) is a ConfigError
+    before any probe; no working route, one NoSignalError naming each."""
+    names = [line.name for line, *_ in routes]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"--scenario repeats route {', '.join(repeated)}")
+    results = {}
+    for name, route in zip(names, routes):
+        try:
+            results[name] = what_if_line_rates(*route, theta_db)
+        except NoSignalError as exc:
+            results[name] = str(exc)
+    if all(isinstance(rates, str) for rates in results.values()):
+        raise NoSignalError("; ".join(f"{name}: {reason}"
+                                      for name, reason in results.items()))
+    return results
 
 
 def run_frequency_sweep(line, configs: tuple[PltConfig, ...],
@@ -462,13 +488,15 @@ def sweep_diagnostics(line, configs: tuple[PltConfig, ...],
         GsnrProfile, tuple[float, bool] | None, dict[str, tuple[float, float]]]:
     """A frequency sweep, its misalignment and per-configuration tilt/ripple,
     each diagnostic left out where too few points work for it. A repeated
-    id is a ConfigError naming --configs, raised before any probe."""
+    id is a ConfigError naming --configs, raised before any probe, and a
+    profile without a working point a NoSignalError."""
     try:
         profile = run_frequency_sweep(line, configs, curves, step_ghz, policy)
     except ConfigError as exc:
         raise ConfigError(f"--configs: {exc}") from None
-    if not profile.points:
-        raise NoSignalError("no configuration admits any carrier placement")
+    if not any(_working_points(profile, cid) for cid in profile.points):
+        raise NoSignalError("no configuration works at any placement" if profile.points
+                            else "no configuration admits any carrier placement")
     try:
         misalignment = detect_misalignment(profile)
     except InsufficientDataError:
@@ -533,12 +561,8 @@ def detect_operation_regime(line, catalog: tuple[PltConfig, ...],
         else:
             delta, regime = None, Regime.LINEAR
             note = "outage under constant PSD"
-        if regime is Regime.LINEAR:
-            recommended = applied_delta
-        elif regime is Regime.NONLINEAR:
-            recommended = -applied_delta
-        else:
-            recommended = 0.0
+        recommended = {Regime.LINEAR: applied_delta,
+                       Regime.NONLINEAR: -applied_delta}.get(regime, 0.0)
         report.entries[cid] = RegimeEntry(regime, delta, recommended, note)
     return report
 

@@ -179,33 +179,23 @@ def monitor_summary_to_dict(series: list[tuple[float, float | None]], seed: int,
     return summary
 
 
-def throughput_entry(name: str, achievable_gbps: float,
-                     potential_gbps: float) -> dict:
-    """One link of the throughput report: line rates with and without the
-    filter cascade, and the gain for one channel and for 40."""
-    gain = (100.0 * (potential_gbps - achievable_gbps) / achievable_gbps
-            if achievable_gbps > 0 else None)
-    return {
-        "scenario": name,
-        "achievable_gbps": achievable_gbps,
-        "potential_gbps": potential_gbps,
-        "gain_percent": None if gain is None else round(gain, 3),
-        "c_band_40ch_gain_gbps": round(40.0 * (potential_gbps - achievable_gbps), 3),
-    }
-
-
-def throughput_no_signal_entry(name: str, reason: str) -> dict:
-    """A link of the throughput report on which no probe worked."""
-    return {
-        "scenario": name,
-        "achievable_gbps": None,
-        "potential_gbps": None,
-        "gain_percent": None,
-        "c_band_40ch_gain_gbps": None,
-        "no_signal": reason,
-    }
-
-
-def throughput_to_dict(entries: list[dict]) -> dict:
+def throughput_to_dict(results: dict[str, tuple[float, float] | str]) -> dict:
+    """The report of probing.run_throughput_workflow's results: per route,
+    the line rates with and without the filter cascade and the gain for one
+    channel and for 40, or, all None, the reason no probe worked."""
+    links = []
+    for name, rates in results.items():
+        entry = {"scenario": name, "achievable_gbps": None, "potential_gbps": None,
+                 "gain_percent": None, "c_band_40ch_gain_gbps": None}
+        if isinstance(rates, str):
+            entry["no_signal"] = rates
+        else:
+            achievable, potential = rates
+            entry.update(achievable_gbps=achievable, potential_gbps=potential,
+                         c_band_40ch_gain_gbps=round(40.0 * (potential - achievable), 3))
+            if achievable > 0:
+                entry["gain_percent"] = round(
+                    100.0 * (potential - achievable) / achievable, 3)
+        links.append(entry)
     return {"schema_version": REPORT_SCHEMA_VERSION, "note": WHAT_IF_CAVEAT,
-            "links": entries}
+            "links": links}

@@ -160,7 +160,25 @@ def test_characterize_grid_past_40_db_is_config_error(tmp_path, capsys):
     assert run(["characterize", "--catalog", catalog_path,
                 "--grid-step-db", "0.8", "--out", out]) == 3
     assert capsys.readouterr().err.splitlines() == [
-        "characterization failed for DP-QPSK-31.5: "
+        "error: characterization failed for DP-QPSK-31.5: "
+        "GSNR grid must lie within [0, 40] dB"]
+    assert not out.exists()
+
+
+def test_failed_characterization_writes_no_curve(tmp_path, capsys):
+    """A catalog whose second record fails writes no curve, not the first
+    one's: every configuration is fitted before any file is written."""
+    catalog_path = tmp_path / "two.json"
+    catalog_path.write_text(json.dumps([
+        {"format": "DP-QPSK", "symbol_rate_gbd": 31.5, "line_rate_gbps": 100,
+         "required_gsnr_db": 12},
+        {"format": "DP-QPSK", "symbol_rate_gbd": 52, "line_rate_gbps": 200,
+         "required_gsnr_db": 26}]))
+    out = tmp_path / "curves"
+    assert run(["characterize", "--catalog", catalog_path,
+                "--grid-step-db", "0.8", "--out", out]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: characterization failed for DP-QPSK-52: "
         "GSNR grid must lie within [0, 40] dB"]
     assert not out.exists()
 
@@ -480,7 +498,9 @@ def _dead_spans(scenario):
 
 def test_blocked_carrier_is_no_signal(tmp_path, curves_dir):
     """Filters 150 GHz off the carrier pass no power: every probe is an
-    outage, so the probe command ends in one no-signal line."""
+    outage, so the probe command and the sweep, whose profile holds no
+    working point, each end in one no-signal line; the sweep used to write
+    an all-outage profile and exit 0."""
     blocked = _variant(tmp_path, "B-621-blocked",
                        lambda s: s.update(filter_misalignment_ghz=150.0))
     out = tmp_path / "out"
@@ -490,12 +510,12 @@ def test_blocked_carrier_is_no_signal(tmp_path, curves_dir):
     assert stderr.splitlines() == [
         "no signal: no working probe result in campaign"]
     assert not out.exists()
-    assert run(["sweep", "--scenario", blocked, "--curves", curves_dir,
-                "--out", out]) == 0
-    for path in out.iterdir():
-        text = path.read_text()
-        assert "Infinity" not in text and "NaN" not in text
-    assert "OUTAGE" in (out / "B-621-blocked-profile.csv").read_text()
+    code, stderr = run_process(["sweep", "--scenario", blocked, "--curves",
+                                curves_dir, "--out", out], tmp_path)
+    assert code == 2
+    assert stderr.splitlines() == [
+        "no signal: no configuration works at any placement"]
+    assert not out.exists()
 
 
 def test_throughput_records_dead_link_and_goes_on(tmp_path, curves_dir):
@@ -525,7 +545,21 @@ def test_throughput_without_any_working_link_exit_2(tmp_path, curves_dir):
                                tmp_path)
     assert code == 2
     assert stderr.splitlines() == [
-        "B-621-dead: no signal: no working probe result in campaign"]
+        "no signal: B-621-dead: no working probe result in campaign"]
+    assert not (tmp_path / "throughput.json").exists()
+
+
+def test_throughput_over_dead_routes_is_one_line(tmp_path, curves_dir):
+    """Two routes without a working probe end in one no-signal line naming
+    both; each used to print a line of its own."""
+    dead = [_variant(tmp_path, name, _dead_spans) for name in ("D1", "D2")]
+    code, stderr = run_process(["throughput", "--scenario", dead[0],
+                                "--scenario", dead[1], "--curves", curves_dir,
+                                "--out", tmp_path], tmp_path)
+    assert code == 2
+    assert stderr.splitlines() == [
+        "no signal: D1: no working probe result in campaign; "
+        "D2: no working probe result in campaign"]
     assert not (tmp_path / "throughput.json").exists()
 
 

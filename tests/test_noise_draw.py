@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from osaas_probe import reports
 from osaas_probe.catalog import resolve_catalog
 from osaas_probe.cli import main
-from osaas_probe.errors import LimitViolationError, SpectrumError
+from osaas_probe.errors import LimitViolationError, NoSignalError, SpectrumError
 from osaas_probe.linesystem import (
     DispersionComp,
     FilterElement,
@@ -27,6 +27,7 @@ from osaas_probe.linesystem import (
 )
 from osaas_probe.modem import ModemModel
 from osaas_probe.probing import (
+    run_frequency_sweep,
     run_monitor,
     run_probe_workflow,
     run_regime_workflow,
@@ -286,8 +287,15 @@ def run_workflow(workflow, line, sc, catalog, curves):
         series = run_monitor(line, config, curves[config.config_id], sc.policy,
                              6.0, 1.0)
         return {"csv": reports.monitor_series_to_csv(series)}
-    profile, *diagnostics = sweep_diagnostics(line, (config,), curves,
-                                              sc.sweep_step_ghz, sc.policy)
+    try:
+        profile, *diagnostics = sweep_diagnostics(line, (config,), curves,
+                                                  sc.sweep_step_ghz, sc.policy)
+    except NoSignalError as exc:
+        # the sweep command's exit 2, where no point works: the profile is
+        # read all the same, as the monitor series is
+        profile = run_frequency_sweep(line, (config,), curves,
+                                      sc.sweep_step_ghz, sc.policy)
+        return {"csv": reports.profile_to_csv(profile), "no_signal": str(exc)}
     return {"csv": reports.profile_to_csv(profile),
             "summary": reports.sweep_summary_to_dict(profile, seed,
                                                      *diagnostics)}
