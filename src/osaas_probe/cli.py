@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Each command loads its context, calls one library function, writes the
-reports and prints its summary lines: ``characterize`` calls
-modem.characterize_catalog, and each probing command the workflow the
-probing module names for it. A command returns only on success: every
+Each command loads its context, calls one library function (``sweep``
+first passes --configs to probing.select_configs), writes the reports and
+prints its summary lines: ``characterize`` calls modem.characterize_catalog,
+each probing command the workflow the probing module names for it. Every
 failure is an exception, which main turns into its exit code.
 
 Every command is deterministic for a fixed scenario file and seed. Exit
@@ -116,23 +116,15 @@ def cmd_probe(args):
 def cmd_sweep(args):
     from dataclasses import replace
 
-    from .probing import sweep_diagnostics
+    from .probing import select_configs, sweep_diagnostics
     from .reports import profile_to_csv, sweep_summary_to_dict, write_report
 
     scenario, catalog, curves, line = _context(args)
     if args.step_ghz is not None:
         scenario = replace(scenario, sweep_step_ghz=args.step_ghz)
-    configs = catalog
-    if args.configs is not None:
-        wanted = [c.strip() for c in args.configs.split(",") if c.strip()]
-        if not wanted:
-            raise ConfigError(f"--configs selects no configuration: {args.configs!r}")
-        by_id = {c.config_id: c for c in catalog}
-        missing = [w for w in wanted if w not in by_id]
-        if missing:
-            raise ConfigError(f"unknown config ids {missing}; catalog has "
-                              f"{sorted(by_id)}")
-        configs = tuple(by_id[w] for w in wanted)
+    configs = catalog if args.configs is None else select_configs(
+        catalog, [c.strip() for c in args.configs.split(",") if c.strip()],
+        "--configs")
     profile, misalignment, tilt_ripple = sweep_diagnostics(
         line, configs, curves, scenario.sweep_step_ghz, scenario.policy)
     out_dir = Path(args.out)

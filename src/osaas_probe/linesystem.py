@@ -232,13 +232,10 @@ def cascade_osnr_at_0dbm(spans: tuple[SpanSpec, ...]) -> float:
 
     ASE adds linearly over the spans, and every span OSNR moves dB for dB
     with the launch power, so the cascade OSNR at any launch power is this
-    value plus the launch power in dBm.
+    value plus the launch power in dBm; without spans it is infinite.
     """
-    if not spans:
-        return math.inf
-    acc = sum(10.0 ** (-(ASE_BUDGET_CONSTANT_DB - s.loss_db
-                         - s.amp_noise_figure_db) / 10.0) for s in spans)
-    return -10.0 * math.log10(acc)
+    return harmonic_db_sum(*[ASE_BUDGET_CONSTANT_DB - s.loss_db
+                             - s.amp_noise_figure_db for s in spans])
 
 
 def nli_eta_per_mw2(spans: tuple[SpanSpec, ...]) -> float:

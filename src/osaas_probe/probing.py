@@ -7,7 +7,8 @@ One function runs each CLI command, raising NoSignalError when the line
 gives it nothing to report: run_probe_workflow (``probe``),
 sweep_diagnostics (``sweep``), run_regime_workflow (``regime``),
 run_throughput_workflow (``throughput``: when no route works, naming each)
-and run_monitor_workflow (``monitor``).
+and run_monitor_workflow (``monitor``). select_configs picks the catalog
+configurations of ``sweep --configs`` and of a scenario's monitor_config_id.
 
 Everything here drives a line exclusively through its black-box probe surface
 (:meth:`LineSystem.probe` or anything with the same signature) plus published
@@ -178,6 +179,22 @@ def _configs_by_id(configs: tuple[PltConfig, ...]) -> dict[str, PltConfig]:
     return by_id
 
 
+def select_configs(catalog: tuple[PltConfig, ...], config_ids: list[str],
+                   field: str) -> tuple[PltConfig, ...]:
+    """The catalog configurations ``config_ids``, in order; an empty list, or
+    the first unknown or repeated id, is a ConfigError led by ``field``."""
+    by_id = {config.config_id: config for config in catalog}
+    if not config_ids:
+        raise ConfigError(f"{field} selects no configuration")
+    for i, cid in enumerate(config_ids):
+        if cid not in by_id:
+            raise ConfigError(f"{field}: unknown config id {cid!r}; catalog "
+                              f"has {sorted(by_id)}")
+        if cid in config_ids[:i]:
+            raise ConfigError(f"{field}: configuration {cid} repeated")
+    return tuple(by_id[cid] for cid in config_ids)
+
+
 def run_extended_probe(line, catalog: tuple[PltConfig, ...],
                        curves: dict[str, CharacterizationCurve],
                        policy: PowerPolicy) -> ProbeCampaign:
@@ -235,21 +252,23 @@ def _within_cap(config: PltConfig, cap_gbd: float) -> bool:
     return config.symbol_rate_gbd <= cap_gbd + 1e-9
 
 
-def estimate_link_gsnr(campaign: ProbeCampaign, cap_gbd: float) -> float:
-    """Mean estimated GSNR over working configurations within the cap."""
+def _in_cap_estimates(campaign: ProbeCampaign, cap_gbd: float) -> list[float]:
     included = [r.gsnr_est_db for r in campaign.working()
                 if _within_cap(campaign.configs[r.config_id], cap_gbd)]
     if not included:
         raise NoSignalError("no working result at or below the symbol rate cap")
+    return included
+
+
+def estimate_link_gsnr(campaign: ProbeCampaign, cap_gbd: float) -> float:
+    """Mean estimated GSNR over working configurations within the cap."""
+    included = _in_cap_estimates(campaign, cap_gbd)
     return math.fsum(included) / len(included)
 
 
 def estimate_spread_db(campaign: ProbeCampaign, cap_gbd: float) -> float:
     """Max minus min of the working GSNR estimates within the cap."""
-    values = [r.gsnr_est_db for r in campaign.working()
-              if _within_cap(campaign.configs[r.config_id], cap_gbd)]
-    if not values:
-        raise NoSignalError("no working results")
+    values = _in_cap_estimates(campaign, cap_gbd)
     return max(values) - min(values)
 
 
@@ -487,13 +506,9 @@ def sweep_diagnostics(line, configs: tuple[PltConfig, ...],
                       step_ghz: float, policy: PowerPolicy) -> tuple[
         GsnrProfile, tuple[float, bool] | None, dict[str, tuple[float, float]]]:
     """A frequency sweep, its misalignment and per-configuration tilt/ripple,
-    each diagnostic left out where too few points work for it. A repeated
-    id is a ConfigError naming --configs, raised before any probe, and a
-    profile without a working point a NoSignalError."""
-    try:
-        profile = run_frequency_sweep(line, configs, curves, step_ghz, policy)
-    except ConfigError as exc:
-        raise ConfigError(f"--configs: {exc}") from None
+    each left out where too few points work for it. A repeated id is a
+    ConfigError before any probe, and no working point a NoSignalError."""
+    profile = run_frequency_sweep(line, configs, curves, step_ghz, policy)
     if not any(_working_points(profile, cid) for cid in profile.points):
         raise NoSignalError("no configuration works at any placement" if profile.points
                             else "no configuration admits any carrier placement")
@@ -648,11 +663,9 @@ def run_monitor_workflow(line, catalog: tuple[PltConfig, ...],
                          duration_h: float, interval_h: float) -> tuple[
         PltConfig, list[tuple[float, float | None]], PltConfig | None]:
     """The catalog configuration ``config_id``, its monitor series and the
-    upgrade at the series' peak. A bad span is a ConfigError naming
-    --duration-h/--interval-h, raised before any probe."""
-    config = next((c for c in catalog if c.config_id == config_id), None)
-    if config is None:
-        raise ConfigError(f"monitor config {config_id!r} not in catalog")
+    upgrade at the series' peak. An id outside the catalog or a bad span is
+    a ConfigError naming its field, raised before any probe."""
+    (config,) = select_configs(catalog, [config_id], "monitor_config_id")
     try:
         series = run_monitor(line, config, curves[config_id], policy,
                              duration_h, interval_h)

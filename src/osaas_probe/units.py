@@ -65,22 +65,20 @@ def osnr_to_snr_db(osnr_01nm_db: float, symbol_rate_gbd: float) -> float:
 def harmonic_db_sum(*terms_db: float) -> float:
     """Combine SNR contributions expressed in dB.
 
-    Noise powers add linearly, so 1/snr_total = sum(1/snr_i). Terms of
-    +infinity contribute no noise and are skipped; at least one finite term
-    is required. A term so low that its noise power overflows a float (below
-    about -3080 dB, as on a carrier the filters all but block) leaves no
-    SNR: the sum is -infinity.
+    Noise powers add linearly, so 1/snr_total = sum(1/snr_i). A term of
+    +infinity adds no noise, nor does one whose noise power underflows to
+    zero (above about 3236 dB). Without any noise, as for no terms (the ASE
+    of a line without spans) or +infinity alone (a line without spans or
+    NLI), the sum is +infinity. A term so low that its noise power overflows
+    a float (below about -3080 dB, as on a carrier the filters all but
+    block) leaves no SNR: the sum is -infinity.
     """
     acc = 0.0
-    finite = False
     for term in terms_db:
-        if math.isinf(term) and term > 0:
-            continue
         try:
             acc += 10.0 ** (-term / 10.0)
         except OverflowError:
             return -math.inf
-        finite = True
-    if not finite:
+    if acc == 0.0:
         return math.inf
     return -10.0 * math.log10(acc)

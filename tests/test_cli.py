@@ -447,6 +447,43 @@ def test_monitor_at_an_infinite_interval_takes_one_sample(tmp_path, curves_dir):
     assert summary["samples"] == 1
 
 
+def test_monitor_config_outside_catalog_is_config_error(tmp_path, curves_dir,
+                                                       capsys):
+    """A scenario's monitor_config_id must name a configuration of the
+    catalog, which --catalog may supply, so it is checked where the catalog
+    is known: exit 3 with one line naming the key, and nothing written."""
+    scenario = json.loads((SCENARIOS / "LH-3751-monitor-summer.json").read_text())
+    scenario["monitor_config_id"] = "DP-QPSK-11.1"
+    path = tmp_path / "LH-3751-monitor-summer.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "out"
+    assert run(["monitor", "--scenario", path, "--curves", curves_dir,
+                "--out", out]) == 3
+    stderr = capsys.readouterr().err.splitlines()
+    assert len(stderr) == 1
+    assert stderr[0].startswith("error: monitor_config_id: unknown config id "
+                                "'DP-QPSK-11.1'; catalog has [")
+    assert not out.exists()
+
+
+def test_line_without_any_noise_is_no_signal(tmp_path):
+    """A line without spans, NLI or filters adds no noise, and a modem SNR of
+    4000 dB adds noise that underflows to zero: the total SNR is infinite
+    and every reading error-free, so probe ends in one no-signal line. The
+    sum of the two SNRs used to end in a math domain error traceback."""
+    curves = tmp_path / "curves"
+    assert run(["characterize", "--catalog", "regional", "--modem-snr-db",
+                4000, "--out", curves]) == 0
+    bare = _variant(tmp_path, "bare", lambda s: s.update(
+        spans=[], filters=[], noise_sigma_q_db=0.0))
+    out = tmp_path / "out"
+    code, stderr = run_process(["probe", "--scenario", bare, "--curves",
+                                curves, "--out", out], tmp_path)
+    assert (code, stderr.splitlines()) == (
+        2, ["no signal: no working probe result in campaign"])
+    assert not out.exists()
+
+
 def test_monitor_bad_interval(tmp_path, curves_dir):
     assert run(["monitor", "--scenario",
                 SCENARIOS / "LH-3751-monitor-summer.json",
@@ -816,6 +853,7 @@ def test_unbounded_flag_is_config_error(tmp_path, curves_dir, command, name,
     ("throughput", "B-621", ["--theta-db", "nan"]),
     ("sweep", "C-284-sweep", ["--configs", ","]),
     ("sweep", "C-284-sweep", ["--configs", "DP-QPSK-31.5,DP-QPSK-31.5"]),
+    ("sweep", "C-284-sweep", ["--configs", "DP-QPSK-11.1"]),
     pytest.param("throughput", "B-621", ["--scenario", SCENARIOS / "B-621.json"],
                  id="throughput-B-621---scenario B-621"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -46,6 +47,7 @@ from osaas_probe.probing import (
     run_monitor_workflow,
     run_probe_workflow,
     select_best_config,
+    select_configs,
     sweep_diagnostics,
     verify_margin_accuracy,
     what_if_line_rates,
@@ -102,6 +104,32 @@ def test_repeated_config_id_is_rejected_before_any_probe(catalog, curves,
     with pytest.raises(ValueError, match=f"configuration {config.config_id} "
                                          "repeated"):
         run()
+    assert proxy.probes == []
+
+
+def test_select_configs_rules(catalog):
+    """The configurations of a list of ids, in its order; an empty list, an
+    unknown id and a repeated id each raise one ConfigError led by the
+    field that named the ids, the first bad id in list order."""
+    ids = [catalog[2].config_id, catalog[0].config_id]
+    assert select_configs(catalog, ids, "--configs") == (catalog[2], catalog[0])
+    for bad, message in [
+            ([], "--configs selects no configuration"),
+            (ids + ["nope", "DP-QPSK-11.1"],
+             "--configs: unknown config id 'nope'; catalog has ["),
+            (ids + [ids[1], "nope"],
+             f"--configs: configuration {ids[1]} repeated")]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            select_configs(catalog, bad, "--configs")
+
+
+def test_monitor_config_outside_catalog_is_rejected_before_any_probe(
+        catalog, curves):
+    proxy = ProbeSurface(_StubLine(BerReading(1e-3, True, 0.0)))
+    with pytest.raises(ConfigError, match="^monitor_config_id: unknown config "
+                                          "id 'DP-QPSK-11.1'"):
+        run_monitor_workflow(proxy, catalog, curves, POLICY, "DP-QPSK-11.1",
+                             2.0, 1.0)
     assert proxy.probes == []
 
 

@@ -66,6 +66,12 @@ def test_harmonic_db_sum():
     assert harmonic_db_sum(13.0, 26.0) == pytest.approx(12.7876, abs=1e-4)
     assert harmonic_db_sum(17.0, math.inf) == pytest.approx(17.0)
     assert harmonic_db_sum(math.inf, math.inf) == math.inf
+    # no noise at all: no term, or a term whose noise power underflows
+    # (above about 3236 dB), which used to raise ValueError
+    assert harmonic_db_sum() == math.inf
+    assert harmonic_db_sum(4000.0) == math.inf
+    assert harmonic_db_sum(math.inf, 4000.0) == math.inf
+    assert harmonic_db_sum(4000.0, 20.0) == 20.0
 
 
 @given(st.floats(min_value=-10, max_value=40),
