@@ -3,8 +3,10 @@
 Each command loads its context, calls one library function (``sweep``
 first passes --configs to probing.select_configs), writes the reports and
 prints its summary lines: ``characterize`` calls modem.characterize_catalog,
-each probing command the workflow the probing module names for it. Every
-failure is an exception, which main turns into its exit code.
+each probing command the workflow the probing module names for it, which
+needs a curve for each configuration it probes: the context reads the curve
+files of the catalog that exist. Every failure is an exception, which main
+turns into its exit code.
 
 Every command is deterministic for a fixed scenario file and seed. Exit
 codes: 0 success, 2 no usable signal, 3 configuration error (an
@@ -42,23 +44,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_curves(curves_dir: Path, catalog, loaded: dict) -> dict:
-    """The curve of each catalog configuration. ``loaded`` holds the curves
-    this command has read so far, so each file is read and gated once."""
+    """The curve of each catalog configuration whose file exists. ``loaded``
+    holds the curves this command has read so far, so each file is read and
+    gated once."""
     from .modem import load_curve
 
     for config in catalog:
-        if config.config_id in loaded:
-            continue
         path = curves_dir / f"{config.config_id}.json"
-        if not path.exists():
-            raise ConfigError(
-                f"no characterization curve for {config.config_id} in "
-                f"{curves_dir}; run 'osaas-probe characterize' first")
+        if config.config_id in loaded or not path.exists():
+            continue
         curve = loaded[config.config_id] = load_curve(path)
         if curve.config_id != config.config_id:
             raise ConfigError(f"characterization curve {path} holds "
                               f"{curve.config_id!r}, not {config.config_id!r}")
-    return {config.config_id: loaded[config.config_id] for config in catalog}
+    return {config.config_id: loaded[config.config_id] for config in catalog
+            if config.config_id in loaded}
 
 
 def _context(args, path=None, loaded=None):

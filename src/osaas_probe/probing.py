@@ -9,6 +9,7 @@ sweep_diagnostics (``sweep``), run_regime_workflow (``regime``),
 run_throughput_workflow (``throughput``: when no route works, naming each)
 and run_monitor_workflow (``monitor``). select_configs picks the catalog
 configurations of ``sweep --configs`` and of a scenario's monitor_config_id.
+Each workflow rejects a configuration without a curve before its first probe.
 
 Everything here drives a line exclusively through its black-box probe surface
 (:meth:`LineSystem.probe` or anything with the same signature) plus published
@@ -168,13 +169,17 @@ def probe_once(line, config: PltConfig, curve: CharacterizationCurve,
                        sim_time_h, q, gsnr, post_fec_ok=ok)
 
 
-def _configs_by_id(configs: tuple[PltConfig, ...]) -> dict[str, PltConfig]:
-    """Each configuration by its id, in order; a repeated id is a ConfigError,
-    as each probe of a repeat is another transceiver reconfiguration."""
+def _configs_by_id(configs: tuple[PltConfig, ...],
+                   curves: dict[str, CharacterizationCurve]) -> dict[str, PltConfig]:
+    """Each configuration by its id, in order; an id without a curve or a
+    repeated one (another reconfiguration per probe) is a ConfigError."""
     by_id: dict[str, PltConfig] = {}
     for config in configs:
         if config.config_id in by_id:
             raise ConfigError(f"configuration {config.config_id} repeated")
+        if config.config_id not in curves:
+            raise ConfigError(f"no characterization curve for {config.config_id}"
+                              "; run 'osaas-probe characterize' first")
         by_id[config.config_id] = config
     return by_id
 
@@ -202,7 +207,7 @@ def run_extended_probe(line, catalog: tuple[PltConfig, ...],
     return ProbeCampaign(
         link_name=line.name,
         media_channel=line.media_channel,
-        configs=_configs_by_id(catalog),
+        configs=_configs_by_id(catalog, curves),
         results=[probe_once(line, cfg, curves[cfg.config_id], policy)
                  for cfg in catalog],
     )
@@ -369,12 +374,15 @@ def run_throughput_workflow(routes, theta_db: float | None = None
                             ) -> dict[str, tuple[float, float] | str]:
     """what_if_line_rates of each (line, catalog, curves, policy) route, or
     the reason none of its probes works, keyed on the line's name. A repeated
-    name (another transceiver reconfiguration per probe) is a ConfigError
-    before any probe; no working route, one NoSignalError naming each."""
+    name (another transceiver reconfiguration per probe) or a route that
+    fails :func:`_configs_by_id` is a ConfigError before any route probes;
+    no working route, one NoSignalError naming each."""
     names = [line.name for line, *_ in routes]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ConfigError(f"--scenario repeats route {', '.join(repeated)}")
+    for _, catalog, curves, _ in routes:
+        _configs_by_id(catalog, curves)
     results = {}
     for name, route in zip(names, routes):
         try:
@@ -398,7 +406,7 @@ def run_frequency_sweep(line, configs: tuple[PltConfig, ...],
     """
     mc = line.media_channel
     profile = GsnrProfile(media_channel=mc, step_ghz=step_ghz, points={},
-                          configs=_configs_by_id(configs))
+                          configs=_configs_by_id(configs, curves))
     for config in configs:
         offsets = admissible_offsets_ghz(mc, config, step_ghz)
         if not offsets:
@@ -546,7 +554,7 @@ def detect_operation_regime(line, catalog: tuple[PltConfig, ...],
     power_policy = PowerPolicy(PolicyKind.CONSTANT_TOTAL_POWER, power_ref)
     report = RegimeReport(psd_ref_dbm_per_ghz=psd_ref_dbm_per_ghz,
                           rs_ref_gbd=rs_ref_gbd, entries={})
-    for cid, config in _configs_by_id(catalog).items():
+    for cid, config in _configs_by_id(catalog, curves).items():
         if not _within_cap(config, rs_ref_gbd):
             continue
         at_psd = probe_once(line, config, curves[cid], psd_policy)
@@ -663,9 +671,10 @@ def run_monitor_workflow(line, catalog: tuple[PltConfig, ...],
                          duration_h: float, interval_h: float) -> tuple[
         PltConfig, list[tuple[float, float | None]], PltConfig | None]:
     """The catalog configuration ``config_id``, its monitor series and the
-    upgrade at the series' peak. An id outside the catalog or a bad span is
-    a ConfigError naming its field, raised before any probe."""
+    upgrade at the series' peak. An id outside the catalog or without a
+    curve, or a bad span, is a ConfigError raised before any probe."""
     (config,) = select_configs(catalog, [config_id], "monitor_config_id")
+    _configs_by_id((config,), curves)
     try:
         series = run_monitor(line, config, curves[config_id], policy,
                              duration_h, interval_h)

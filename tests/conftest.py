@@ -54,18 +54,26 @@ def catalog_records(catalog):
 
 
 class ProbeSurface:
-    """Only the probe surface of ``line`` and its published channel
-    metadata, keeping the arguments of every probe in ``probes``."""
+    """Only the probe surface of ``line``, its published channel metadata
+    and its what-if copy, keeping the arguments of every probe in
+    ``probes`` and each what-if copy, behind a surface of its own, in
+    ``copies``."""
 
     def __init__(self, line):
-        self._probe = line.probe
+        self._line = line
         self.media_channel = line.media_channel
         self.name = line.name
         self.probes = []
+        self.copies = []
 
     def probe(self, config, policy, carrier_center_thz=None, sim_time_h=0.0):
         self.probes.append((config, policy, carrier_center_thz, sim_time_h))
-        return self._probe(config, policy, carrier_center_thz, sim_time_h)
+        return self._line.probe(config, policy, carrier_center_thz, sim_time_h)
+
+    def without_filters(self):
+        copy = ProbeSurface(self._line.without_filters())
+        self.copies.append(copy)
+        return copy
 
 
 def make_non_monotone(curve_data: dict) -> dict:

@@ -236,6 +236,36 @@ def test_probe_missing_curves_is_config_error(tmp_path):
                 "--curves", tmp_path / "nope", "--out", tmp_path]) == 3
 
 
+@pytest.mark.parametrize("command, name, flags, code, error", [
+    ("monitor", "LH-3751-monitor-summer", [], 0, None),
+    ("sweep", "LH-1792", ["--configs", "DP-QPSK-69.4"], 0, None),
+    ("probe", "B-485", [], 3, "error: no characterization curve for "
+                              "DP-QPSK-31.5; run 'osaas-probe characterize' first"),
+], ids=["monitor", "sweep", "probe"])
+def test_a_command_needs_the_curve_of_each_configuration_it_probes(
+        tmp_path, curves_dir, capsys, command, name, flags, code, error):
+    """With DP-QPSK-69.4's curve alone, monitor and sweep --configs, which
+    probe only it, write the bytes they write with every curve, where they
+    used to exit 3; probe on B-485 is one line naming the first
+    configuration without a curve, and writes nothing."""
+    curves = tmp_path / "curves"
+    curves.mkdir()
+    shutil.copy(curves_dir / "DP-QPSK-69.4.json", curves)
+    args = [command, "--scenario", SCENARIOS / f"{name}.json"] + flags
+    out = tmp_path / "out"
+    assert run(args + ["--curves", curves, "--out", out]) == code
+    stderr = capsys.readouterr().err.splitlines()
+    if error is None:
+        assert stderr == []
+        full = tmp_path / "full"
+        assert run(args + ["--curves", curves_dir, "--out", full]) == 0
+        assert ({p.name: p.read_bytes() for p in out.iterdir()}
+                == {p.name: p.read_bytes() for p in full.iterdir()})
+    else:
+        assert stderr == [error]
+        assert not out.exists()
+
+
 def test_probe_invalid_scenario_exit_4(tmp_path, curves_dir):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 1, "name": "x"}))

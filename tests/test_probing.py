@@ -46,6 +46,8 @@ from osaas_probe.probing import (
     run_monitor,
     run_monitor_workflow,
     run_probe_workflow,
+    run_regime_workflow,
+    run_throughput_workflow,
     select_best_config,
     select_configs,
     sweep_diagnostics,
@@ -131,6 +133,49 @@ def test_monitor_config_outside_catalog_is_rejected_before_any_probe(
         run_monitor_workflow(proxy, catalog, curves, POLICY, "DP-QPSK-11.1",
                              2.0, 1.0)
     assert proxy.probes == []
+
+
+@pytest.mark.parametrize("workflow, defect", [
+    ("probe", "missing-curve"), ("sweep", "missing-curve"),
+    ("regime", "missing-curve"), ("monitor", "missing-curve"),
+    ("throughput", "missing-curve"), ("throughput", "repeat")])
+def test_config_without_curve_or_repeated_is_rejected_before_any_probe(
+        curves, make_line, workflow, defect):
+    """Every workflow gates the configurations it is handed before its first
+    probe, and throughput every route before the first one probes. A curve
+    missing for the catalog's last configuration, or a configuration that
+    the second route of a batch repeats, is one ConfigError, and no line or
+    what-if copy is probed. On B-485 the missing curve used to be a
+    KeyError after 8 probes of probe, 56 of sweep and 14 of regime, and a
+    batch's second route failed after the first had run."""
+    sc = shipped_scenario("B-485")
+    catalog = resolve_catalog(sc.catalog)
+    line = ProbeSurface(make_line("B-485"))
+    first = ProbeSurface(make_line("B-621"))
+    route_curves = curves
+    if defect == "repeat":
+        catalog += catalog[:1]
+        message = f"configuration {catalog[0].config_id} repeated"
+    else:
+        route_curves = {cid: curve for cid, curve in curves.items()
+                        if cid != catalog[-1].config_id}
+        message = (f"no characterization curve for {catalog[-1].config_id}; "
+                   "run 'osaas-probe characterize' first")
+    route = (line, catalog, route_curves, sc.policy)
+    run = {
+        "probe": lambda: run_probe_workflow(*route),
+        "sweep": lambda: sweep_diagnostics(line, catalog, route_curves,
+                                           sc.sweep_step_ghz, sc.policy),
+        "regime": lambda: run_regime_workflow(*route),
+        "monitor": lambda: run_monitor_workflow(
+            *route, catalog[-1].config_id, 2.0, 1.0),
+        "throughput": lambda: run_throughput_workflow(
+            [(first, regional_catalog(), curves, sc.policy), route]),
+    }[workflow]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run()
+    for surface in (line, first):
+        assert surface.probes == [] and surface.copies == []
 
 
 def test_compute_penalties_all_equal():
